@@ -74,6 +74,20 @@ def in_U(mat: Matrix2) -> bool:
     return in_A(mat) and in_B(mat)
 
 
+def _sides(mat: Matrix2) -> tuple[bool, bool]:
+    """Membership in A and in B of a matrix already known to lie in SL2.
+
+    Read from exponent signs alone: A needs no negative exponent, and B
+    needs polynomial diagonal entries, b of valuation at least -1 and c
+    divisible by t.
+    """
+    diagonal = mat.a.is_polynomial() and mat.d.is_polynomial()
+    low_b = min((e[0] for e in mat.b.terms), default=0)
+    low_c = min((e[0] for e in mat.c.terms), default=1)
+    return (diagonal and low_b >= 0 and low_c >= 0,
+            diagonal and low_b >= -1 and low_c >= 1)
+
+
 @dataclass(frozen=True)
 class AmalgamLetter:
     """One factor of a normal form: a side label and a matrix in it."""
@@ -206,7 +220,9 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     t_inv = t.unit_inverse()
     one, zero = _QT.one(), _QT.zero()
     letters: list[tuple[str, Matrix2]] = []
-    while not (in_A(rest) or in_B(rest)):
+    # every letter has determinant one, so rest keeps the determinant
+    # checked on entry and its sides follow from exponent signs
+    while not any(_sides(rest)):
         p, q = act(rest, v0), act(rest, v1)
         near_v0 = min(distance(v0, p), distance(v0, q))
         near_v1 = min(distance(v1, p), distance(v1, q))
@@ -229,16 +245,21 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
             side = "B"
         letters.append((side, letter))
         rest = letter.inverse() @ rest
+    rest_in_a, rest_in_b = _sides(rest)
     if not letters:
-        out = [AmalgamLetter("A" if in_A(rest) else "B", rest)]
-    elif in_U(rest):
+        out = [AmalgamLetter("A" if rest_in_a else "B", rest)]
+    elif rest_in_a and rest_in_b:
         last_side, last = letters[-1]
         out = [AmalgamLetter(side, matrix) for side, matrix in letters[:-1]]
         out.append(AmalgamLetter(last_side, last @ rest))
     else:
         out = [AmalgamLetter(side, matrix) for side, matrix in letters]
-        out.append(AmalgamLetter("A" if in_A(rest) else "B", rest))
-    assert multiply([letter.matrix for letter in out]) == original
+        out.append(AmalgamLetter("A" if rest_in_a else "B", rest))
+    product = multiply([letter.matrix for letter in out])
+    if product != original:
+        raise RuntimeError(
+            f"normal form check failed: the letters multiply to {product}, "
+            f"not to the input {original}")
     return out
 
 

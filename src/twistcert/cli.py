@@ -66,7 +66,13 @@ class CommandConfig:
         if self.subcommand == "verify" and self.kmax < 2:
             raise UsageError(f"kmax must be at least 2, got {self.kmax}")
         for path in (self.eps_table, self.lift):
-            if path is not None and path != "-" and not Path(path).is_file():
+            if path is None or path == "-":
+                continue
+            try:
+                readable = Path(path).is_file()
+            except OSError as exc:  # e.g. a name longer than the OS allows
+                raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+            if not readable:
                 raise UsageError(f"cannot read {path}")
 
 
@@ -78,7 +84,11 @@ def _read_source(source: str) -> str:
     if source == "-":
         return sys.stdin.read()
     path = Path(source)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # e.g. a literal longer than any file name
+        is_file = False
+    if is_file:
         return path.read_text()
     return source
 

@@ -170,7 +170,10 @@ def rho(lift: LiftClass) -> Matrix2:
     if not report.ok:
         raise ValueError(f"invalid lift: {report.detail}")
     mat = rho_pre_phi(lift).map_entries(specialize_phi)
-    assert mat.det() == mat.ring.one()
+    det = mat.det()
+    if det != mat.ring.one():
+        raise ValueError(
+            f"represented matrix {mat} has determinant {det}, not 1")
     return mat
 
 

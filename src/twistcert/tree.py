@@ -11,6 +11,14 @@ are exactly the stabilizers of these two vertices.
 Distances come from elementary divisors: for vertices v, w the distance
 is a_v + a_w - 2 l with l = min(a_v, a_w, ord(r_v - r_w)).  Geodesics
 walk down to level l and climb back up, one coefficient of r at a time.
+
+The action of a determinant-one matrix is computed from valuations and a
+truncated power series, with Laurent polynomial arithmetic only: the
+image lattice has determinant t^a, so its level is read off valuations,
+and its tail is a series quotient that inverts one coefficient.  No
+fraction is reduced and no polynomial gcd is taken.  RationalFunction
+and canonical_vertex serve lattice bases with genuinely rational
+entries, and are the reference the action is tested against.
 """
 
 from __future__ import annotations
@@ -265,30 +273,68 @@ def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
     if not det:
         raise ValueError("lattice matrix is singular")
     if not delta or (gamma and gamma.valuation() < delta.valuation()):
-        alpha, beta = beta, alpha
-        gamma, delta = delta, gamma
-    if gamma:
-        alpha = alpha - (gamma / delta) * beta
+        beta, delta = alpha, gamma
     level = det.valuation() - 2 * delta.valuation()
     return TreeVertex(level, (beta / delta).truncate(level))
 
 
-def _coerce_matrix(mat: Matrix2) -> tuple[RationalFunction, ...]:
-    try:
-        return tuple(RationalFunction.wrap(e) for e in mat.entries())
-    except ValueError:
-        raise ValueError("tree actions need matrices univariate in t") from None
+def _series_quotient(num: LaurentPoly, den: LaurentPoly,
+                    bound: int) -> LaurentPoly:
+    """The Laurent expansion of num/den at t = 0, below exponent bound.
+
+    Power-series long division: only the lowest coefficient of den is
+    ever inverted, so the quotient needs neither lowest terms nor a gcd.
+    RationalFunction.truncate expands reduced fractions the same way and
+    is kept apart as the reference the tree action is tested against.
+    """
+    if not num:
+        return _QT.zero()
+    v_num, v_den = num.valuation(), den.valuation()
+    shift = v_num - v_den
+    count = bound - shift
+    if count <= 0:
+        return _QT.zero()
+    num_c = {e[0] - v_num: Fraction(c) for e, c in num.terms.items()}
+    (_, d0), *den_rest = [(e[0] - v_den, Fraction(c))
+                          for e, c in den.terms.items()]
+    series: list[Fraction] = []
+    for i in range(count):
+        acc = num_c.get(i, Fraction(0))
+        for j, cj in den_rest:
+            if j > i:
+                break
+            acc -= cj * series[i - j]
+        series.append(acc / d0)
+    return LaurentPoly(_QT, {(shift + i,): c for i, c in enumerate(series)})
 
 
 def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
-    """Apply a determinant-one matrix to a vertex."""
-    a, b, c, d = _coerce_matrix(mat)
-    if a * d - b * c != RationalFunction(1):
+    """Apply a determinant-one matrix to a vertex.
+
+    The image is the lattice spanned by the columns of
+    g [[t^a, r], [0, 1]] = [[x t^a, x r + y], [z t^a, z r + w]] for
+    g = [[x, y], [z, w]].  This basis has determinant t^a because
+    det g = 1, so the reduction of canonical_vertex needs valuations
+    only: take delta = z r + w, or z t^a when that has the smaller
+    valuation (or delta vanishes), and beta from the same column; the
+    image is (a - 2 v(delta); beta/delta expanded below that level).
+    The expansion is a truncated series quotient, so no rational
+    function is formed and no gcd is taken.
+    """
+    if mat.ring != _QT:
+        if mat.ring.names != ("t",):
+            raise ValueError("tree actions need matrices univariate in t")
+        mat = mat.map_entries(lambda f: f.as_domain("Q"))
+    x, y, z, w = mat.entries()
+    if x * w - y * z != _QT.one():
         raise ValueError("tree actions need determinant one")
-    power = RationalFunction(_QT.monomial((vertex.a,), 1))
-    tail = RationalFunction(vertex.r)
-    return canonical_vertex(a * power, a * tail + b,
-                            c * power, c * tail + d)
+    beta = x * vertex.r + y
+    delta = z * vertex.r + w
+    if not delta or (z and z.valuation() + vertex.a < delta.valuation()):
+        power = _QT.monomial((vertex.a,), 1)
+        beta, delta = x * power, z * power
+    level = vertex.a - 2 * delta.valuation()
+    return TreeVertex(level, _series_quotient(beta, delta, level))
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:
@@ -319,7 +365,10 @@ def geodesic(v: TreeVertex, w: TreeVertex) -> list[TreeVertex]:
     path = [v]
     while path[-1] != w:
         path.append(first_step(path[-1], w))
-    assert len(path) == distance(v, w) + 1
+    if len(path) != distance(v, w) + 1:
+        raise RuntimeError(
+            f"geodesic from {v} to {w} has {len(path) - 1} edges, "
+            f"but their distance is {distance(v, w)}")
     return path
 
 

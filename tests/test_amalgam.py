@@ -11,6 +11,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
+from twistcert import amalgam
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -89,6 +90,14 @@ def test_random_factor_products_land_where_built():
         assert in_A(random_a_element(rng))
         assert in_B(random_b_element(rng))
         assert in_U(random_u_element(rng))
+
+
+def test_sign_membership_agrees_with_public_checks():
+    rng = random.Random(35)
+    for _ in range(30):
+        for g in (random_a_element(rng), random_b_element(rng),
+                  random_u_element(rng), random_laurent_sl2(rng)):
+            assert amalgam._sides(g) == (in_A(g), in_B(g))
 
 
 # -- letters ---------------------------------------------------------------
@@ -222,6 +231,14 @@ def test_normal_form_length_matches_tree_displacement():
         edge_moves = max(distance(v0, act(g, v0)), distance(v1, act(g, v1)))
         assert len(letters) <= distance(v0, act(g, v0)) + 1
         assert len(letters) >= max(1, edge_moves - 1)
+
+
+def test_normal_form_rejects_a_wrong_product(monkeypatch):
+    word = matrix_Mk(3) @ matrix_N()
+    monkeypatch.setattr(amalgam, "multiply",
+                        lambda mats: Matrix2.identity(QT))
+    with pytest.raises(RuntimeError, match="normal form check failed"):
+        amalgam_normal_form(word)
 
 
 def test_normal_form_requires_unimodular_input():

@@ -126,6 +126,14 @@ def test_verify_rejects_missing_table(capsys):
     assert "cannot read" in err
 
 
+def test_verify_rejects_overlong_lift_name(capsys):
+    code, out, err = run(capsys, "verify", "--lift", "x" * 300)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read x")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_writes_artifact(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "verify", "--kmax", "2",
@@ -239,6 +247,19 @@ def test_normal_form_alternating_word(capsys):
     lines = out.splitlines()
     assert lines[-1] == "letters: 3"
     assert [line[1] for line in lines[:3]] == ["B", "A", "B"]
+
+
+def test_normal_form_literal_longer_than_a_file_name(capsys, monkeypatch):
+    n = matrix_N()
+    word = matrix_Mk(3) @ n @ matrix_Mk(2) @ n @ matrix_Mk(5) @ n \
+        @ matrix_Mk(7) @ n
+    literal = str(word)
+    assert len(literal.encode()) > 255
+    code, out, err = run(capsys, "normal-form", literal)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "letters: 8"
+    monkeypatch.setattr("sys.stdin", io.StringIO(literal))
+    assert run(capsys, "normal-form", "-") == (0, out, "")
 
 
 def test_normal_form_json(capsys):

@@ -10,7 +10,7 @@ from conftest import (
     random_tree_vertex,
     random_u_element,
 )
-from twistcert.laurent import ParseError, parse_poly
+from twistcert.laurent import ParseError, parse_poly, single_variable_ring
 from twistcert.rep import Matrix2, matrix_Mk, matrix_N
 from twistcert.tree import (
     RationalFunction,
@@ -219,6 +219,27 @@ def test_action_is_a_group_action():
         h = random_laurent_sl2(rng)
         v = random_tree_vertex(rng)
         assert act(g @ h, v) == act(g, act(h, v))
+
+
+def test_action_matches_rational_reduction():
+    # act works from valuations and a truncated series; canonical_vertex
+    # reduces the same lattice basis as rational functions
+    rng = random.Random(17)
+    pairs = [(random_laurent_sl2(rng), random_tree_vertex(rng))
+             for _ in range(200)]
+    # the Weyl element on untailed vertices gives delta = 0 (column swap)
+    weyl = Matrix2.from_rows(QT, [[0, -1], [1, 0]])
+    pairs += [(weyl, TreeVertex(a, QT.zero())) for a in (-2, 0, 3)]
+    for g, v in pairs:
+        basis = g @ vertex_matrix(v)
+        oracle = canonical_vertex(
+            *(RationalFunction(e) for e in basis.entries()))
+        assert act(g, v) == oracle
+
+
+def test_action_rejects_other_variables():
+    with pytest.raises(ValueError, match="univariate in t"):
+        act(Matrix2.identity(single_variable_ring("s")), base_vertex())
 
 
 def test_action_is_isometric():

@@ -49,9 +49,9 @@ from .rep import (
 )
 from .tree import (
     RationalFunction,
-    TranslationReport,
     TreeVertex,
     act,
+    as_sl2,
     ball_dot,
     base_vertex,
     canonical_vertex,

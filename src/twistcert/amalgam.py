@@ -33,6 +33,7 @@ from .laurent import specialize_phi
 from .rep import Matrix2, h_form, matrix_Mk, matrix_N, multiply, rho
 from .tree import (
     act,
+    as_sl2,
     base_vertex,
     distance,
     first_step,
@@ -41,37 +42,6 @@ from .tree import (
 )
 
 _QT = series_ring()
-
-
-def _as_laurent_matrix(mat: Matrix2) -> Matrix2:
-    """Coerce to rational coefficients and insist on determinant one."""
-    if mat.ring != _QT:
-        if mat.ring.names != ("t",):
-            raise ValueError("amalgam matrices are univariate in t")
-        mat = mat.map_entries(lambda f: f.as_domain("Q"))
-    if mat.det() != _QT.one():
-        raise ValueError("amalgam matrices must have determinant one")
-    return mat
-
-
-def in_A(mat: Matrix2) -> bool:
-    """Membership in SL2(Q[t]): all entries free of negative exponents."""
-    mat = _as_laurent_matrix(mat)
-    return all(entry.is_polynomial() for entry in mat.entries())
-
-
-def in_B(mat: Matrix2) -> bool:
-    """Membership in the diag(t, 1) conjugate of A."""
-    mat = _as_laurent_matrix(mat)
-    t = _QT.variable(0)
-    t_inv = t.unit_inverse()
-    conjugated = Matrix2(mat.a, t * mat.b, t_inv * mat.c, mat.d)
-    return in_A(conjugated)
-
-
-def in_U(mat: Matrix2) -> bool:
-    """Membership in the edge subgroup A cap B."""
-    return in_A(mat) and in_B(mat)
 
 
 def _sides(mat: Matrix2) -> tuple[bool, bool]:
@@ -88,6 +58,21 @@ def _sides(mat: Matrix2) -> tuple[bool, bool]:
             diagonal and low_b >= -1 and low_c >= 1)
 
 
+def in_A(mat: Matrix2) -> bool:
+    """Membership in SL2(Q[t]): all entries free of negative exponents."""
+    return _sides(as_sl2(mat))[0]
+
+
+def in_B(mat: Matrix2) -> bool:
+    """Membership in the diag(t, 1) conjugate of A."""
+    return _sides(as_sl2(mat))[1]
+
+
+def in_U(mat: Matrix2) -> bool:
+    """Membership in the edge subgroup A cap B."""
+    return all(_sides(as_sl2(mat)))
+
+
 @dataclass(frozen=True)
 class AmalgamLetter:
     """One factor of a normal form: a side label and a matrix in it."""
@@ -98,13 +83,14 @@ class AmalgamLetter:
     def __post_init__(self):
         if self.side not in ("A", "B"):
             raise ValueError(f"unknown side {self.side!r}")
-        member = in_A(self.matrix) if self.side == "A" else in_B(self.matrix)
-        if not member:
+        matrix = as_sl2(self.matrix)
+        in_a, in_b = _sides(matrix)
+        if not (in_a if self.side == "A" else in_b):
             raise ValueError(f"matrix {self.matrix} is not in side {self.side}")
-        object.__setattr__(self, "matrix", _as_laurent_matrix(self.matrix))
+        object.__setattr__(self, "matrix", matrix)
 
     def in_edge_subgroup(self) -> bool:
-        return in_U(self.matrix)
+        return all(_sides(self.matrix))
 
     def __str__(self):
         return f"({self.side}) {self.matrix}"
@@ -137,7 +123,7 @@ def h_cap_a_forces_identity(mat: Matrix2) -> IdentityForcingReport:
         return IdentityForcingReport("precondition_failed", (reason,), mat)
 
     try:
-        m = _as_laurent_matrix(mat)
+        m = as_sl2(mat)
     except ValueError as exc:
         return failed(str(exc))
     for label, entry in zip("abcd", m.entries()):
@@ -187,13 +173,14 @@ def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
 
     Coset equality would force M_k = h M_l u with h balanced in A and u
     in U; h is the identity (h_cap_a_forces_identity), so u = M_l^-1 M_k
-    would lie in U.  Its lower-left entry is the constant k - l, and U
+    would lie in U.  That product is [[1, 0], [-l, 1]] [[1, 0], [k, 1]]
+    = M_{k-l}, whose lower-left entry is the constant k - l, and U
     requires that entry to vanish at t = 0.
     """
     if k < 1 or l < 1:
         raise ValueError("twist powers must be at least 1")
-    u = matrix_Mk(l).inverse() @ matrix_Mk(k)
-    value = u.c.eval_at_zero()
+    u = matrix_Mk(k - l)
+    value = k - l
     distinct = value != 0
     if distinct:
         witness = (f"equality would put M_{l}^-1 M_{k} = {u} in U, but its "
@@ -213,7 +200,7 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     automatically, every non-initial letter lies outside U, and the word
     length is at most the displacement of the base vertex plus one.
     """
-    original = _as_laurent_matrix(mat)
+    original = as_sl2(mat)
     rest = original
     v0, v1 = base_vertex(), odd_base_vertex()
     t = _QT.variable(0)

@@ -17,7 +17,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .amalgam import amalgam_normal_form, build_certificate
@@ -47,35 +46,6 @@ class UsageError(Exception):
     """A configuration problem; the process exits with code 2."""
 
 
-@dataclass(frozen=True)
-class CommandConfig:
-    """Validated options for the certificate pipeline."""
-
-    subcommand: str
-    genus: int = 2
-    kmax: int = 2
-    fmt: str = "text"
-    eps_table: str | None = None
-    lift: str | None = None
-    output: str | None = None
-    seed: int | None = None
-
-    def __post_init__(self):
-        if self.genus < 2:
-            raise UsageError(f"genus must be at least 2, got {self.genus}")
-        if self.subcommand == "verify" and self.kmax < 2:
-            raise UsageError(f"kmax must be at least 2, got {self.kmax}")
-        for path in (self.eps_table, self.lift):
-            if path is None or path == "-":
-                continue
-            try:
-                readable = Path(path).is_file()
-            except OSError as exc:  # e.g. a name longer than the OS allows
-                raise UsageError(f"cannot read {path}: {exc.strerror}") from None
-            if not readable:
-                raise UsageError(f"cannot read {path}")
-
-
 # -- input plumbing --------------------------------------------------------
 
 
@@ -91,6 +61,17 @@ def _read_source(source: str) -> str:
     if is_file:
         return path.read_text()
     return source
+
+
+def _read_json(source: str, what: str):
+    """Read JSON given as '-', a file path, or inline text."""
+    text = _read_source(source)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        if text is source:  # not stdin, not a file, not inline JSON
+            raise UsageError(f"cannot read {source}") from None
+        raise UsageError(f"bad {what} JSON: {exc}") from None
 
 
 def parse_matrix(text: str, ring: LaurentRing | None = None) -> Matrix2:
@@ -122,11 +103,7 @@ def _vertex_from_spec(source: str) -> TreeVertex:
 def _lift_from_spec(source: str, genus: int) -> LiftClass:
     if source == "canonical-C":
         return canonical_lift(genus)
-    try:
-        data = json.loads(_read_source(source))
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"bad lift JSON: {exc}") from None
-    return LiftClass.from_json(data)
+    return LiftClass.from_json(_read_json(source, "lift"))
 
 
 def _ring_for_expression(expr: str, genus: int, domain: str) -> LaurentRing:
@@ -147,44 +124,41 @@ def _ring_for_expression(expr: str, genus: int, domain: str) -> LaurentRing:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    config = CommandConfig(
-        "verify", genus=args.genus, kmax=args.kmax, fmt=args.format,
-        eps_table=args.eps_table, lift=args.lift, output=args.output,
-        seed=args.seed)
+    if args.genus < 2:
+        raise UsageError(f"genus must be at least 2, got {args.genus}")
+    if args.kmax < 2:
+        raise UsageError(f"kmax must be at least 2, got {args.kmax}")
     eps = None
-    if config.eps_table is not None:
-        try:
-            entries = json.loads(_read_source(config.eps_table))
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"bad pairing table JSON: {exc}") from None
-        eps = EpsilonTable.from_entries(config.genus, entries)
+    if args.eps_table is not None:
+        eps = EpsilonTable.from_entries(
+            args.genus, _read_json(args.eps_table, "pairing table"))
     lift = None
-    if config.lift is not None:
-        lift = _lift_from_spec(config.lift, config.genus)
+    if args.lift is not None:
+        lift = _lift_from_spec(args.lift, args.genus)
     try:
-        cert = build_certificate(config.kmax, config.genus, eps=eps,
+        cert = build_certificate(args.kmax, args.genus, eps=eps,
                                  base_lift=lift)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     text = cert.json_text()
 
     recheck_note = None
-    if config.seed is not None:
-        probe = EpsilonTable.random_skew(config.genus,
-                                         random.Random(config.seed))
-        if build_certificate(config.kmax, config.genus, eps=probe,
+    if args.seed is not None:
+        probe = EpsilonTable.random_skew(args.genus,
+                                         random.Random(args.seed))
+        if build_certificate(args.kmax, args.genus, eps=probe,
                              base_lift=lift).json_text() != text:
             recheck_note = (f"certificate depends on the pairing table "
-                            f"(seed {config.seed})")
+                            f"(seed {args.seed})")
 
-    if config.output is not None:
-        Path(config.output).write_text(text + "\n")
-    if config.fmt == "json":
+    if args.output is not None:
+        Path(args.output).write_text(text + "\n")
+    if args.format == "json":
         print(text)
     else:
         for line in cert.summary_lines():
             print(line)
-        if config.seed is not None:
+        if args.seed is not None:
             print("pairing-table recheck: "
                   + ("failed" if recheck_note else "ok"))
     ok = cert.verdict and recheck_note is None
@@ -258,10 +232,8 @@ def cmd_tree(args: argparse.Namespace) -> int:
         return 0
     if args.query == "translation":
         mat = parse_matrix(_read_source(args.matrix))
-        report = translation_length(mat, radius=args.ball_radius)
-        flavor = "exact" if report.exact else "upper bound"
-        print(f"translation length: {report.length} ({flavor})")
-        print(f"note: {report.note}")
+        print(f"translation length: {translation_length(mat)} (exact)")
+        print("note: read from the trace, max(0, -2 v(tr g))")
         return 0
     print(ball_dot(center=_vertex_from_spec(args.center),
                    radius=args.ball_radius))
@@ -300,10 +272,12 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--kmax", type=int, default=10,
                         help="largest twist power to certify (default 10)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
-    verify.add_argument("--eps-table", metavar="PATH",
-                        help="JSON list of intersection-pairing entries")
-    verify.add_argument("--lift", metavar="PATH",
-                        help="JSON lift record replacing the built-in curve")
+    verify.add_argument("--eps-table", metavar="JSON",
+                        help="list of intersection-pairing entries "
+                             "(path, inline, or -)")
+    verify.add_argument("--lift", metavar="LIFT",
+                        help="lift record replacing the built-in curve "
+                             "(path, inline JSON, or -), or canonical-C")
     verify.add_argument("--output", metavar="PATH",
                         help="also write the certificate JSON here")
     verify.add_argument("--seed", type=int,
@@ -338,8 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     trans = tree_sub.add_parser(
         "translation", help="minimal displacement of a matrix")
     trans.add_argument("matrix")
-    trans.add_argument("--ball-radius", type=int, default=8,
-                       help="how far from the base vertex to scan")
+    trans.add_argument("--ball-radius", type=int,
+                       help="accepted and ignored: the length is read "
+                            "from the trace, exactly")
     ball = tree_sub.add_parser("ball", help="DOT drawing of a metric ball")
     ball.add_argument("center", nargs="?", default="base")
     ball.add_argument("--ball-radius", type=int, default=2)

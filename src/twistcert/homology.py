@@ -21,8 +21,9 @@ m, n for the translates of a1 and b1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence, Union
+import re
+from dataclasses import dataclass
+from typing import Mapping, Optional, Sequence, Union
 
 from .laurent import (
     ExponentVector,
@@ -33,6 +34,21 @@ from .laurent import (
 )
 
 IndexPair = tuple[int, int]
+
+_EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*")
+
+
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; 1.5, "1" and true are rejected."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _json_pair(value, what: str) -> IndexPair:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{what} must be a pair of integers, got {value!r}")
+    return (_json_int(value[0], what), _json_int(value[1], what))
 
 
 def excluded_pair(genus: int) -> IndexPair:
@@ -185,22 +201,25 @@ class EpsilonTable:
         return cls(genus, disjoint, parallel)
 
     @classmethod
-    def from_entries(cls, genus: int, entries: Iterable[Mapping]) -> "EpsilonTable":
+    def from_entries(cls, genus: int, entries: Sequence[Mapping]) -> "EpsilonTable":
         """Build a table from {"x": [i,j], "y": [k,l], "value": v} records.
 
         Each record fixes the sign for the ordered pair (x, y); the skew
         partner is implied.  Conflicting records are an error.
         """
+        if not isinstance(entries, (list, tuple)):
+            raise ValueError("a pairing table is a list of entries")
         disjoint: dict = {}
         parallel: dict = {}
         valid = set(comm_pairs(genus))
         for entry in entries:
-            try:
-                x = (int(entry["x"][0]), int(entry["x"][1]))
-                y = (int(entry["y"][0]), int(entry["y"][1]))
-                v = int(entry["value"])
-            except (KeyError, IndexError, TypeError) as exc:
-                raise ValueError(f"malformed epsilon entry {entry!r}") from exc
+            if not isinstance(entry, Mapping) \
+                    or set(entry) != {"x", "y", "value"}:
+                raise ValueError(f"malformed epsilon entry {entry!r}: "
+                                 "expected the keys x, y and value")
+            x = _json_pair(entry["x"], "an entry's x")
+            y = _json_pair(entry["y"], "an entry's y")
+            v = _json_int(entry["value"], "an entry's value")
             if x[0] >= x[1] or y[0] >= y[1]:
                 raise ValueError(f"pair indices must be increasing in {entry!r}")
             if x not in valid or y not in valid:
@@ -472,35 +491,49 @@ class LiftClass:
 
     @classmethod
     def from_json(cls, data: Mapping) -> "LiftClass":
-        try:
-            genus = int(data["genus"])
-        except (KeyError, TypeError, ValueError):
-            raise ValueError("lift record needs an integer genus") from None
+        """Read to_json's shape back; nothing is coerced or overwritten."""
+        if not isinstance(data, Mapping) or set(data) - {"genus", "w", "m", "n"}:
+            raise ValueError("a lift record is a JSON object with keys among "
+                             "genus, w, m and n")
+        genus = _json_int(data.get("genus"), "the lift's genus")
         ring = surface_ring(genus)
 
-        def family(obj) -> dict:
+        def family(name: str) -> dict:
+            obj = data.get(name, {})
+            if not isinstance(obj, Mapping):
+                raise ValueError(f"lift family {name} must map exponent keys "
+                                 f"to integers, got {obj!r}")
             out = {}
-            for key, c in dict(obj).items():
+            for key, c in obj.items():
+                if not _EXPONENT_KEY.fullmatch(str(key)):
+                    raise ValueError(f"bad exponent key {key!r} in {name}")
                 exps = tuple(int(p) for p in str(key).split(","))
                 if len(exps) != ring.nvars:
                     raise ValueError(
                         f"exponent key {key!r} has the wrong arity for genus {genus}"
                     )
-                out[exps] = int(c)
+                if exps in out:
+                    raise ValueError(f"exponent key {key!r} repeats in {name}")
+                out[exps] = _json_int(c, f"coefficient {name}[{key!r}]")
             return out
 
+        items = data.get("w", [])
+        if not isinstance(items, list):
+            raise ValueError(f"w-part must be a list, got {items!r}")
         w_coeffs = {}
-        for item in data.get("w", []):
+        for item in items:
+            if not (isinstance(item, list) and len(item) == 2
+                    and all(isinstance(part, str) for part in item)):
+                raise ValueError(f"w-part entry {item!r} is not a "
+                                 "[generator, polynomial] pair of strings")
             gen = Generator.from_key(item[0])
             if gen.kind != "comm":
                 raise ValueError("w-part entries must be commutator generators")
+            if gen in w_coeffs:
+                raise ValueError(f"w-part names {item[0]} twice")
             w_coeffs[gen] = parse_poly(item[1], ring)
-        return cls(
-            genus,
-            CycleClass(genus, w_coeffs),
-            family(data.get("m", {})),
-            family(data.get("n", {})),
-        )
+        return cls(genus, CycleClass(genus, w_coeffs),
+                   family("m"), family("n"))
 
     def __repr__(self):
         return (f"<LiftClass genus {self.genus} m=({self.m}) n=({self.n}) "

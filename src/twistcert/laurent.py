@@ -444,18 +444,24 @@ def _tokenize(text: str):
     return tokens
 
 
+MAX_NESTING = 200
+
+
 class _Parser:
     """Recursive-descent parser for the documented expression grammar.
 
     Grammar: sums and differences of products of signed atoms; an atom is
     an integer literal, a rational literal p/q, a variable, or a
     parenthesized expression, optionally raised to an integer power via ^.
+    Parentheses nest at most MAX_NESTING deep, which keeps the descent
+    well inside Python's recursion limit.
     """
 
     def __init__(self, text: str, ring: LaurentRing):
         self.tokens = _tokenize(text)
         self.ring = ring
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -551,8 +557,12 @@ class _Parser:
             self.advance()
             return self.power(self.ring.variable(val))
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             self.advance()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.expect_op(")")
             return self.power(inner)
         raise ParseError(f"expected a value, found {val!r}", pos)

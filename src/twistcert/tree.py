@@ -19,13 +19,14 @@ and its tail is a series quotient that inverts one coefficient.  No
 fraction is reduced and no polynomial gcd is taken.  RationalFunction
 and canonical_vertex serve lattice bases with genuinely rational
 entries, and are the reference the action is tested against.
+Translation lengths need no walk at all: they are read off the trace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .laurent import LaurentPoly, ParseError, parse_poly, single_variable_ring
 from .rep import Matrix2
@@ -308,6 +309,24 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
     return LaurentPoly(_QT, {(shift + i,): c for i, c in enumerate(series)})
 
 
+def as_sl2(mat: Matrix2) -> Matrix2:
+    """The matrix over Q[t, t^-1], checked to have determinant one.
+
+    Every entry point that takes a matrix in SL2 of the Laurent ring
+    (the tree action, translation lengths, amalgam membership and
+    normal forms) checks its input here.
+    """
+    if mat.ring != _QT:
+        if mat.ring.names != ("t",):
+            raise ValueError("SL2 matrices here are univariate in t, not in "
+                             + ", ".join(mat.ring.names))
+        mat = mat.map_entries(lambda f: f.as_domain("Q"))
+    det = mat.det()
+    if det != _QT.one():
+        raise ValueError(f"SL2 needs determinant one, got determinant {det}")
+    return mat
+
+
 def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     """Apply a determinant-one matrix to a vertex.
 
@@ -321,13 +340,7 @@ def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     The expansion is a truncated series quotient, so no rational
     function is formed and no gcd is taken.
     """
-    if mat.ring != _QT:
-        if mat.ring.names != ("t",):
-            raise ValueError("tree actions need matrices univariate in t")
-        mat = mat.map_entries(lambda f: f.as_domain("Q"))
-    x, y, z, w = mat.entries()
-    if x * w - y * z != _QT.one():
-        raise ValueError("tree actions need determinant one")
+    x, y, z, w = as_sl2(mat).entries()
     beta = x * vertex.r + y
     delta = z * vertex.r + w
     if not delta or (z and z.valuation() + vertex.a < delta.valuation()):
@@ -382,44 +395,16 @@ def fixes_edge(mat: Matrix2, v: TreeVertex, w: TreeVertex) -> bool:
     return fixes_vertex(mat, v) and fixes_vertex(mat, w)
 
 
-@dataclass(frozen=True)
-class TranslationReport:
-    """Minimum displacement seen inside a ball, with an exactness flag.
+def translation_length(mat: Matrix2) -> int:
+    """The minimal displacement of a determinant-one matrix on the tree.
 
-    The displacement function is convex along the geodesic from the base
-    vertex to its image, and its true minimum is attained there, so the
-    scan is exact unless the minimum sat at the ball boundary with
-    geodesic left over.
+    For g in SL2 over a discretely valued field it is
+    max(0, -2 v(tr g)) (Serre, Trees, ch. II): g fixes a vertex exactly
+    when its trace is integral, and otherwise moves every vertex of its
+    axis by twice the pole order of the trace.
     """
-
-    length: int
-    exact: bool
-    note: str
-
-
-def translation_length(mat: Matrix2, radius: int = 8) -> TranslationReport:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    start = TreeVertex.base()
-    image = act(mat, start)
-    if image == start:
-        return TranslationReport(0, True, "fixes the base vertex")
-    path = geodesic(start, image)
-    last = min(len(path) - 1, radius)
-    best = None
-    best_index = 0
-    for index in range(last + 1):
-        moved = distance(path[index], act(mat, path[index]))
-        if moved == 0:
-            return TranslationReport(0, True, "found a fixed vertex")
-        if best is None or moved < best:
-            best, best_index = moved, index
-    if best_index < last or last == len(path) - 1:
-        return TranslationReport(best, True, "minimum attained inside the scan")
-    return TranslationReport(
-        best, False,
-        f"scan stopped at the ball boundary (radius {radius}); "
-        "rerun with a larger radius for certainty")
+    trace = as_sl2(mat).trace()
+    return max(0, -2 * trace.valuation()) if trace else 0
 
 
 def ball_dot(center: Optional[TreeVertex] = None, radius: int = 2,

@@ -171,6 +171,16 @@ def test_double_cosets_separate_all_small_pairs():
             assert report.distinct == (k != l)
 
 
+def test_double_coset_connecting_matrix_is_the_product():
+    for k in range(1, 13):
+        for l in range(1, 13):
+            product = matrix_Mk(l).inverse() @ matrix_Mk(k)
+            assert product == matrix_Mk(k - l)
+            report = double_cosets_distinct(k, l)
+            assert report.connecting == product
+            assert str(report.connecting) == str(product)
+
+
 def test_double_coset_json_shape():
     data = double_cosets_distinct(2, 3).to_json()
     assert set(data) == {"k", "l", "distinct", "witness"}

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from twistcert.cli import main, parse_matrix
 from twistcert.homology import canonical_lift
 from twistcert.rep import matrix_Mk, matrix_N
@@ -54,6 +56,16 @@ def test_eval_parse_error_names_position(capsys):
     code, _, err = run(capsys, "eval", "t^")
     assert code == 2
     assert "position" in err
+
+
+def test_eval_bounds_parenthesis_nesting(capsys):
+    code, out, err = run(capsys, "eval", "(" * 1000 + "t" + ")" * 1000)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: parentheses nest deeper than 200")
+    assert "position" in err
+    assert len(err.splitlines()) == 1
+    code, out, _ = run(capsys, "eval", "(" * 100 + "2*t" + ")" * 100)
+    assert (code, out) == (0, "2*t\n")
 
 
 # -- rho ---------------------------------------------------------------------
@@ -134,6 +146,50 @@ def test_verify_rejects_overlong_lift_name(capsys):
     assert len(err.splitlines()) == 1
 
 
+def test_verify_lift_accepts_what_rho_accepts(capsys):
+    code, plain, _ = run(capsys, "verify", "--kmax", "3")
+    assert code == 0
+    inline = json.dumps(canonical_lift(2).to_json())
+    for spec in ("canonical-C", inline):
+        assert run(capsys, "verify", "--kmax", "3", "--lift", spec) \
+            == (0, plain, "")
+
+
+_MALFORMED_LIFTS = (
+    '{"genus":2,"m":{"0,0":1.5,"1,0":-1}}',
+    '{"genus":2,"m":{"0,0":"1","1,0":-1}}',
+    '{"genus":2,"m":{"0,0":true,"1,0":-1}}',
+    '{"genus":2.0}',
+    '{"genus":2,"w":[["c:1:2"]]}',
+    '{"genus":2,"w":{"c:1:2":"1"}}',
+    '{"genus":2,"m":[1]}',
+    '{"genus":2,"m":{"0,0":1,"00,0":-1}}',
+    '{"genus":2,"mm":{}}',
+    "[1]",
+)
+_MALFORMED_TABLES = (
+    '[{"x":[1,2],"y":[3,4],"value":1.5}]',
+    '[{"x":[1,2],"y":[3,4],"value":true}]',
+    '[{"x":["1",2],"y":[3,4],"value":1}]',
+    '[{"x":[1,2,3],"y":[3,4],"value":1}]',
+    '[{"x":1,"y":[3,4],"value":1}]',
+    '[[1,2]]',
+    '{"x":[1,2],"y":[3,4],"value":1}',
+)
+
+
+@pytest.mark.parametrize("argv", (
+    [["rho", lift] for lift in _MALFORMED_LIFTS]
+    + [["verify", "--kmax", "2", "--lift", lift] for lift in _MALFORMED_LIFTS]
+    + [["verify", "--genus", "3", "--kmax", "2", "--eps-table", table]
+       for table in _MALFORMED_TABLES]))
+def test_malformed_json_records_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_writes_artifact(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "verify", "--kmax", "2",
@@ -204,11 +260,20 @@ def test_tree_translation_exact_and_clipped(capsys):
     shift = parse_matrix("[[1, t^-3], [0, 1]]", ring)
     diag = parse_matrix("[[t^2, 0], [0, t^-2]]", ring)
     text = str(shift @ diag @ shift.inverse())
+    # --ball-radius is accepted and has no effect
     code, out, _ = run(capsys, "tree", "translation", text,
                        "--ball-radius", "1")
     assert code == 0
-    assert "upper bound" in out.splitlines()[0]
-    assert "radius" in out
+    assert out.splitlines() == [
+        "translation length: 4 (exact)",
+        "note: read from the trace, max(0, -2 v(tr g))"]
+
+
+def test_tree_translation_rejects_non_unimodular(capsys):
+    code, out, err = run(capsys, "tree", "translation", "[[t,0],[0,1]]")
+    assert (code, out) == (2, "")
+    assert "determinant" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_tree_ball_dot_output(capsys):
@@ -283,3 +348,22 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "1\n"
+
+
+@pytest.mark.parametrize("argv, code, expected", (
+    (["normal-form", "[[t,0],[0,1]]"], 2, "determinant"),
+    (["verify", "--kmax", "3", "--lift", "MUTATED"], 1, "verdict: FAIL"),
+))
+def test_checks_survive_python_optimize(tmp_path, argv, code, expected):
+    # python -O strips asserts; verdicts and input checks must not be asserts
+    record = canonical_lift(2).to_json()
+    record["m"]["0,1"] = 2
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(record))
+    argv = [str(path) if arg == "MUTATED" else arg for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-O", "-m", "twistcert.cli", *argv],
+        capture_output=True, text=True)
+    assert result.returncode == code
+    assert expected in result.stdout + result.stderr
+    assert "Traceback" not in result.stderr

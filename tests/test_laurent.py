@@ -280,6 +280,14 @@ def test_parse_error_positions():
         parse_poly("(1+t)^-1", T)  # not a unit
 
 
+
+def test_parse_nesting_limit():
+    assert parse_poly("(" * 200 + "t" + ")" * 200, T) == T.variable(0)
+    with pytest.raises(ParseError) as e:
+        parse_poly("-(" * 201 + "t" + ")" * 201, T)
+    assert e.value.position == 401
+    assert "nest deeper than 200" in str(e.value)
+
 def test_parse_rational_literals():
     f = parse_poly("1/2*t - 3/4", TQ)
     assert f.coeff((1,)) == Fraction(1, 2)

@@ -10,12 +10,18 @@ from conftest import (
     random_tree_vertex,
     random_u_element,
 )
-from twistcert.laurent import ParseError, parse_poly, single_variable_ring
+from twistcert.laurent import (
+    ParseError,
+    parse_poly,
+    single_variable_ring,
+    surface_ring,
+)
 from twistcert.rep import Matrix2, matrix_Mk, matrix_N
 from twistcert.tree import (
     RationalFunction,
     TreeVertex,
     act,
+    as_sl2,
     ball_dot,
     base_vertex,
     canonical_vertex,
@@ -340,40 +346,62 @@ def test_stabilizers_match_amalgam_membership():
 
 
 def test_translation_length_of_elliptic_elements():
-    report = translation_length(Matrix2.identity(QT))
-    assert report.length == 0 and report.exact
-    assert translation_length(matrix_N()).length == 0
-    assert translation_length(matrix_Mk(5)).length == 0
+    assert translation_length(Matrix2.identity(QT)) == 0
+    assert translation_length(matrix_N()) == 0
+    assert translation_length(matrix_Mk(5)) == 0
 
 
 def test_translation_length_of_hyperbolic_elements():
     diag = Matrix2.from_rows(QT, [["t", 0], [0, "t^-1"]])
-    report = translation_length(diag)
-    assert report.length == 2 and report.exact
+    assert translation_length(diag) == 2
     product = matrix_Mk(3) @ matrix_N()
-    report = translation_length(product)
-    assert report.length == 2 and report.exact
+    assert translation_length(product) == 2
 
 
 def test_translation_length_parity_is_even():
     rng = random.Random(23)
     for _ in range(10):
-        report = translation_length(random_laurent_sl2(rng), radius=6)
-        assert report.length % 2 == 0
+        assert translation_length(random_laurent_sl2(rng)) % 2 == 0
 
 
 def test_translation_length_reports_truncated_scans():
     diag = Matrix2.from_rows(QT, [["t^2", 0], [0, "t^-2"]])
     shift = Matrix2.from_rows(QT, [[1, "t^-3"], [0, 1]])
     g = shift @ diag @ shift.inverse()
-    full = translation_length(g)
-    assert full.length == 4 and full.exact
-    clipped = translation_length(g, radius=1)
-    assert not clipped.exact
-    assert clipped.length >= full.length
-    assert "radius" in clipped.note
-    with pytest.raises(ValueError):
-        translation_length(diag, radius=-1)
+    assert translation_length(g) == 4
+
+
+def _displacement_minimum(g: Matrix2) -> int:
+    """min d(v, g v) over the geodesic from the base vertex to its image.
+
+    That geodesic meets the axis of a hyperbolic element and the fixed
+    tree of an elliptic one, so the minimum is the translation length.
+    """
+    start = base_vertex()
+    return min(distance(v, act(g, v))
+               for v in geodesic(start, act(g, start)))
+
+
+def test_translation_length_matches_displacement_scan():
+    rng = random.Random(29)
+    elements = [random_laurent_sl2(rng) for _ in range(150)]
+    for n in range(1, 5):
+        diag = Matrix2.from_rows(QT, [[f"t^{n}", 0], [0, f"t^{-n}"]])
+        for _ in range(13):
+            h = random_laurent_sl2(rng)
+            elements.append(h @ diag @ h.inverse())
+    assert {translation_length(g) for g in elements} == {0, 2, 4, 6, 8}
+    for g in elements:
+        assert translation_length(g) == _displacement_minimum(g)
+
+
+def test_as_sl2_rejects_non_unimodular_and_multivariate_input():
+    with pytest.raises(ValueError, match="determinant"):
+        as_sl2(Matrix2.from_rows(QT, [["t", 0], [0, 1]]))
+    with pytest.raises(ValueError, match="univariate in t"):
+        as_sl2(Matrix2.identity(surface_ring(2)))
+    assert as_sl2(matrix_N()) == matrix_N().map_entries(
+        lambda f: f.as_domain("Q"))
 
 
 # -- ball rendering --------------------------------------------------------

@@ -32,7 +32,7 @@ from .homology import (
 from .laurent import specialize_phi
 from .rep import Matrix2, h_form, matrix_Mk, matrix_N, multiply, rho
 from .tree import (
-    act,
+    _act,
     as_sl2,
     base_vertex,
     distance,
@@ -208,9 +208,10 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     one, zero = _QT.one(), _QT.zero()
     letters: list[tuple[str, Matrix2]] = []
     # every letter has determinant one, so rest keeps the determinant
-    # checked on entry and its sides follow from exponent signs
+    # checked on entry: its sides follow from exponent signs, and it
+    # acts on the tree without a second check
     while not any(_sides(rest)):
-        p, q = act(rest, v0), act(rest, v1)
+        p, q = _act(rest, v0), _act(rest, v1)
         near_v0 = min(distance(v0, p), distance(v0, q))
         near_v1 = min(distance(v1, p), distance(v1, q))
         if near_v0 < near_v1:

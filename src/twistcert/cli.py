@@ -7,7 +7,9 @@ answers distance/stabilizer/translation queries, and ``normal-form``
 decomposes a matrix into alternating amalgam letters.
 
 Exit codes are a stable contract: 0 on success (and a true verdict), 1
-when verification fails, 2 on usage or parse errors.
+when verification fails, 2 on usage or parse errors.  Work is bounded by
+documented limits: --genus at most MAX_GENUS, --kmax at most MAX_KMAX,
+and the expression limits of the laurent parser.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import sys
 from pathlib import Path
 
 from .amalgam import amalgam_normal_form, build_certificate
-from .homology import EpsilonTable, LiftClass, canonical_lift
+from .homology import MAX_GENUS, EpsilonTable, LiftClass, canonical_lift
 from .laurent import (
     LaurentRing,
     ParseError,
@@ -42,8 +44,19 @@ from .tree import (
 )
 
 
+# verify --kmax K writes K(K-1)/2 pairwise records: about 100 MB of JSON
+# at the limit
+MAX_KMAX = 1000
+
+
 class UsageError(Exception):
     """A configuration problem; the process exits with code 2."""
+
+
+def _check_genus(genus: int):
+    if not 2 <= genus <= MAX_GENUS:
+        raise UsageError(
+            f"genus must be between 2 and {MAX_GENUS}, got {genus}")
 
 
 # -- input plumbing --------------------------------------------------------
@@ -124,10 +137,10 @@ def _ring_for_expression(expr: str, genus: int, domain: str) -> LaurentRing:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    if args.genus < 2:
-        raise UsageError(f"genus must be at least 2, got {args.genus}")
-    if args.kmax < 2:
-        raise UsageError(f"kmax must be at least 2, got {args.kmax}")
+    _check_genus(args.genus)
+    if not 2 <= args.kmax <= MAX_KMAX:
+        raise UsageError(
+            f"kmax must be between 2 and {MAX_KMAX}, got {args.kmax}")
     eps = None
     if args.eps_table is not None:
         eps = EpsilonTable.from_entries(
@@ -152,7 +165,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                             f"(seed {args.seed})")
 
     if args.output is not None:
-        Path(args.output).write_text(text + "\n")
+        try:
+            Path(args.output).write_text(text + "\n")
+        except OSError as exc:
+            reason = exc.strerror or str(exc)
+            raise UsageError(f"cannot write {args.output}: {reason}") from None
     if args.format == "json":
         print(text)
     else:
@@ -186,6 +203,7 @@ def _first_failure(cert) -> dict | None:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _check_genus(args.genus)
     expr = _read_source(args.expression) if args.expression == "-" \
         else args.expression
     ring = _ring_for_expression(expr, args.genus, args.domain)
@@ -194,6 +212,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
+    _check_genus(args.genus)
     lift = _lift_from_spec(args.lift, args.genus)
     mat = rho(lift)
     report = h_form(mat)

@@ -35,6 +35,10 @@ from .laurent import (
 
 IndexPair = tuple[int, int]
 
+# The largest genus a lift record or the command line may name: the ring
+# has 2g - 2 variables and a random pairing table O(g^4) entries.
+MAX_GENUS = 40
+
 _EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*")
 
 
@@ -479,8 +483,8 @@ class LiftClass:
 
     def to_json(self) -> dict:
         def family(poly: LaurentPoly) -> dict:
-            return {",".join(str(e) for e in exps): c
-                    for exps, c in poly.terms.items()}
+            return {",".join(str(e) for e in exps): poly.terms[exps]
+                    for exps in sorted(poly.terms)}
 
         return {
             "genus": self.genus,
@@ -496,6 +500,9 @@ class LiftClass:
             raise ValueError("a lift record is a JSON object with keys among "
                              "genus, w, m and n")
         genus = _json_int(data.get("genus"), "the lift's genus")
+        if genus > MAX_GENUS:
+            raise ValueError(f"the lift's genus {genus} exceeds the limit "
+                             f"of {MAX_GENUS}")
         ring = surface_ring(genus)
 
         def family(name: str) -> dict:

@@ -2,13 +2,20 @@
 
 Everything in this module is immutable and exact.  A ring is a tuple of
 variable names plus a coefficient domain ("Z" for Python ints, "Q" for
-fractions.Fraction); a polynomial is a sorted term map from exponent
-vectors (tuples of ints, one slot per variable, negatives allowed) to
-nonzero coefficients.  Term maps are kept sorted by exponent vector so
-that printing, serialization and equality are deterministic.
+fractions.Fraction); a polynomial is a term map from exponent vectors
+(tuples of ints, one slot per variable, negatives allowed) to nonzero
+coefficients.  Term maps are unordered: arithmetic never sorts, and
+equality and hashing ignore insertion order.  Order is imposed only
+where it shows, when a polynomial is printed or serialized.
+
+There is one ring object per signature (single_variable_ring,
+surface_ring and as_domain hand out the same object for the same names
+and domain), so ring checks are identity checks in the common case.
+Products over Q clear each operand's denominators once and convolve
+integer numerators, building one Fraction per surviving term.
 
 The text format round-trips: parse_poly(str(f), f.ring) == f.  Terms are
-emitted in ascending lexicographic exponent order, e.g.
+printed in ascending lexicographic exponent order, e.g.
 
     >>> R = single_variable_ring()
     >>> str(parse_poly("(t-1)*(t^-1-1)", R))
@@ -20,6 +27,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import lcm
 from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -109,21 +118,47 @@ class LaurentRing:
         return self.monomial(exps)
 
 
+@cache
+def _ring(names: tuple[str, ...], domain: str) -> LaurentRing:
+    # the one shared ring object per signature
+    return LaurentRing(names, domain)
+
+
+def _same_ring(r1: LaurentRing, r2: LaurentRing) -> bool:
+    return r1 is r2 or r1 == r2
+
+
 def single_variable_ring(name: str = "t", domain: str = "Z") -> LaurentRing:
-    return LaurentRing((name,), domain)
+    return _ring((name,), domain)
 
 
+@cache
 def surface_ring(genus: int, domain: str = "Z") -> LaurentRing:
     """The 2g-2 variable ring with the fixed ordering (s2..sg, t2..tg)."""
     if genus < 2:
         raise ValueError(f"genus must be at least 2, got {genus}")
     s_names = tuple(f"s{i}" for i in range(2, genus + 1))
     t_names = tuple(f"t{i}" for i in range(2, genus + 1))
-    return LaurentRing(s_names + t_names, domain)
+    return _ring(s_names + t_names, domain)
+
+
+def _numerators(terms: dict) -> tuple[int, list[tuple[ExponentVector, int]]]:
+    """The lcm d of the Fraction coefficients' denominators, and the
+    terms as (exponents, integer numerator over d) pairs."""
+    den = lcm(*{c.denominator for c in terms.values()})
+    if den == 1:
+        return 1, [(e, c.numerator) for e, c in terms.items()]
+    return den, [(e, c.numerator * (den // c.denominator))
+                 for e, c in terms.items()]
 
 
 class LaurentPoly:
-    """An immutable Laurent polynomial: a sorted map exponents -> coefficient."""
+    """An immutable Laurent polynomial: a map exponents -> coefficient.
+
+    The term map holds nonzero coefficients only and has no meaningful
+    order; __str__ prints terms by ascending exponent vector, and
+    __eq__ and __hash__ ignore the order.
+    """
 
     __slots__ = ("ring", "terms", "_hash")
 
@@ -139,9 +174,7 @@ class LaurentPoly:
             if c:
                 cleaned[key] = cleaned.get(key, ring.coerce_coeff(0)) + c
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "terms", {k: cleaned[k] for k in sorted(cleaned) if cleaned[k]}
-        )
+        object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if c})
         object.__setattr__(self, "_hash", None)
 
     @classmethod
@@ -149,9 +182,7 @@ class LaurentPoly:
         # Internal fast path: caller guarantees coerced, nonzero coefficients.
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(
-            self, "terms", {k: clean_terms[k] for k in sorted(clean_terms)}
-        )
+        object.__setattr__(self, "terms", clean_terms)
         object.__setattr__(self, "_hash", None)
         return self
 
@@ -177,17 +208,17 @@ class LaurentPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return _same_ring(self.ring, other.ring) and self.terms == other.terms
 
     def __hash__(self):
         if self._hash is None:
             object.__setattr__(
-                self, "_hash", hash((self.ring, tuple(self.terms.items())))
+                self, "_hash", hash((self.ring, frozenset(self.terms.items())))
             )
         return self._hash
 
     def _check_ring(self, other: "LaurentPoly"):
-        if self.ring != other.ring:
+        if not _same_ring(self.ring, other.ring):
             raise RingMismatchError(
                 f"mixed rings: {self.ring.names}/{self.ring.domain} "
                 f"vs {other.ring.names}/{other.ring.domain}"
@@ -216,6 +247,8 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
+        if self.ring.domain == "Q":
+            return self._mul_q(other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -226,6 +259,25 @@ class LaurentPoly:
                 else:
                     out.pop(key, None)
         return LaurentPoly._make(self.ring, out)
+
+    def _mul_q(self, other: "LaurentPoly") -> "LaurentPoly":
+        # Content and primitive part: with d the lcm of an operand's
+        # denominators, its terms are n_e / d for integers n_e, so the
+        # product is a convolution of integers over d1 * d2, and only the
+        # surviving sums become Fractions.
+        d1, n1 = _numerators(self.terms)
+        d2, n2 = _numerators(other.terms)
+        out: dict = {}
+        for e1, c1 in n1:
+            for e2, c2 in n2:
+                key = tuple(a + b for a, b in zip(e1, e2))
+                out[key] = out.get(key, 0) + c1 * c2
+        den = d1 * d2
+        if den == 1:
+            return LaurentPoly._make(
+                self.ring, {k: Fraction(s) for k, s in out.items() if s})
+        return LaurentPoly._make(
+            self.ring, {k: Fraction(s, den) for k, s in out.items() if s})
 
     def __rmul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -312,8 +364,10 @@ class LaurentPoly:
 
     def as_domain(self, domain: str) -> "LaurentPoly":
         """The same polynomial viewed in the ring with the given domain."""
-        target = LaurentRing(self.ring.names, domain)
-        return LaurentPoly(target, dict(self.terms))
+        target = _ring(self.ring.names, domain)
+        if target is self.ring:
+            return self
+        return LaurentPoly(target, self.terms)
 
     # -- printing -------------------------------------------------------
 
@@ -321,7 +375,8 @@ class LaurentPoly:
         if not self.terms:
             return "0"
         chunks: list[str] = []
-        for exps, c in self.terms.items():
+        for exps in sorted(self.terms):
+            c = self.terms[exps]
             body = self._term_body(exps, c)
             if not chunks:
                 chunks.append(body if c > 0 else f"-{body}")
@@ -361,11 +416,11 @@ class RingHom:
                 f"{len(self.images)} images for {self.source.nvars} variables"
             )
         for im in self.images:
-            if im.ring != self.target:
+            if not _same_ring(im.ring, self.target):
                 raise RingMismatchError("image polynomial outside the target ring")
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        if f.ring != self.source:
+        if not _same_ring(f.ring, self.source):
             raise RingMismatchError("argument does not live in the source ring")
         total = self.target.zero()
         for exps, c in f.terms.items():
@@ -445,6 +500,8 @@ def _tokenize(text: str):
 
 
 MAX_NESTING = 200
+MAX_EXPONENT = 1000
+MAX_TERMS = 1000
 
 
 class _Parser:
@@ -453,8 +510,14 @@ class _Parser:
     Grammar: sums and differences of products of signed atoms; an atom is
     an integer literal, a rational literal p/q, a variable, or a
     parenthesized expression, optionally raised to an integer power via ^.
-    Parentheses nest at most MAX_NESTING deep, which keeps the descent
-    well inside Python's recursion limit.
+
+    Work is bounded: parentheses nest at most MAX_NESTING deep, which
+    keeps the descent well inside Python's recursion limit; a power's
+    exponent is at most MAX_EXPONENT in absolute value; and no
+    polynomial built along the way has more than MAX_TERMS terms.  A
+    product is refused before it is formed when its operands' term
+    counts multiply to more than MAX_TERMS, the size it has before like
+    terms combine, so each step costs at most MAX_TERMS term products.
     """
 
     def __init__(self, text: str, ring: LaurentRing):
@@ -487,23 +550,33 @@ class _Parser:
     def expr(self) -> LaurentPoly:
         poly = self.term()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
                 poly = poly + rhs if val == "+" else poly - rhs
+                if len(poly.terms) > MAX_TERMS:
+                    raise ParseError(
+                        f"expression has more than {MAX_TERMS} terms", pos)
             else:
                 return poly
 
     def term(self) -> LaurentPoly:
         poly = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == "op" and val == "*":
                 self.advance()
-                poly = poly * self.factor()
+                poly = self.product(poly, self.factor(), pos)
             else:
                 return poly
+
+    def product(self, f: LaurentPoly, g: LaurentPoly, pos: int) -> LaurentPoly:
+        if len(f.terms) * len(g.terms) > MAX_TERMS:
+            raise ParseError(
+                f"product of {len(f.terms)} by {len(g.terms)} terms exceeds "
+                f"the limit of {MAX_TERMS} terms", pos)
+        return f * g
 
     def factor(self) -> LaurentPoly:
         sign = 1
@@ -572,10 +645,24 @@ class _Parser:
         if kind == "op" and val == "^":
             self.advance()
             exponent = self.integer()
-            try:
-                return base ** exponent
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from None
+            if abs(exponent) > MAX_EXPONENT:
+                raise ParseError(f"exponent {exponent} exceeds the limit of "
+                                 f"{MAX_EXPONENT} in absolute value", pos)
+            if exponent < 0:
+                try:
+                    base = base.unit_inverse()
+                except ValueError as exc:
+                    raise ParseError(str(exc), pos) from None
+                exponent = -exponent
+            # square and multiply, every product checked against MAX_TERMS
+            result = self.ring.one()
+            while exponent:
+                if exponent & 1:
+                    result = self.product(result, base, pos)
+                exponent >>= 1
+                if exponent:
+                    base = self.product(base, base, pos)
+            return result
         return base
 
 

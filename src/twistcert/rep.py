@@ -43,7 +43,7 @@ class Matrix2:
     def __post_init__(self):
         ring = self.a.ring
         for entry in (self.b, self.c, self.d):
-            if entry.ring != ring:
+            if entry.ring is not ring and entry.ring != ring:
                 raise ValueError("matrix entries live in different rings")
 
     @property
@@ -81,7 +81,7 @@ class Matrix2:
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         if not isinstance(other, Matrix2):
             return NotImplemented
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise ValueError("matrices live in different rings")
         return Matrix2(
             self.a * other.a + self.b * other.c,

@@ -97,7 +97,7 @@ class RationalFunction:
         if isinstance(value, RationalFunction):
             raise TypeError("nested rational functions; use the arithmetic ops")
         if isinstance(value, LaurentPoly):
-            if value.ring == _QT:
+            if value.ring is _QT:
                 return value
             if value.ring.names == ("t",):
                 return value.as_domain("Q")
@@ -198,7 +198,7 @@ class TreeVertex:
     r: LaurentPoly
 
     def __post_init__(self):
-        if self.r.ring != _QT:
+        if self.r.ring is not _QT:
             if self.r.ring.names == ("t",):
                 object.__setattr__(self, "r", self.r.as_domain("Q"))
             else:
@@ -296,8 +296,10 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
     if count <= 0:
         return _QT.zero()
     num_c = {e[0] - v_num: Fraction(c) for e, c in num.terms.items()}
-    (_, d0), *den_rest = [(e[0] - v_den, Fraction(c))
-                          for e, c in den.terms.items()]
+    # ascending exponents: the lowest coefficient leads, and the loop
+    # below stops at the first exponent past i
+    (_, d0), *den_rest = sorted((e[0] - v_den, Fraction(c))
+                                for e, c in den.terms.items())
     series: list[Fraction] = []
     for i in range(count):
         acc = num_c.get(i, Fraction(0))
@@ -316,7 +318,7 @@ def as_sl2(mat: Matrix2) -> Matrix2:
     (the tree action, translation lengths, amalgam membership and
     normal forms) checks its input here.
     """
-    if mat.ring != _QT:
+    if mat.ring is not _QT:
         if mat.ring.names != ("t",):
             raise ValueError("SL2 matrices here are univariate in t, not in "
                              + ", ".join(mat.ring.names))
@@ -328,7 +330,12 @@ def as_sl2(mat: Matrix2) -> Matrix2:
 
 
 def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
-    """Apply a determinant-one matrix to a vertex.
+    """Apply a determinant-one matrix to a vertex (checked by as_sl2)."""
+    return _act(as_sl2(mat), vertex)
+
+
+def _act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
+    """act for a matrix that as_sl2 has already checked.
 
     The image is the lattice spanned by the columns of
     g [[t^a, r], [0, 1]] = [[x t^a, x r + y], [z t^a, z r + w]] for
@@ -340,7 +347,7 @@ def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     The expansion is a truncated series quotient, so no rational
     function is formed and no gcd is taken.
     """
-    x, y, z, w = as_sl2(mat).entries()
+    x, y, z, w = mat.entries()
     beta = x * vertex.r + y
     delta = z * vertex.r + w
     if not delta or (z and z.valuation() + vertex.a < delta.valuation()):

@@ -11,7 +11,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
-from twistcert import amalgam
+from twistcert import amalgam, tree
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -254,6 +254,27 @@ def test_normal_form_rejects_a_wrong_product(monkeypatch):
 def test_normal_form_requires_unimodular_input():
     with pytest.raises(ValueError):
         amalgam_normal_form(_mat([["t", 0], [0, 1]]))
+
+
+def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
+    # the loop acts with the already checked remainder; only the entry
+    # check and one check per AmalgamLetter remain
+    calls = []
+    checked = tree.as_sl2
+
+    def counting(mat):
+        calls.append(mat)
+        return checked(mat)
+
+    monkeypatch.setattr(tree, "as_sl2", counting)
+    monkeypatch.setattr(amalgam, "as_sl2", counting)
+    n = matrix_N()
+    word = matrix_Mk(1) @ n @ matrix_Mk(2) @ n @ matrix_Mk(-3) @ n
+    letters = _check_normal_form(word)
+    assert [l.side for l in letters] == ["A", "B"] * 3
+    assert len(calls) <= 1 + len(letters)
+    with pytest.raises(ValueError, match="determinant"):
+        act(_mat([["t", 0], [0, 1]]), base_vertex())
 
 
 # -- certificates --------------------------------------------------------------

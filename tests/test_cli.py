@@ -2,10 +2,13 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from twistcert.cli import main, parse_matrix
+from twistcert import cli
+from twistcert.cli import MAX_KMAX, main, parse_matrix
+from twistcert.homology import MAX_GENUS
 from twistcert.homology import canonical_lift
 from twistcert.rep import matrix_Mk, matrix_N
 from twistcert.tree import series_ring
@@ -199,6 +202,18 @@ def test_verify_writes_artifact(capsys, tmp_path):
     assert data["verdict"] is True
 
 
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_verify_output_that_cannot_be_written(capsys, tmp_path, where):
+    target = tmp_path / "missing" / "c.json" if where == "missing" \
+        else tmp_path
+    code, out, err = run(capsys, "verify", "--kmax", "2",
+                         "--output", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert len(err.splitlines()) == 1
+
+
 def test_verify_seeded_recheck(capsys):
     code, out, _ = run(capsys, "verify", "--kmax", "2", "--seed", "7")
     assert code == 0
@@ -367,3 +382,79 @@ def test_checks_survive_python_optimize(tmp_path, argv, code, expected):
     assert result.returncode == code
     assert expected in result.stdout + result.stderr
     assert "Traceback" not in result.stderr
+
+
+# -- work limits ---------------------------------------------------------------
+
+
+def _stub_build_certificate(monkeypatch):
+    """Stand in for build_certificate, recording the sizes it was asked for."""
+    asked = []
+    real = cli.build_certificate
+
+    def build(kmax, genus, **kwargs):
+        asked.append((kmax, genus))
+        return real(2, 2)
+
+    monkeypatch.setattr(cli, "build_certificate", build)
+    return asked
+
+
+def test_verify_kmax_limit(capsys, monkeypatch):
+    asked = _stub_build_certificate(monkeypatch)
+    assert MAX_KMAX == 1000
+    code, _, _ = run(capsys, "verify", "--kmax", str(MAX_KMAX))
+    assert code == 0 and asked == [(MAX_KMAX, 2)]
+    code, out, err = run(capsys, "verify", "--kmax", str(MAX_KMAX + 1))
+    assert code == 2 and out == "" and asked == [(MAX_KMAX, 2)]
+    assert err == "error: kmax must be between 2 and 1000, got 1001\n"
+
+
+def test_verify_genus_limit(capsys, monkeypatch):
+    asked = _stub_build_certificate(monkeypatch)
+    assert MAX_GENUS == 40
+    code, _, _ = run(capsys, "verify", "--genus", str(MAX_GENUS), "--kmax", "2")
+    assert code == 0 and asked == [(2, MAX_GENUS)]
+    for argv in (["verify", "--genus", "41", "--kmax", "2"],
+                 ["eval", "t", "--genus", "41"],
+                 ["rho", "canonical-C", "--genus", "41"],
+                 ["rho", '{"genus": 41}']):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "41" in err and "40" in err
+        assert len(err.splitlines()) == 1
+    assert asked == [(2, MAX_GENUS)]
+    code, out, _ = run(capsys, "eval", "s40*t40 - 1", "--genus", "40")
+    assert (code, out) == (0, "-1 + s40*t40\n")
+    code, out, _ = run(capsys, "rho", "canonical-C", "--genus", "40")
+    assert code == 0 and "balanced: yes x4" in out
+
+
+@pytest.mark.parametrize("expression, message", [
+    ("t^1000", None),
+    ("t^1001", "exponent 1001 exceeds the limit of 1000"),
+    ("(1+t)^32", None),
+    ("(1+t)^64", "product of 33 by 33 terms exceeds the limit of 1000"),
+])
+def test_eval_expression_limits(capsys, expression, message):
+    code, out, err = run(capsys, "eval", expression)
+    if message is None:
+        assert code == 0 and err == ""
+    else:
+        assert code == 2 and out == ""
+        assert message in err and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "(1+t)^3000"],
+    ["verify", "--kmax", "100000000"],
+])
+def test_unbounded_requests_fail_fast(argv):
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "twistcert.cli", *argv],
+                          capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1
+    assert elapsed < 5  # an interpreter start included; the check is instant

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
@@ -323,3 +324,115 @@ def test_roundtrip_rational_random():
         }
         f = LaurentPoly(TQ, terms)
         assert parse_poly(str(f), TQ) == f
+
+
+# -- order-free term maps, Q products, shared rings ---------------------------
+
+
+def _oracle_product(f: LaurentPoly, g: LaurentPoly) -> dict:
+    """Term-by-term convolution of Fraction coefficients."""
+    out: dict = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + Fraction(c1) * Fraction(c2)
+    return {k: c for k, c in out.items() if c}
+
+
+def test_term_order_does_not_matter():
+    from twistcert.homology import LiftClass
+
+    rng = random.Random(23)
+    for _ in range(60):
+        genus = rng.choice((2, 3))
+        ring = surface_ring(genus)
+        terms = {tuple(rng.randint(-3, 3) for _ in range(ring.nvars)):
+                 rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(rng.randint(0, 8))}
+        items = list(terms.items())
+        rng.shuffle(items)
+        f = LaurentPoly(ring, dict(items))
+        rng.shuffle(items)
+        g = ring.zero()
+        for exps, c in items:
+            g = g + ring.monomial(exps, c)
+        assert f == g
+        assert hash(f) == hash(g)
+        assert str(f) == str(g)
+        assert parse_poly(str(f), ring) == f
+        lift_f = LiftClass(genus, None, f, g).to_json()
+        lift_g = LiftClass(genus, None, g, f).to_json()
+        assert json.dumps(lift_f) == json.dumps(lift_g)
+        assert list(lift_f["m"]) == sorted(lift_f["m"], key=lambda key: tuple(
+            int(p) for p in key.split(",")))
+
+
+def test_rational_products_match_a_fraction_oracle():
+    rng = random.Random(29)
+    Q2 = surface_ring(2, "Q")
+
+    def random_q(ring, n):
+        return LaurentPoly(ring, {
+            tuple(rng.randint(-3, 3) for _ in range(ring.nvars)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)})
+
+    for _ in range(200):
+        ring = rng.choice((TQ, Q2))
+        f, g = random_q(ring, rng.randint(0, 6)), random_q(ring, rng.randint(0, 6))
+        product = f * g
+        assert product.terms == _oracle_product(f, g)
+        assert all(type(c) is Fraction for c in product.terms.values())
+    # cancelling terms, a zero operand and constants
+    f = parse_poly("1/2*t - 1/3", TQ)
+    g = parse_poly("1/2*t + 1/3", TQ)
+    assert f * g == parse_poly("1/4*t^2 - 1/9", TQ)
+    assert (f * g).terms == _oracle_product(f, g)
+    assert f * TQ.zero() == TQ.zero() and TQ.zero() * f == TQ.zero()
+    assert TQ.constant(Fraction(5, 12)) * TQ.constant(Fraction(12, 5)) == TQ.one()
+    assert TQ.constant(Fraction(7, 12)) * f == parse_poly("7/24*t - 7/36", TQ)
+    h = parse_poly("1/12*t^-1 + 1/6 + 1/4*t", TQ)
+    assert (h * h).terms == _oracle_product(h, h)
+
+
+def test_rings_are_shared_objects():
+    assert surface_ring(3) is surface_ring(3)
+    assert surface_ring(3, "Q") is surface_ring(3, "Q")
+    assert single_variable_ring() is single_variable_ring("t", "Z")
+    f = parse_poly("t - 2 + t^-1", T)
+    assert f.as_domain("Q").ring is single_variable_ring("t", "Q")
+    assert f.as_domain("Z") is f
+    # a ring built directly is equal to the shared one and mixes with it
+    assert LaurentRing(("t",), "Q") == TQ
+    assert LaurentPoly(LaurentRing(("t",), "Q"), {(1,): 1}) + TQ.one() == \
+        parse_poly("t + 1", TQ)
+
+
+def test_parser_exponent_limit():
+    from twistcert.laurent import MAX_EXPONENT
+
+    assert parse_poly(f"t^{MAX_EXPONENT}", T) == T.monomial((MAX_EXPONENT,))
+    assert parse_poly(f"t^-{MAX_EXPONENT}", T) == T.monomial((-MAX_EXPONENT,))
+    for text in (f"t^{MAX_EXPONENT + 1}", f"t^-{MAX_EXPONENT + 1}", "(1+t)^3000"):
+        with pytest.raises(ParseError, match="exceeds the limit"):
+            parse_poly(text, T)
+
+
+def _sum_of_powers(name: str, count: int, step: int = 1) -> str:
+    return "(" + " + ".join(f"{name}^{step * i}" for i in range(count)) + ")"
+
+
+def test_parser_term_limit():
+    from twistcert.laurent import MAX_TERMS
+
+    assert MAX_TERMS == 1000
+    # 25 * 40 = 1000 distinct terms, at the limit
+    at_limit = _sum_of_powers("s2", 25) + "*" + _sum_of_powers("t2", 40)
+    assert len(parse_poly(at_limit, L2).terms) == MAX_TERMS
+    # one more term by a sum, or one more by a product (7 * 143 = 1001)
+    with pytest.raises(ParseError, match="more than 1000 terms"):
+        parse_poly(at_limit + " + s2^-1", L2)
+    with pytest.raises(ParseError, match="7 by 143 terms"):
+        parse_poly(_sum_of_powers("s2", 7) + "*" + _sum_of_powers("t2", 143), L2)
+    # powers check every intermediate product
+    assert parse_poly("(1+t)^31", T) == parse_poly("(1+t)^30", T) * parse_poly("1+t", T)
+    with pytest.raises(ParseError, match="33 by 33 terms"):
+        parse_poly("(1+t)^64", T)

@@ -9,7 +9,8 @@ decomposes a matrix into alternating amalgam letters.
 Exit codes are a stable contract: 0 on success (and a true verdict), 1
 when verification fails, 2 on usage or parse errors.  Work is bounded by
 documented limits: --genus at most MAX_GENUS, --kmax at most MAX_KMAX,
-and the expression limits of the laurent parser.
+tree ball --ball-radius at most MAX_BALL_RADIUS, and the expression
+limits of the laurent parser.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ from .tree import (
 # verify --kmax K writes K(K-1)/2 pairwise records: about 100 MB of JSON
 # at the limit
 MAX_KMAX = 1000
+# tree ball --ball-radius R explores about 2^R vertices: about 15,000
+# DOT lines at the limit
+MAX_BALL_RADIUS = 10
 
 
 class UsageError(Exception):
@@ -153,7 +157,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                  base_lift=lift)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    text = cert.json_text()
+    # serialise only when the JSON bytes are printed, written or compared
+    text = None
+    if args.format == "json" or args.output is not None \
+            or args.seed is not None:
+        text = cert.json_text()
 
     recheck_note = None
     if args.seed is not None:
@@ -254,6 +262,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
         print(f"translation length: {translation_length(mat)} (exact)")
         print("note: read from the trace, max(0, -2 v(tr g))")
         return 0
+    if args.ball_radius > MAX_BALL_RADIUS:
+        raise UsageError(f"ball radius must be at most {MAX_BALL_RADIUS}, "
+                         f"got {args.ball_radius}")
     print(ball_dot(center=_vertex_from_spec(args.center),
                    radius=args.ball_radius))
     return 0

@@ -641,6 +641,13 @@ def twist_apply(lift: LiftClass, x: CycleClass,
     enters negated, giving the inverse twist.
     """
     _require_valid(lift)
+    return _twist_apply(lift, x, eps, inverse)
+
+
+def _twist_apply(lift: LiftClass, x: CycleClass,
+                 eps: Optional[EpsilonTable] = None,
+                 inverse: bool = False) -> CycleClass:
+    """twist_apply for a lift the caller has already validated."""
     p = pairing_polynomial(x, lift, eps)
     if inverse:
         p = -p

@@ -439,12 +439,13 @@ class RingHom:
                        tuple(after.apply(im) for im in self.images))
 
 
+@cache
 def phi_hom(ring: LaurentRing) -> RingHom:
     """The specialization s_i -> 1, t_2 -> t, t_i -> 1 (i >= 3).
 
     The source must be a 2g-2 variable ring in the fixed ordering
     (s2..sg, t2..tg); positionally, slot g-1 (the first t-variable) is
-    the one kept alive.
+    the one kept alive.  The map is a constant of the ring, built once.
     """
     n = ring.nvars
     if n < 2 or n % 2 != 0:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -11,7 +12,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
-from twistcert import amalgam, tree
+from twistcert import amalgam, homology, rep, tree
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -362,3 +363,58 @@ def test_certificate_consistency_for_random_lifts():
         cert = build_certificate(2, 2, base_lift=lift)
         for record in cert.records:
             assert record["twist_consistency_ok"]
+
+
+def test_pairwise_records_match_the_per_pair_oracle():
+    for genus in range(2, 6):
+        for kmax in range(2, 26):
+            cert = build_certificate(kmax, genus)
+            expected = [double_cosets_distinct(k, l).to_json()
+                        for k in range(1, kmax + 1)
+                        for l in range(k + 1, kmax + 1)]
+            assert list(cert.pairwise) == expected
+
+
+# sha256 of json_text(), recorded before the pairwise records were built
+# from a per-difference table
+@pytest.mark.parametrize("genus, kmax, digest", [
+    (2, 20, "988e0b33fe68048860686890e8cab6363e27695c8553c5863792491cd2ad54cf"),
+    (3, 10, "6a8b70a311e8b1bde2a7410d708ad05774ee69cbd9428258eaf6e639c443d2c5"),
+    (5, 40, "28ce6ccd2e0f5ac86cfe7331129dfca8b7a31fd9bcb951872c052a68c0e919bb"),
+])
+def test_certificate_json_frozen_digests(genus, kmax, digest):
+    text = build_certificate(kmax, genus).json_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_certificate_builds_one_connecting_matrix_per_difference(monkeypatch):
+    built = []
+    real = amalgam.matrix_Mk
+
+    def counting(k, *args):
+        built.append(k)
+        return real(k, *args)
+
+    monkeypatch.setattr(amalgam, "matrix_Mk", counting)
+    kmax = 30
+    cert = build_certificate(kmax, 2)
+    assert len(cert.pairwise) == kmax * (kmax - 1) // 2
+    # one M_k per record, one M_d per difference d = k - l in [1 - K, -1]
+    assert sorted(built) == sorted(list(range(1, kmax + 1))
+                                   + list(range(1 - kmax, 0)))
+
+
+def test_certificate_validates_each_lift_once(monkeypatch):
+    seen = []
+    real = homology.validate_lift
+
+    def counting(lift):
+        seen.append(lift)
+        return real(lift)
+
+    monkeypatch.setattr(homology, "validate_lift", counting)
+    monkeypatch.setattr(rep, "validate_lift", counting)
+    cert = build_certificate(4, 3)
+    assert cert.verdict
+    assert len(seen) == 4
+    assert len({id(lift) for lift in seen}) == 4

@@ -7,6 +7,7 @@ import time
 import pytest
 
 from twistcert import cli
+from twistcert.amalgam import Certificate
 from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
 from twistcert.homology import canonical_lift
@@ -368,6 +369,10 @@ def test_module_entry_point_runs():
 @pytest.mark.parametrize("argv, code, expected", (
     (["normal-form", "[[t,0],[0,1]]"], 2, "determinant"),
     (["verify", "--kmax", "3", "--lift", "MUTATED"], 1, "verdict: FAIL"),
+    (["verify", "--kmax", "3", "--lift", "MUTATED", "--seed", "7"], 1,
+     "verdict: FAIL"),
+    (["verify", "--kmax", "3", "--seed", "7"], 0,
+     "pairing-table recheck: ok"),
 ))
 def test_checks_survive_python_optimize(tmp_path, argv, code, expected):
     # python -O strips asserts; verdicts and input checks must not be asserts
@@ -458,3 +463,61 @@ def test_unbounded_requests_fail_fast(argv):
     assert proc.stdout == ""
     assert len(proc.stderr.splitlines()) == 1
     assert elapsed < 5  # an interpreter start included; the check is instant
+
+
+def test_tree_ball_radius_limit(capsys, monkeypatch):
+    drawn = []
+    monkeypatch.setattr(cli, "ball_dot",
+                        lambda center, radius: drawn.append(radius) or "")
+    assert cli.MAX_BALL_RADIUS == 10
+    code, _, err = run(capsys, "tree", "ball", "--ball-radius", "10")
+    assert (code, err, drawn) == (0, "", [10])
+    code, out, err = run(capsys, "tree", "ball", "--ball-radius", "11")
+    assert code == 2 and out == "" and drawn == [10]
+    assert err == "error: ball radius must be at most 10, got 11\n"
+
+
+# -- serialisation -----------------------------------------------------------
+
+
+def test_text_verify_does_not_serialise(capsys, monkeypatch):
+    def json_text(self):
+        raise AssertionError("text-mode verify serialised the certificate")
+
+    monkeypatch.setattr(Certificate, "json_text", json_text)
+    code, out, _ = run(capsys, "verify", "--genus", "3", "--kmax", "6")
+    assert code == 0
+    assert out.splitlines()[-1] == "verdict: PASS"
+    record = canonical_lift(2).to_json()
+    record["m"]["0,1"] = 2
+    code, out, _ = run(capsys, "verify", "--kmax", "3",
+                       "--lift", json.dumps(record))
+    assert code == 1
+    assert "verdict: FAIL" in out.splitlines()
+
+
+@pytest.mark.parametrize("extra, builds", [
+    (["--format", "json"], 1),
+    (["--output", "OUT"], 1),
+    (["--seed", "7"], 2),
+    (["--format", "json", "--seed", "7"], 2),
+])
+def test_verify_serialises_what_it_writes(capsys, monkeypatch, tmp_path,
+                                          extra, builds):
+    calls = []
+    real = Certificate.json_text
+
+    def json_text(self):
+        calls.append(self.kmax)
+        return real(self)
+
+    monkeypatch.setattr(Certificate, "json_text", json_text)
+    out_path = tmp_path / "c.json"
+    extra = [str(out_path) if arg == "OUT" else arg for arg in extra]
+    code, out, _ = run(capsys, "verify", "--kmax", "4", *extra)
+    assert code == 0
+    assert calls == [4] * builds
+    if "--output" in extra:
+        assert json.loads(out_path.read_text())["verdict"] is True
+    if "--seed" in extra and "json" not in extra:
+        assert out.splitlines()[-1] == "pairing-table recheck: ok"

@@ -241,6 +241,16 @@ def test_phi_rejects_odd_rings():
         phi_hom(bad)
 
 
+def test_phi_is_built_once_per_ring():
+    assert phi_hom(L3) is phi_hom(surface_ring(3))
+    assert phi_hom(L3) is not phi_hom(L2)
+    q3 = phi_hom(surface_ring(3, "Q"))
+    assert q3 is not phi_hom(L3)
+    assert q3.target == TQ
+    # an equal ring built apart from surface_ring gets the same map
+    assert phi_hom(LaurentRing(L3.names)) is phi_hom(L3)
+
+
 def test_specialize_single():
     f = parse_poly("s2^2*t2", L3) + parse_poly("s3", L3)
     assert specialize_single(f, 1) == parse_poly("1 + s2^2",

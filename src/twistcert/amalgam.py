@@ -256,15 +256,29 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
 class Certificate:
     """A machine-checkable record that the twist powers are independent.
 
-    The verdict is true exactly when every per-k record and every
-    pairwise separation passed.
+    The verdict is true exactly when first_failure finds nothing.
     """
 
     kmax: int
     genus: int
     records: tuple[dict, ...]
     pairwise: tuple[dict, ...]
-    verdict: bool
+
+    def first_failure(self) -> Optional[dict]:
+        """The first per-k record or pairwise separation that failed."""
+        for record in self.records:
+            if "error" in record or not (
+                    record["conjugation_ok"] and record["twist_consistency_ok"]
+                    and all(record["memberships"].values())):
+                return record
+        for entry in self.pairwise:
+            if not entry["distinct"]:
+                return entry
+        return None
+
+    @property
+    def verdict(self) -> bool:
+        return self.first_failure() is None
 
     def to_json(self) -> dict:
         return {
@@ -308,17 +322,33 @@ class Certificate:
         return lines
 
 
+def _handle_images(lift: LiftClass, eps: EpsilonTable) -> tuple:
+    """The twist's images of a1 and b1: the one stage that takes the
+    pairing table, and it reads no sign of it (see pairing_polynomial)."""
+    # unchecked twist: in build_certificate rho has validated the lift,
+    # and the recheck only compares the images
+    return tuple(_twist_apply(lift, CycleClass.basis(lift.genus, gen), eps)
+                 for gen in (Generator.a1(), Generator.b1()))
+
+
 def _twist_consistent(lift: LiftClass, mat: Matrix2,
                       eps: EpsilonTable) -> bool:
     """The represented matrix must match the twist's action on handles."""
-    genus = lift.genus
-    # rho has already validated this lift, so the unchecked twist suffices
-    image_a1 = _twist_apply(lift, CycleClass.basis(genus, Generator.a1()), eps)
-    image_b1 = _twist_apply(lift, CycleClass.basis(genus, Generator.b1()), eps)
+    image_a1, image_b1 = _handle_images(lift, eps)
     return (mat.a == specialize_phi(image_a1.a1_coeff())
             and mat.c == specialize_phi(image_a1.b1_coeff())
             and mat.b == specialize_phi(image_b1.a1_coeff())
             and mat.d == specialize_phi(image_b1.b1_coeff()))
+
+
+def pairing_table_recheck(kmax: int, base_lift: LiftClass,
+                          eps: EpsilonTable, probe: EpsilonTable) -> bool:
+    """Whether the certificate for base_lift is the same under probe as
+    under eps: the only stage that takes the table, _handle_images, is
+    run again for k = 1..kmax under both."""
+    moved = (pushforward_b1_twist(base_lift, k) for k in range(1, kmax + 1))
+    return all(_handle_images(lift, eps) == _handle_images(lift, probe)
+               for lift in moved)
 
 
 def build_certificate(kmax: int, genus: int,
@@ -326,9 +356,9 @@ def build_certificate(kmax: int, genus: int,
                       base_lift: Optional[LiftClass] = None) -> Certificate:
     """Run the full pipeline for twist powers 1..kmax at the given genus.
 
-    The epsilon table is threaded through the twist-consistency check so
-    a caller can confirm the output does not depend on it; the sign
-    choices provably never reach the certificate.
+    The epsilon table reaches only _handle_images, inside the
+    twist-consistency check, where the sign choices provably never
+    matter; pairing_table_recheck re-runs that stage under another table.
     """
     if kmax < 2:
         raise ValueError("need kmax >= 2 to separate at least two cosets")
@@ -344,34 +374,27 @@ def build_certificate(kmax: int, genus: int,
     n_mat = matrix_N()
     n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
     records = []
-    all_ok = True
     for k in range(1, kmax + 1):
         moved = pushforward_b1_twist(star, k)
         try:
             mat = rho(moved)
         except ValueError as exc:
             records.append({"k": k, "error": str(exc)})
-            all_ok = False
             continue
         mk = matrix_Mk(k)
-        conjugation_ok = mat == mk @ n_mat @ mk.inverse()
-        twist_ok = _twist_consistent(moved, mat, eps)
         mk_in_a, mk_in_b = _sides(as_sl2(mk))
-        memberships = {
-            "Mk_in_A_not_U": mk_in_a and not mk_in_b,
-            "N_in_B_not_U": n_in_b_not_u,
-            "conjugate_balanced": h_form(mat).all_balanced,
-        }
         records.append({
             "k": k,
             "lift": moved.to_json(),
             "rho": mat.to_json(),
-            "conjugation_ok": conjugation_ok,
-            "twist_consistency_ok": twist_ok,
-            "memberships": memberships,
+            "conjugation_ok": mat == mk @ n_mat @ mk.inverse(),
+            "twist_consistency_ok": _twist_consistent(moved, mat, eps),
+            "memberships": {
+                "Mk_in_A_not_U": mk_in_a and not mk_in_b,
+                "N_in_B_not_U": n_in_b_not_u,
+                "conjugate_balanced": h_form(mat).all_balanced,
+            },
         })
-        all_ok = all_ok and conjugation_ok and twist_ok \
-            and all(memberships.values())
     # M_l^-1 M_k = M_{k-l} (see double_cosets_distinct): a pair's
     # separation depends only on k - l, so each connecting matrix is
     # built and printed once per difference
@@ -379,8 +402,6 @@ def build_certificate(kmax: int, genus: int,
     pairwise = []
     for k in range(1, kmax + 1):
         for l in range(k + 1, kmax + 1):
-            distinct = k != l
-            pairwise.append({"k": k, "l": l, "distinct": distinct,
+            pairwise.append({"k": k, "l": l, "distinct": k != l,
                              "witness": _witness(k, l, connecting[k - l])})
-            all_ok = all_ok and distinct
-    return Certificate(kmax, genus, tuple(records), tuple(pairwise), all_ok)
+    return Certificate(kmax, genus, tuple(records), tuple(pairwise))

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from pathlib import Path
 
-from .amalgam import amalgam_normal_form, build_certificate
+from .amalgam import (
+    amalgam_normal_form,
+    build_certificate,
+    pairing_table_recheck,
+)
 from .homology import MAX_GENUS, EpsilonTable, LiftClass, canonical_lift
 from .laurent import (
     LaurentRing,
@@ -80,11 +83,20 @@ def _read_source(source: str) -> str:
     return source
 
 
+def _decode_json(text: str, what: str):
+    """json.loads for every JSON input: text nested deeper than the
+    decoder can follow is a ValueError, not a RecursionError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON nests too deeply") from None
+
+
 def _read_json(source: str, what: str):
     """Read JSON given as '-', a file path, or inline text."""
     text = _read_source(source)
     try:
-        return json.loads(text)
+        return _decode_json(text, what)
     except json.JSONDecodeError as exc:
         if text is source:  # not stdin, not a file, not inline JSON
             raise UsageError(f"cannot read {source}") from None
@@ -97,7 +109,7 @@ def parse_matrix(text: str, ring: LaurentRing | None = None) -> Matrix2:
     body = text.strip()
     if body.startswith("{"):
         try:
-            return Matrix2.from_json(ring, json.loads(body))
+            return Matrix2.from_json(ring, _decode_json(body, "matrix"))
         except json.JSONDecodeError as exc:
             raise ParseError(f"bad matrix JSON: {exc.msg}", exc.pos) from None
     if not (body.startswith("[[") and body.endswith("]]")):
@@ -145,11 +157,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.kmax <= MAX_KMAX:
         raise UsageError(
             f"kmax must be between 2 and {MAX_KMAX}, got {args.kmax}")
-    eps = None
+    eps = EpsilonTable.zero(args.genus)
     if args.eps_table is not None:
         eps = EpsilonTable.from_entries(
             args.genus, _read_json(args.eps_table, "pairing table"))
-    lift = None
+    lift = canonical_lift(args.genus)
     if args.lift is not None:
         lift = _lift_from_spec(args.lift, args.genus)
     try:
@@ -157,20 +169,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
                                  base_lift=lift)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    # serialise only when the JSON bytes are printed, written or compared
+    # serialise only when the JSON bytes are printed or written
     text = None
-    if args.format == "json" or args.output is not None \
-            or args.seed is not None:
+    if args.format == "json" or args.output is not None:
         text = cert.json_text()
 
     recheck_note = None
-    if args.seed is not None:
-        probe = EpsilonTable.random_skew(args.genus,
-                                         random.Random(args.seed))
-        if build_certificate(args.kmax, args.genus, eps=probe,
-                             base_lift=lift).json_text() != text:
-            recheck_note = (f"certificate depends on the pairing table "
-                            f"(seed {args.seed})")
+    if args.seed is not None and not pairing_table_recheck(
+            args.kmax, lift, eps,
+            EpsilonTable.seeded(args.genus, args.seed)):
+        recheck_note = (f"certificate depends on the pairing table "
+                        f"(seed {args.seed})")
 
     if args.output is not None:
         try:
@@ -186,28 +195,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.seed is not None:
             print("pairing-table recheck: "
                   + ("failed" if recheck_note else "ok"))
-    ok = cert.verdict and recheck_note is None
-    if not ok:
-        bad = _first_failure(cert)
-        if bad is not None:
-            print("failing record: " + json.dumps(bad, sort_keys=True))
-        if recheck_note is not None:
-            print("failing check: " + recheck_note)
-    return 0 if ok else 1
-
-
-def _first_failure(cert) -> dict | None:
-    for record in cert.records:
-        if "error" in record:
-            return record
-        checks = [record["conjugation_ok"], record["twist_consistency_ok"]]
-        checks.extend(record["memberships"].values())
-        if not all(checks):
-            return record
-    for entry in cert.pairwise:
-        if not entry["distinct"]:
-            return entry
-    return None
+    bad = cert.first_failure()
+    if bad is not None:
+        print("failing record: " + json.dumps(bad, sort_keys=True))
+    if recheck_note is not None:
+        print("failing check: " + recheck_note)
+    return 0 if bad is None and recheck_note is None else 1
 
 
 def cmd_eval(args: argparse.Namespace) -> int:

@@ -11,8 +11,10 @@ classes [c_i, c_j] for 1 <= i < j <= 2g-2, where (c_1..c_{2g-2}) =
 The intersection pairing between translated commutator generators is
 only pinned down up to a family of signs epsilon (one per pair of
 generators with disjoint or singly-overlapping index sets).  Those signs
-are configuration, kept in an EpsilonTable; every quantity that feeds
-the certificate pipeline is provably independent of them.
+are configuration, kept in an EpsilonTable.  The certificate passes a
+table to one stage only, the twist's images of a1 and b1, and pairing a
+handle class with a lift reads the lift's m and n families, never a
+sign: no sign choice reaches the certificate.
 
 A LiftClass records the class of a lifted simple closed curve: a
 w-part supported on commutator generators plus coefficient families
@@ -21,11 +23,13 @@ m, n for the translates of a1 and b1.
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .laurent import (
+    MAX_TERMS,
     ExponentVector,
     LaurentPoly,
     LaurentRing,
@@ -140,13 +144,29 @@ class Generator:
         raise ValueError(f"bad generator key {text!r}")
 
 
+def _storage_key(x: IndexPair, y: IndexPair) -> tuple[tuple, int]:
+    """The table key of the ordered pair (x, y), and the sign with
+    value(x, y) = sign * stored[key].
+
+    Reversing a disjoint pair, turning a pair so that the shared index
+    comes first, and swapping the other indices each flip the sign.
+    """
+    shared = [i for i in x if i in y]
+    if not shared:
+        return ((x, y), 1) if x < y else ((y, x), -1)
+    s = shared[0]
+    x2, y2 = x[0] + x[1] - s, y[0] + y[1] - s
+    sign = (1 if x[0] == s else -1) * (1 if y[0] == s else -1)
+    return ((s, x2, y2), sign) if x2 < y2 else ((s, y2, x2), -sign)
+
+
 class EpsilonTable:
     """Skew-consistent intersection signs for commutator generator pairs.
 
-    Stored canonically: a disjoint entry under the lexicographically
-    smaller ordered pair first, a shared-index entry as
-    (shared, smaller other, larger other).  Lookups outside the stored
-    domain return 0, and reversed lookups pick up the skew sign.
+    Each sign is stored once, under the key _storage_key gives: a
+    disjoint entry as the ordered pair (p, q) with p < q, a shared-index
+    entry as (shared, smaller other, larger other).  Lookups outside the
+    stored domain return 0, and reversed lookups pick up the skew sign.
     """
 
     def __init__(self, genus: int,
@@ -155,8 +175,8 @@ class EpsilonTable:
         if genus < 2:
             raise ValueError(f"genus must be at least 2, got {genus}")
         self.genus = genus
-        self._disjoint = {}
-        self._parallel = {}
+        self._signs = {}
+        self._draw = None
         valid = set(comm_pairs(genus))
         for (p, q), v in dict(disjoint).items():
             if p not in valid or q not in valid or set(p) & set(q):
@@ -166,7 +186,7 @@ class EpsilonTable:
             if v not in (-1, 0, 1):
                 raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
             if v:
-                self._disjoint[(p, q)] = v
+                self._signs[(p, q)] = v
         n = 2 * genus - 2
         for (s, x, y), v in dict(parallel).items():
             if not (1 <= s <= n and 1 <= x < y <= n) or s in (x, y):
@@ -174,7 +194,13 @@ class EpsilonTable:
             if v not in (-1, 0, 1):
                 raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
             if v:
-                self._parallel[(s, x, y)] = v
+                self._signs[(s, x, y)] = v
+
+    @classmethod
+    def _from_signs(cls, genus: int, signs: Mapping[tuple, int]):
+        """A table from signs already under their storage keys."""
+        return cls(genus, {k: v for k, v in signs.items() if len(k) == 2},
+                   {k: v for k, v in signs.items() if len(k) == 3})
 
     @classmethod
     def zero(cls, genus: int) -> "EpsilonTable":
@@ -184,25 +210,22 @@ class EpsilonTable:
     def random_skew(cls, genus: int, rng, density: float = 0.6) -> "EpsilonTable":
         """A random table, mostly nonzero, for robustness tests."""
         pairs = comm_pairs(genus)
-        disjoint = {}
-        parallel = {}
-        for a in range(len(pairs)):
-            for b in range(a + 1, len(pairs)):
-                p, q = pairs[a], pairs[b]
-                shared = set(p) & set(q)
-                if rng.random() > density:
-                    continue
-                v = rng.choice((-1, 1))
-                if not shared:
-                    disjoint[(p, q)] = v
-                elif len(shared) == 1:
-                    s = shared.pop()
-                    x = p[0] if p[1] == s else p[1]
-                    y = q[0] if q[1] == s else q[1]
-                    key = (s, min(x, y), max(x, y))
-                    if key not in parallel:
-                        parallel[key] = v
-        return cls(genus, disjoint, parallel)
+        signs = {}
+        for a, p in enumerate(pairs):
+            for q in pairs[a + 1:]:
+                if rng.random() <= density:
+                    signs.setdefault(_storage_key(p, q)[0],
+                                     rng.choice((-1, 1)))
+        return cls._from_signs(genus, signs)
+
+    @classmethod
+    def seeded(cls, genus: int, seed: int) -> "EpsilonTable":
+        """random_skew(genus, random.Random(seed)), drawn at the first
+        lookup: a caller that looks nothing up never pays the O(g^4) draw.
+        """
+        table = cls(genus)
+        table._draw = lambda: cls.random_skew(genus, random.Random(seed))._signs
+        return table
 
     @classmethod
     def from_entries(cls, genus: int, entries: Sequence[Mapping]) -> "EpsilonTable":
@@ -213,8 +236,7 @@ class EpsilonTable:
         """
         if not isinstance(entries, (list, tuple)):
             raise ValueError("a pairing table is a list of entries")
-        disjoint: dict = {}
-        parallel: dict = {}
+        signs: dict = {}
         valid = set(comm_pairs(genus))
         for entry in entries:
             if not isinstance(entry, Mapping) \
@@ -230,40 +252,20 @@ class EpsilonTable:
                 raise ValueError(
                     f"entry {entry!r} names a pair outside the generating set"
                 )
-            shared = set(x) & set(y)
-            if len(shared) == 2:
+            if x == y:
                 raise ValueError(f"pairs in {entry!r} coincide")
-            if not shared:
-                key, val = ((x, y), v) if x < y else ((y, x), -v)
-                store = disjoint
-            else:
-                s = shared.pop()
-                sign = 1
-                x2 = x[1] if x[0] == s else x[0]
-                if x[0] != s:
-                    sign = -sign
-                y2 = y[1] if y[0] == s else y[0]
-                if y[0] != s:
-                    sign = -sign
-                if x2 < y2:
-                    key, val = (s, x2, y2), sign * v
-                else:
-                    key, val = (s, y2, x2), -sign * v
-                store = parallel
-            if key in store and store[key] != val:
+            key, sign = _storage_key(x, y)
+            if key in signs and signs[key] != sign * v:
                 raise ValueError(f"entry {entry!r} conflicts with an earlier one")
-            store[key] = val
-        return cls(genus, disjoint, parallel)
+            signs[key] = sign * v
+        return cls._from_signs(genus, signs)
 
-    def disjoint_value(self, p: IndexPair, q: IndexPair) -> int:
-        if p < q:
-            return self._disjoint.get((p, q), 0)
-        return -self._disjoint.get((q, p), 0)
-
-    def parallel_value(self, shared: int, x: int, y: int) -> int:
-        if x < y:
-            return self._parallel.get((shared, x, y), 0)
-        return -self._parallel.get((shared, y, x), 0)
+    def value(self, x: IndexPair, y: IndexPair) -> int:
+        """The sign fixed for the ordered pair (x, y); 0 where none is."""
+        if self._draw is not None:
+            self._signs, self._draw = self._draw(), None
+        key, sign = _storage_key(x, y)
+        return sign * self._signs.get(key, 0)
 
 
 def _var(ring: LaurentRing, index: int) -> LaurentPoly:
@@ -279,37 +281,28 @@ def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable,
     single curve are disjoint), disjoint index sets give the product of
     four (u-1)-type factors, and a single shared index gives the
     three-factor form with the shared variable contributing
-    1 - u - u^{-1}.
+    1 - u - u^{-1}.  Either product is scaled by the sign eps.value(x, y).
     """
     if ring is None:
         ring = surface_ring(eps.genus)
     if set(x) == set(y):
         return ring.zero()
+    v = eps.value(x, y)
+    if not v:
+        return ring.zero()
     one = ring.one()
-    shared = set(x) & set(y)
+    shared = [i for i in x if i in y]
     if not shared:
-        v = eps.disjoint_value(x, y)
-        if not v:
-            return ring.zero()
         poly = (_var(ring, x[0]) - one) * (_var(ring, x[1]) - one) \
             * (_var(ring, y[0]).unit_inverse() - one) \
             * (_var(ring, y[1]).unit_inverse() - one)
         return v * poly
-    s = shared.pop()
-    sign = 1
-    x2 = x[1] if x[0] == s else x[0]
-    if x[0] != s:
-        sign = -sign
-    y2 = y[1] if y[0] == s else y[0]
-    if y[0] != s:
-        sign = -sign
-    v = eps.parallel_value(s, x2, y2)
-    if not v:
-        return ring.zero()
+    s = shared[0]
     u_s = _var(ring, s)
-    poly = (one - u_s - u_s.unit_inverse()) * (_var(ring, x2) - one) \
-        * (_var(ring, y2).unit_inverse() - one)
-    return (sign * v) * poly
+    poly = (one - u_s - u_s.unit_inverse()) \
+        * (_var(ring, x[0] + x[1] - s) - one) \
+        * (_var(ring, y[0] + y[1] - s).unit_inverse() - one)
+    return v * poly
 
 
 def pair_generators(x: Generator, shift: Sequence[int], y: Generator,
@@ -510,6 +503,9 @@ class LiftClass:
             if not isinstance(obj, Mapping):
                 raise ValueError(f"lift family {name} must map exponent keys "
                                  f"to integers, got {obj!r}")
+            if len(obj) > MAX_TERMS:
+                raise ValueError(f"lift family {name} has {len(obj)} terms, "
+                                 f"more than the limit of {MAX_TERMS}")
             out = {}
             for key, c in obj.items():
                 if not _EXPONENT_KEY.fullmatch(str(key)):

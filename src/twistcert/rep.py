@@ -127,9 +127,14 @@ class Matrix2:
     @classmethod
     def from_json(cls, ring: LaurentRing, data: Mapping) -> "Matrix2":
         try:
-            return cls(*(parse_poly(data[k], ring) for k in "abcd"))
+            entries = [data[k] for k in "abcd"]
         except KeyError as exc:
             raise ValueError(f"matrix record is missing entry {exc}") from None
+        for name, entry in zip("abcd", entries):
+            if not isinstance(entry, str):
+                raise ValueError(f"matrix entry {name} must be a string, "
+                                 f"got {type(entry).__name__}")
+        return cls(*(parse_poly(entry, ring) for entry in entries))
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

@@ -326,6 +326,48 @@ def test_certificate_ignores_pairing_convention():
     assert len(texts) == 1
 
 
+class _UnreadableTable(homology.EpsilonTable):
+    def value(self, x, y):
+        raise AssertionError("a certificate stage read the pairing table")
+
+
+def _lift_with_commutator_terms() -> LiftClass:
+    ring = surface_ring(3)
+    star = canonical_lift(3)
+    w = homology.CycleClass(3, {
+        homology.Generator.comm(1, 2): parse_poly("s2 - 1", ring),
+        homology.Generator.comm(1, 3): parse_poly("2*t2^-1 + s3", ring)})
+    return LiftClass(3, w, star.m, star.n)
+
+
+@pytest.mark.parametrize("lift", [None, _lift_with_commutator_terms()],
+                         ids=["canonical", "commutator-terms"])
+def test_certificate_never_reads_the_pairing_table(lift):
+    # a future stage that reads the table fails here, and then the
+    # --seed recheck, which re-runs only _handle_images, must grow too
+    zero = build_certificate(6, 3, base_lift=lift).json_text()
+    assert build_certificate(6, 3, eps=_UnreadableTable(3),
+                             base_lift=lift).json_text() == zero
+
+
+def test_pairing_table_recheck_reads_no_sign():
+    lift = _lift_with_commutator_terms()
+    zero = homology.EpsilonTable.zero(3)
+    for probe in (homology.EpsilonTable.seeded(3, 7), _UnreadableTable(3)):
+        assert amalgam.pairing_table_recheck(5, lift, zero, probe)
+
+
+def test_verdict_is_the_absence_of_a_first_failure():
+    cert = build_certificate(4, 2)
+    assert cert.first_failure() is None and cert.verdict
+    record = canonical_lift(2).to_json()
+    record["m"]["0,1"] = 2
+    broken = build_certificate(4, 2, base_lift=LiftClass.from_json(record))
+    assert broken.first_failure() is broken.records[0]
+    assert broken.verdict is False
+    assert json.loads(broken.json_text())["verdict"] is False
+
+
 def test_certificate_records_broken_lifts_instead_of_raising():
     ring = surface_ring(2)
     bad = LiftClass(2, None, parse_poly("s2 - 1", ring), ring.one())

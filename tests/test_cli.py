@@ -6,11 +6,11 @@ import time
 
 import pytest
 
-from twistcert import cli
+from twistcert import amalgam, cli
 from twistcert.amalgam import Certificate
 from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
-from twistcert.homology import canonical_lift
+from twistcert.homology import EpsilonTable, canonical_lift, comm_pairs
 from twistcert.rep import matrix_Mk, matrix_N
 from twistcert.tree import series_ring
 
@@ -477,6 +477,69 @@ def test_tree_ball_radius_limit(capsys, monkeypatch):
     assert err == "error: ball radius must be at most 10, got 11\n"
 
 
+_DEEP = "[" * 5000 + "]" * 5000
+_BAD_JSON_INPUTS = (
+    ["verify", "--eps-table", _DEEP],
+    ["verify", "--lift", _DEEP],
+    ["rho", _DEEP],
+    ["normal-form", '{"a": %s, "b": "0", "c": "0", "d": "1"}' % _DEEP],
+    ["tree", "translation", '{"a": %s}' % _DEEP],
+    ["tree", "distance", '{"a": %s}' % _DEEP, "base"],
+    ["normal-form", '{"a": 1, "b": "0", "c": "0", "d": "1"}'],
+)
+
+
+@pytest.mark.parametrize("argv", _BAD_JSON_INPUTS, ids=[
+    "eps-table", "lift", "rho", "normal-form", "tree-translation",
+    "tree-distance", "integer-entry"])
+def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
+    # nested deeper than the decoder can follow, or a matrix entry that
+    # is not a string: exit 2 with one line, in a file or inline
+    text = next(arg for arg in argv if arg.startswith(("[", "{")))
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    as_file = [str(path) if arg is text else arg for arg in argv]
+    for variant in (argv, as_file):
+        code, out, err = run(capsys, *variant)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_json_inputs_fail_on_one_line_under_optimize(tmp_path):
+    for argv in _BAD_JSON_INPUTS:
+        result = subprocess.run(
+            [sys.executable, "-O", "-m", "twistcert.cli", *argv],
+            capture_output=True, text=True)
+        assert result.returncode == 2, argv[:2]
+        assert result.stdout == ""
+        assert len(result.stderr.splitlines()) == 1
+        assert "Traceback" not in result.stderr
+
+
+def test_lift_family_size_limit(capsys, monkeypatch):
+    from twistcert.laurent import MAX_TERMS
+    built = []
+    real = cli.build_certificate
+
+    def stub(kmax, genus, eps=None, base_lift=None):
+        built.append((len(base_lift.m.terms), len(base_lift.n.terms)))
+        return real(2, 2)
+
+    monkeypatch.setattr(cli, "build_certificate", stub)
+    for name in ("m", "n"):
+        record = {"genus": 2, name: {f"{i},0": 1 for i in range(MAX_TERMS)}}
+        code, _, err = run(capsys, "verify", "--kmax", "2",
+                           "--lift", json.dumps(record))
+        assert (code, err) == (0, "")
+        record[name][f"{MAX_TERMS},0"] = 1
+        code, out, err = run(capsys, "verify", "--kmax", "2",
+                             "--lift", json.dumps(record))
+        assert (code, out) == (2, "")
+        assert err == (f"error: lift family {name} has {MAX_TERMS + 1} "
+                       f"terms, more than the limit of {MAX_TERMS}\n")
+    assert built == [(MAX_TERMS, 0), (0, MAX_TERMS)]
+
+
 # -- serialisation -----------------------------------------------------------
 
 
@@ -499,8 +562,8 @@ def test_text_verify_does_not_serialise(capsys, monkeypatch):
 @pytest.mark.parametrize("extra, builds", [
     (["--format", "json"], 1),
     (["--output", "OUT"], 1),
-    (["--seed", "7"], 2),
-    (["--format", "json", "--seed", "7"], 2),
+    (["--seed", "7"], 0),
+    (["--format", "json", "--seed", "7"], 1),
 ])
 def test_verify_serialises_what_it_writes(capsys, monkeypatch, tmp_path,
                                           extra, builds):
@@ -521,3 +584,51 @@ def test_verify_serialises_what_it_writes(capsys, monkeypatch, tmp_path,
         assert json.loads(out_path.read_text())["verdict"] is True
     if "--seed" in extra and "json" not in extra:
         assert out.splitlines()[-1] == "pairing-table recheck: ok"
+
+
+def test_seed_builds_one_certificate(capsys, monkeypatch):
+    builds = []
+    real = cli.build_certificate
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_certificate", counted)
+    code, out, _ = run(capsys, "verify", "--genus", "3", "--kmax", "5",
+                       "--seed", "7")
+    assert code == 0 and len(builds) == 1
+    assert out.splitlines()[-1] == "pairing-table recheck: ok"
+
+
+def test_seed_never_draws_the_probe_table(capsys, monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("the probe table was drawn")
+
+    monkeypatch.setattr(EpsilonTable, "random_skew", draw)
+    code, out, _ = run(capsys, "verify", "--genus", str(MAX_GENUS),
+                       "--kmax", "2", "--seed", "3")
+    assert code == 0
+    assert out.splitlines()[-2:] == ["verdict: PASS",
+                                     "pairing-table recheck: ok"]
+
+
+def test_seed_recheck_catches_a_stage_that_reads_the_table(capsys,
+                                                           monkeypatch):
+    real = amalgam._handle_images
+    pairs = comm_pairs(3)
+
+    def reading(lift, eps):
+        image_a1, image_b1 = real(lift, eps)
+        if any(eps.value(x, y) for x in pairs for y in pairs):
+            image_a1 = image_a1 + image_a1
+        return image_a1, image_b1
+
+    monkeypatch.setattr(amalgam, "_handle_images", reading)
+    code, out, _ = run(capsys, "verify", "--genus", "3", "--kmax", "4",
+                       "--seed", "7")
+    assert code == 1
+    assert out.splitlines()[-3:] == [
+        "verdict: PASS",
+        "pairing-table recheck: failed",
+        "failing check: certificate depends on the pairing table (seed 7)"]

@@ -136,6 +136,43 @@ def test_epsilon_entry_fixes_shift_zero_pairing():
                            Generator.comm(1, 3), eps) == -1
 
 
+def test_value_reads_an_entry_in_either_order():
+    # one storage key per unordered pair: an entry given for (x, y)
+    # answers value(x, y) and, with the skew sign, value(y, x)
+    pairs = comm_pairs(3)
+    for x in pairs:
+        for y in pairs:
+            if x == y:
+                continue
+            for v in (-1, 1):
+                eps = EpsilonTable.from_entries(
+                    3, [{"x": list(x), "y": list(y), "value": v}])
+                assert (eps.value(x, y), eps.value(y, x)) == (v, -v)
+                assert EpsilonTable.from_entries(
+                    3, [{"x": list(y), "y": list(x), "value": -v}]
+                ).value(x, y) == v
+
+
+def test_seeded_table_draws_at_the_first_lookup(monkeypatch):
+    draws = []
+    real = EpsilonTable.random_skew.__func__
+
+    def counted(cls, genus, rng, density=0.6):
+        draws.append(genus)
+        return real(cls, genus, rng, density)
+
+    monkeypatch.setattr(EpsilonTable, "random_skew", classmethod(counted))
+    eps = EpsilonTable.seeded(4, 11)
+    EpsilonTable.seeded(40, 3)  # O(g^4) entries if drawn now
+    assert draws == []
+    reference = real(EpsilonTable, 4, random.Random(11))
+    pairs = comm_pairs(4)
+    values = [eps.value(x, y) for x in pairs for y in pairs]
+    assert draws == [4]
+    assert values == [reference.value(x, y) for x in pairs for y in pairs]
+    assert any(values)
+
+
 # -- generator pairings --------------------------------------------------
 
 

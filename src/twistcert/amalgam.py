@@ -35,7 +35,6 @@ from .tree import (
     _act,
     as_sl2,
     base_vertex,
-    distance,
     first_step,
     odd_base_vertex,
     series_ring,
@@ -194,12 +193,17 @@ def _witness(k: int, l: int, connecting: str) -> str:
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     """Factor a matrix as an alternating word in A and B.
 
-    The word is read off the tree: while the matrix fixes neither
-    endpoint of the fundamental edge, the geodesic from that edge to its
-    image leaves through one endpoint, and a letter from that endpoint's
-    stabilizer pulls the image one edge closer.  Letters alternate sides
-    automatically, every non-initial letter lies outside U, and the word
-    length is at most the displacement of the base vertex plus one.
+    The word is read off the tree.  While the remainder g fixes neither
+    endpoint v0, v1 of the fundamental edge, the image edge (g v0, g v1)
+    misses both of them (g fixes neither, and SL2 preserves the parity
+    of a vertex's level), so it lies in one half-tree of the fundamental
+    edge, and p = g v0 says which: v0's half exactly when the geodesic
+    from v0 to p does not start at v1.  The first edge toward p from
+    that half's endpoint names a letter of its stabilizer that pulls the
+    image one edge closer.  So each letter costs one tree action and no
+    distance.  Letters alternate sides automatically, every non-initial
+    letter lies outside U, and the word length is at most the
+    displacement of the base vertex plus one.
     """
     original = as_sl2(mat)
     rest = original
@@ -212,19 +216,15 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     # checked on entry: its sides follow from exponent signs, and it
     # acts on the tree without a second check
     while not any(_sides(rest)):
-        p, q = _act(rest, v0), _act(rest, v1)
-        near_v0 = min(distance(v0, p), distance(v0, q))
-        near_v1 = min(distance(v1, p), distance(v1, q))
-        if near_v0 < near_v1:
-            target = p if distance(v0, p) < distance(v0, q) else q
-            step = first_step(v0, target)
+        p = _act(rest, v0)
+        step = first_step(v0, p)
+        if step != v1:
             # step is a child (1; c); the letter fixes v0 and moves the
             # fundamental edge onto (v0, step)
             c = step.r.coeff((0,))
             letter, side = Matrix2.from_rows(_QT, [[c, -1], [1, 0]]), "A"
         else:
-            target = p if distance(v1, p) < distance(v1, q) else q
-            step = first_step(v1, target)
+            step = first_step(v1, p)
             if step.a == -2:
                 letter = Matrix2(zero, -t_inv, t, zero)
             else:

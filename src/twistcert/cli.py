@@ -41,7 +41,6 @@ from .tree import (
     ball_dot,
     canonical_vertex,
     distance,
-    fixes_vertex,
     parse_vertex,
     series_ring,
     translation_length,
@@ -244,7 +243,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         mat = parse_matrix(_read_source(args.matrix))
         vertex = _vertex_from_spec(args.vertex)
         moved = act(mat, vertex)
-        if fixes_vertex(mat, vertex):
+        if moved == vertex:
             print(f"fixes {vertex}: yes")
         else:
             print(f"fixes {vertex}: no, moves it to {moved} "

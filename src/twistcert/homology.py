@@ -555,29 +555,24 @@ def validate_lift(lift: LiftClass) -> ValidationReport:
 
     For every shift p the cross-correlations must agree:
     sum_v m[v] n[v+p] = sum_v n[v] m[v+p].  This is what disjointness of
-    the curve's lifts imposes on the a1/b1 coefficient families.
+    the curve's lifts imposes on the a1/b1 coefficient families.  Both
+    sides are coefficients of one product: with Q = m-bar n, the left
+    side is Q[p] and the right side is Q[-p], so the lift is valid
+    exactly when Q is fixed by the involution, which is when the
+    determinant 1 - Q + Q-bar of rho_pre_phi is 1.  A mismatch at p is
+    one at -p with sides swapped; the report names the smallest
+    representative max(p, -p).
     """
-    m, n = lift.m, lift.n
-    supp_m = list(m.support())
-    supp_n = list(n.support())
-    # The identity at shift p is the identity at -p with sides swapped,
-    # so it is enough to check one representative per +-pair.
-    shifts = set()
-    for v in supp_m:
-        for w in supp_n:
-            p = tuple(b - a for a, b in zip(v, w))
-            shifts.add(max(p, tuple(-e for e in p)))
-    for p in sorted(shifts):
-        lhs = sum(m.coeff(v) * n.coeff(tuple(a + b for a, b in zip(v, p)))
-                  for v in supp_m)
-        rhs = sum(n.coeff(v) * m.coeff(tuple(a + b for a, b in zip(v, p)))
-                  for v in supp_n)
-        if lhs != rhs:
-            return ValidationReport(
-                False, p,
-                f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}",
-            )
-    return ValidationReport(True)
+    q = lift.m.involution() * lift.n
+    q_bar = q.involution()  # q_bar[p] = q[-p]
+    # a mismatch at p or -p leaves a term of q at one of them
+    mismatched = [p for p, c in q.terms.items() if q_bar.coeff(p) != c]
+    if not mismatched:
+        return ValidationReport(True)
+    p = min(max(e, tuple(-x for x in e)) for e in mismatched)
+    lhs, rhs = q.coeff(p), q_bar.coeff(p)
+    return ValidationReport(
+        False, p, f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}")
 
 
 def _require_valid(lift: LiftClass):

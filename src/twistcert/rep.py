@@ -130,6 +130,10 @@ class Matrix2:
             entries = [data[k] for k in "abcd"]
         except KeyError as exc:
             raise ValueError(f"matrix record is missing entry {exc}") from None
+        for key in data:
+            if key not in ("a", "b", "c", "d"):
+                raise ValueError(f"matrix record has unknown key {key!r}: "
+                                 "it takes exactly the keys a, b, c and d")
         for name, entry in zip("abcd", entries):
             if not isinstance(entry, str):
                 raise ValueError(f"matrix entry {name} must be a string, "

@@ -1,10 +1,12 @@
 import hashlib
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    _random_q_polynomial,
     random_a_element,
     random_b_element,
     random_epsilon,
@@ -244,6 +246,87 @@ def test_normal_form_length_matches_tree_displacement():
         assert len(letters) >= max(1, edge_moves - 1)
 
 
+def _two_action_normal_form(mat):
+    """Reference walk: act on both ends of the fundamental edge and step
+    from the nearer end toward the nearer image, by distances."""
+    rest = tree.as_sl2(mat)
+    v0, v1 = base_vertex(), odd_base_vertex()
+    t = QT.variable(0)
+    letters = []
+    while not any(amalgam._sides(rest)):
+        p, q = tree._act(rest, v0), tree._act(rest, v1)
+        near_v0 = min(distance(v0, p), distance(v0, q))
+        near_v1 = min(distance(v1, p), distance(v1, q))
+        if near_v0 < near_v1:
+            target = p if distance(v0, p) < distance(v0, q) else q
+            c = tree.first_step(v0, target).r.coeff((0,))
+            letter, side = _mat([[c, -1], [1, 0]]), "A"
+        else:
+            target = p if distance(v1, p) < distance(v1, q) else q
+            step = tree.first_step(v1, target)
+            if step.a == -2:
+                letter = Matrix2(QT.zero(), -t.unit_inverse(), t, QT.zero())
+            else:
+                c = step.r.coeff((-1,))
+                letter = Matrix2(QT.one(), QT.monomial((-1,), c),
+                                 QT.zero(), QT.one())
+            side = "B"
+        letters.append((side, letter))
+        rest = letter.inverse() @ rest
+    rest_in_a, rest_in_b = amalgam._sides(rest)
+    if not letters:
+        return [AmalgamLetter("A" if rest_in_a else "B", rest)]
+    if rest_in_a and rest_in_b:
+        last_side, last = letters.pop()
+        letters.append((last_side, last @ rest))
+    else:
+        letters.append(("A" if rest_in_a else "B", rest))
+    return [AmalgamLetter(side, matrix) for side, matrix in letters]
+
+
+def _random_factor(rng, side):
+    """An elementary, diagonal or Weyl factor of A, or its B conjugate.
+
+    The "moving" elementary factor (lower in A, upper in B) gets a
+    nonzero constant term, which usually keeps it off U; the "fixed"
+    one and the diagonal lie in U and merge into their neighbours.
+    """
+    unit = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.randint(1, 2))
+    f = _random_q_polynomial(rng) + QT.constant(unit)
+    kind = rng.choices(("moving", "fixed", "diagonal", "weyl"),
+                       weights=(4, 1, 1, 2))[0]
+    if kind == "diagonal":
+        a_side = _mat([[unit, 0], [0, 1 / unit]])
+    elif kind == "weyl":
+        a_side = _mat([[0, -1], [1, 0]])
+    elif (kind == "moving") == (side == "A"):
+        a_side = _mat([[1, 0], [f, 1]])
+    else:
+        a_side = _mat([[1, f], [0, 1]])
+    if side == "A":
+        return a_side
+    t = QT.variable(0)
+    return Matrix2(a_side.a, t.unit_inverse() * a_side.b, t * a_side.c,
+                   a_side.d)
+
+
+def test_normal_form_matches_the_two_action_walk():
+    rng = random.Random(47)
+    lengths = set()
+    for _ in range(300):
+        # mostly alternating sides, so that few factors merge
+        sides = [rng.choice("AB")]
+        for _ in range(rng.randint(0, 7)):
+            sides.append(sides[-1] if rng.random() < 0.2
+                         else "AB"[sides[-1] == "A"])
+        word = multiply([_random_factor(rng, side) for side in sides], QT)
+        letters = _check_normal_form(word)
+        assert [str(l) for l in letters] == \
+            [str(l) for l in _two_action_normal_form(word)]
+        lengths.add(len(letters))
+    assert max(lengths) >= 6
+
+
 def test_normal_form_rejects_a_wrong_product(monkeypatch):
     word = matrix_Mk(3) @ matrix_N()
     monkeypatch.setattr(amalgam, "multiply",
@@ -269,11 +352,22 @@ def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
 
     monkeypatch.setattr(tree, "as_sl2", counting)
     monkeypatch.setattr(amalgam, "as_sl2", counting)
+    # and the loop acts once per letter, on v0 only
+    acts = []
+    acting = tree._act
+
+    def counting_act(mat, vertex):
+        acts.append(vertex)
+        return acting(mat, vertex)
+
+    monkeypatch.setattr(amalgam, "_act", counting_act)
     n = matrix_N()
     word = matrix_Mk(1) @ n @ matrix_Mk(2) @ n @ matrix_Mk(-3) @ n
     letters = _check_normal_form(word)
     assert [l.side for l in letters] == ["A", "B"] * 3
     assert len(calls) <= 1 + len(letters)
+    assert 0 < len(acts) <= len(letters)
+    assert set(acts) == {base_vertex()}
     with pytest.raises(ValueError, match="determinant"):
         act(_mat([["t", 0], [0, 1]]), base_vertex())
 

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from twistcert import amalgam, cli
+from twistcert import amalgam, cli, tree
 from twistcert.amalgam import Certificate
 from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
@@ -258,14 +258,26 @@ def test_tree_distance_between_specs(capsys):
     assert out == "4\n"
 
 
-def test_tree_fixes_reports_both_ways(capsys):
+def test_tree_fixes_reports_both_ways(capsys, monkeypatch):
+    # one SL2 check and one action per query
+    checks = []
+    checked = tree.as_sl2
+
+    def counting(mat):
+        checks.append(mat)
+        return checked(mat)
+
+    monkeypatch.setattr(tree, "as_sl2", counting)
     n_text = "[[1, t - 2 + t^-1], [0, 1]]"
     code, out, _ = run(capsys, "tree", "fixes", n_text, "(-1; 0)")
     assert code == 0
     assert out == "fixes (-1; 0): yes\n"
+    assert len(checks) == 1
     code, out, _ = run(capsys, "tree", "fixes", n_text, "base")
     assert code == 0
-    assert out.startswith("fixes (0; 0): no, moves it to")
+    assert out == ("fixes (0; 0): no, moves it to (0; t^-1) "
+                   "at distance 2\n")
+    assert len(checks) == 2
 
 
 def test_tree_translation_exact_and_clipped(capsys):
@@ -486,15 +498,17 @@ _BAD_JSON_INPUTS = (
     ["tree", "translation", '{"a": %s}' % _DEEP],
     ["tree", "distance", '{"a": %s}' % _DEEP, "base"],
     ["normal-form", '{"a": 1, "b": "0", "c": "0", "d": "1"}'],
+    ["normal-form", '{"a": "1", "b": "0", "c": "0", "d": "1", "e": [1]}'],
 )
 
 
 @pytest.mark.parametrize("argv", _BAD_JSON_INPUTS, ids=[
     "eps-table", "lift", "rho", "normal-form", "tree-translation",
-    "tree-distance", "integer-entry"])
+    "tree-distance", "integer-entry", "unknown-key"])
 def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
-    # nested deeper than the decoder can follow, or a matrix entry that
-    # is not a string: exit 2 with one line, in a file or inline
+    # nested deeper than the decoder can follow, a matrix entry that is
+    # not a string, or a key other than a to d: exit 2 with one line, in
+    # a file or inline
     text = next(arg for arg in argv if arg.startswith(("[", "{")))
     path = tmp_path / "input.json"
     path.write_text(text)

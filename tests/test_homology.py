@@ -15,6 +15,7 @@ from twistcert.homology import (
     EpsilonTable,
     Generator,
     LiftClass,
+    ValidationReport,
     canonical_lift,
     comm_pairs,
     excluded_pair,
@@ -28,6 +29,7 @@ from twistcert.homology import (
     validate_lift,
 )
 from twistcert.laurent import (
+    LaurentPoly,
     parse_poly,
     specialize_phi,
     specialize_single,
@@ -344,6 +346,75 @@ def test_validation_matches_involution_product_identity(mdict, ndict):
     lift = LiftClass(2, None, mdict, ndict)
     ok = validate_lift(lift).ok
     assert ok == (lift.m.involution() * lift.n == lift.n.involution() * lift.m)
+
+
+def _per_shift_scan(lift):
+    """Reference check: each cross-correlation shift summed on its own."""
+    m, n = lift.m, lift.n
+    supp_m, supp_n = list(m.support()), list(n.support())
+    shifts = set()
+    for v in supp_m:
+        for w in supp_n:
+            p = tuple(b - a for a, b in zip(v, w))
+            shifts.add(max(p, tuple(-e for e in p)))
+    for p in sorted(shifts):
+        lhs = sum(m.coeff(v) * n.coeff(tuple(a + b for a, b in zip(v, p)))
+                  for v in supp_m)
+        rhs = sum(n.coeff(v) * m.coeff(tuple(a + b for a, b in zip(v, p)))
+                  for v in supp_n)
+        if lhs != rhs:
+            return ValidationReport(
+                False, p,
+                f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}")
+    return ValidationReport(True)
+
+
+def test_validation_matches_the_per_shift_scan():
+    rng = random.Random(59)
+    invalid = 0
+    for i in range(2100):
+        genus = rng.choice((2, 3))
+        ring = surface_ring(genus)
+        if i % 3 == 0:
+            lift = random_valid_lift(rng, genus, max_w_support=0)
+            if rng.random() < 0.5:
+                # one stray term: usually, not always, invalid
+                bump = ring.monomial(
+                    [rng.randint(-2, 2) for _ in range(ring.nvars)], 1)
+                lift = LiftClass(genus, None, lift.m, lift.n + bump)
+        else:
+            lift = LiftClass(genus, None,
+                             random_poly(rng, ring, max_exp=2),
+                             random_poly(rng, ring, max_exp=2))
+        report = validate_lift(lift)
+        assert report == _per_shift_scan(lift), lift
+        invalid += not report.ok
+    assert invalid >= 2100 // 3, invalid
+
+
+def test_validation_is_one_product_on_a_large_lift(monkeypatch):
+    # 250 terms over exponents -40..40: a scan per shift makes millions
+    # of coefficient lookups here, one product about one per term of Q
+    rng = random.Random(61)
+    m = {}
+    while len(m) < 250:
+        m[(rng.randint(-40, 40), rng.randint(-40, 40))] = rng.choice((-1, 1))
+    n = {e: 2 * c for e, c in m.items()}
+    calls = []
+    lookup = LaurentPoly.coeff
+
+    def counting(self, exponents):
+        calls.append(exponents)
+        return lookup(self, exponents)
+
+    monkeypatch.setattr(LaurentPoly, "coeff", counting)
+    assert validate_lift(LiftClass(2, None, m, n)).ok
+    assert len(calls) <= 2 * len(m) * len(n)
+    calls.clear()
+    n[(41, 0)] = 1
+    report = validate_lift(LiftClass(2, None, m, n))
+    assert not report.ok and report.shift is not None
+    assert len(calls) <= 2 * len(m) * len(n)
 
 
 def test_lift_rejects_handle_support_in_w():

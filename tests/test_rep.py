@@ -96,6 +96,8 @@ def test_json_round_trip_and_errors():
     assert Matrix2.from_json(L, n.to_json()) == n
     with pytest.raises(ValueError):
         Matrix2.from_json(L, {"a": "1", "b": "0", "c": "0"})
+    with pytest.raises(ValueError, match="unknown key 'e'"):
+        Matrix2.from_json(L, {**n.to_json(), "e": [1]})
 
 
 def test_multiply_sequences():

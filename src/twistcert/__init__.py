@@ -48,7 +48,6 @@ from .rep import (
     rho_pre_phi,
 )
 from .tree import (
-    RationalFunction,
     TreeVertex,
     act,
     as_sl2,

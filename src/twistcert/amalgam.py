@@ -178,16 +178,15 @@ def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
     """
     if k < 1 or l < 1:
         raise ValueError("twist powers must be at least 1")
-    u = matrix_Mk(k - l)
-    return DoubleCosetReport(k, l, k != l, _witness(k, l, str(u)), u)
+    return DoubleCosetReport(k, l, k != l, _witness(k, l), matrix_Mk(k - l))
 
 
-def _witness(k: int, l: int, connecting: str) -> str:
-    """The separation witness for M_k and M_l; connecting is str(M_{k-l})."""
+def _witness(k: int, l: int) -> str:
+    """The separation witness for M_k and M_l, with M_{k-l} written out."""
     if k == l:
         return "k = l, the cosets coincide"
-    return (f"equality would put M_{l}^-1 M_{k} = {connecting} in U, but its "
-            f"lower-left entry is {k - l} at t = 0, not divisible by t")
+    return (f"equality would put M_{l}^-1 M_{k} = [[1, 0], [{k - l}, 1]] in U, "
+            f"but its lower-left entry is {k - l} at t = 0, not divisible by t")
 
 
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
@@ -395,13 +394,6 @@ def build_certificate(kmax: int, genus: int,
                 "conjugate_balanced": h_form(mat).all_balanced,
             },
         })
-    # M_l^-1 M_k = M_{k-l} (see double_cosets_distinct): a pair's
-    # separation depends only on k - l, so each connecting matrix is
-    # built and printed once per difference
-    connecting = {d: str(matrix_Mk(d)) for d in range(1 - kmax, 0)}
-    pairwise = []
-    for k in range(1, kmax + 1):
-        for l in range(k + 1, kmax + 1):
-            pairwise.append({"k": k, "l": l, "distinct": k != l,
-                             "witness": _witness(k, l, connecting[k - l])})
+    pairwise = [{"k": k, "l": l, "distinct": k != l, "witness": _witness(k, l)}
+                for k in range(1, kmax + 1) for l in range(k + 1, kmax + 1)]
     return Certificate(kmax, genus, tuple(records), tuple(pairwise))

@@ -351,15 +351,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# an error message echoes input text, which may hold line breaks: they
+# are printed escaped, so that every error is one line
+_ESCAPED_LINE_BREAKS = str.maketrans(
+    {c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (UsageError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (UsageError, ValueError) as exc:  # ParseError is a ValueError
+        print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}",
+              file=sys.stderr)
         return 2
 
 

@@ -503,6 +503,9 @@ def _tokenize(text: str):
 MAX_NESTING = 200
 MAX_EXPONENT = 1000
 MAX_TERMS = 1000
+# the most digits Python converts between an int and its text by default
+_MAX_DIGITS = 4300
+_COEFF_LIMIT = 10 ** _MAX_DIGITS
 
 
 class _Parser:
@@ -513,12 +516,16 @@ class _Parser:
     parenthesized expression, optionally raised to an integer power via ^.
 
     Work is bounded: parentheses nest at most MAX_NESTING deep, which
-    keeps the descent well inside Python's recursion limit; a power's
-    exponent is at most MAX_EXPONENT in absolute value; and no
-    polynomial built along the way has more than MAX_TERMS terms.  A
-    product is refused before it is formed when its operands' term
-    counts multiply to more than MAX_TERMS, the size it has before like
-    terms combine, so each step costs at most MAX_TERMS term products.
+    keeps the descent well inside Python's recursion limit, and a
+    power's exponent is at most MAX_EXPONENT in absolute value.  Every
+    sum and product built along the way, including each step of a
+    power, has at most MAX_TERMS terms, exponents at most MAX_EXPONENT
+    in absolute value, and numerators and denominators of at most
+    _MAX_DIGITS digits; so nested powers such as (t^100)^20 are refused
+    too.  A product is refused before it is formed when its operands'
+    term counts multiply to more than MAX_TERMS, the size it has before
+    like terms combine, so each step costs at most MAX_TERMS term
+    products on operands of bounded size.
     """
 
     def __init__(self, text: str, ring: LaurentRing):
@@ -559,6 +566,7 @@ class _Parser:
                 if len(poly.terms) > MAX_TERMS:
                     raise ParseError(
                         f"expression has more than {MAX_TERMS} terms", pos)
+                self.check_size(poly, pos)
             else:
                 return poly
 
@@ -577,7 +585,21 @@ class _Parser:
             raise ParseError(
                 f"product of {len(f.terms)} by {len(g.terms)} terms exceeds "
                 f"the limit of {MAX_TERMS} terms", pos)
-        return f * g
+        return self.check_size(f * g, pos)
+
+    @staticmethod
+    def check_size(poly: LaurentPoly, pos: int) -> LaurentPoly:
+        """poly, once its exponents and coefficients are within limits."""
+        for exps, c in poly.terms.items():
+            for e in exps:
+                if abs(e) > MAX_EXPONENT:
+                    raise ParseError(f"exponent {e} exceeds the limit of "
+                                     f"{MAX_EXPONENT} in absolute value", pos)
+            if abs(c.numerator) >= _COEFF_LIMIT \
+                    or c.denominator >= _COEFF_LIMIT:
+                raise ParseError(f"coefficient has more than {_MAX_DIGITS} "
+                                 "digits", pos)
+        return poly
 
     def factor(self) -> LaurentPoly:
         sign = 1
@@ -655,15 +677,18 @@ class _Parser:
                 except ValueError as exc:
                     raise ParseError(str(exc), pos) from None
                 exponent = -exponent
-            # square and multiply, every product checked against MAX_TERMS
-            result = self.ring.one()
+            # square and multiply, every product checked against the
+            # limits; the result starts at the first power it takes, so
+            # no product by one is formed
+            result = None
             while exponent:
                 if exponent & 1:
-                    result = self.product(result, base, pos)
+                    result = base if result is None \
+                        else self.product(result, base, pos)
                 exponent >>= 1
                 if exponent:
                     base = self.product(base, base, pos)
-            return result
+            return self.ring.one() if result is None else result
         return base
 
 

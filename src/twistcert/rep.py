@@ -165,20 +165,29 @@ def rho_pre_phi(lift: LiftClass) -> Matrix2:
     validation; the commutator part of the lift never reaches the
     handle span and does not enter.
     """
-    ring = lift.ring
-    one = ring.one()
+    return _handle_matrix(lift, lift.m.involution() * lift.n)
+
+
+def _handle_matrix(lift: LiftClass, q: LaurentPoly) -> Matrix2:
+    """rho_pre_phi from Q = inv(m) n: the diagonal is 1 + inv(Q), 1 - Q,
+    since inv(n) m is the involution of Q, so only the off-diagonal
+    entries take products of their own."""
     m, n = lift.m, lift.n
-    m_bar, n_bar = m.involution(), n.involution()
-    return Matrix2(one + n_bar * m, -(m_bar * m),
-                   n_bar * n, one - m_bar * n)
+    one = lift.ring.one()
+    return Matrix2(one + q.involution(), -(m.involution() * m),
+                   n.involution() * n, one - q)
 
 
 def rho(lift: LiftClass) -> Matrix2:
-    """The represented matrix over L, after applying Phi entrywise."""
+    """The represented matrix over L, after applying Phi entrywise.
+
+    The lift check's product Q = inv(m) n is reused for the diagonal,
+    so rho takes three products of the m and n families in all.
+    """
     report = validate_lift(lift)
     if not report.ok:
         raise ValueError(f"invalid lift: {report.detail}")
-    mat = rho_pre_phi(lift).map_entries(specialize_phi)
+    mat = _handle_matrix(lift, report._q).map_entries(specialize_phi)
     det = mat.det()
     if det != mat.ring.one():
         raise ValueError(

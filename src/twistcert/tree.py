@@ -12,14 +12,17 @@ Distances come from elementary divisors: for vertices v, w the distance
 is a_v + a_w - 2 l with l = min(a_v, a_w, ord(r_v - r_w)).  Geodesics
 walk down to level l and climb back up, one coefficient of r at a time.
 
-The action of a determinant-one matrix is computed from valuations and a
-truncated power series, with Laurent polynomial arithmetic only: the
-image lattice has determinant t^a, so its level is read off valuations,
-and its tail is a series quotient that inverts one coefficient.  No
-fraction is reduced and no polynomial gcd is taken.  RationalFunction
-and canonical_vertex serve lattice bases with genuinely rational
-entries, and are the reference the action is tested against.
-Translation lengths need no walk at all: they are read off the trace.
+Every lattice basis reduces to its vertex in one way, from valuations
+and a truncated power series, with Laurent polynomial arithmetic only:
+the pivot column is the one whose lower entry has the least valuation,
+the level is v(det) minus twice that valuation, and the tail is a
+series quotient that inverts one coefficient.  canonical_vertex reduces a basis given
+by its entries; the action of a determinant-one matrix reduces the
+image of a vertex's basis, whose determinant is t^a.  No fraction is
+reduced and no polynomial gcd is taken.  RationalFunction, which keeps
+elements of Q(t) in lowest terms, is used by no reduction: it is the
+reference the tests check the reduction against.  Translation lengths
+need no walk at all: they are read off the trace.
 """
 
 from __future__ import annotations
@@ -63,6 +66,9 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 class RationalFunction:
     """An element of Q(t), kept in lowest terms.
+
+    No reduction in this module uses it; the tests reduce lattice bases
+    through it as the reference for canonical_vertex and act.
 
     The denominator is a monic polynomial with nonzero constant term;
     any power of t the function carries lives in the numerator.
@@ -259,24 +265,53 @@ def vertex_matrix(vertex: TreeVertex) -> Matrix2:
                    _QT.zero(), _QT.one())
 
 
+def _lattice_entry(value) -> LaurentPoly:
+    """A lattice basis entry as a Q Laurent polynomial in t."""
+    if isinstance(value, LaurentPoly):
+        if value.ring is _QT:
+            return value
+        if value.ring.names == ("t",):
+            return value.as_domain("Q")
+        raise ValueError("lattice entries are univariate in t, not in "
+                         + ", ".join(value.ring.names))
+    if isinstance(value, (int, Fraction)):
+        return _QT.constant(value)
+    raise TypeError("lattice entries are ints, Fractions or Laurent "
+                    f"polynomials in t, not {type(value).__name__}")
+
+
 def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
     """The vertex of the lattice spanned by the columns of [[a, b], [c, d]].
 
-    Column operations over the local ring bring the matrix to upper
-    triangular form; scaling by the center and by units then pins down
-    the representative.
+    The entries are ints, Fractions or Laurent polynomials in t; the
+    matrix must be nonsingular.
     """
-    alpha = RationalFunction.wrap(alpha)
-    beta = RationalFunction.wrap(beta)
-    gamma = RationalFunction.wrap(gamma)
-    delta = RationalFunction.wrap(delta)
+    alpha, beta, gamma, delta = (
+        _lattice_entry(e) for e in (alpha, beta, gamma, delta))
     det = alpha * delta - beta * gamma
     if not det:
         raise ValueError("lattice matrix is singular")
+    return _reduce(alpha, beta, gamma, delta, det.valuation())
+
+
+def _reduce(alpha: LaurentPoly, beta: LaurentPoly, gamma: LaurentPoly,
+            delta: LaurentPoly, det_valuation: int) -> TreeVertex:
+    """The vertex of the lattice with basis columns (alpha, gamma) and
+    (beta, delta), whose determinant has valuation det_valuation.
+
+    The pivot column is the one whose lower entry has the least
+    valuation: (beta, delta), unless gamma's valuation is smaller or
+    delta vanishes, and then the columns swap.  Subtracting gamma/delta
+    (which lies in O) times the pivot column from the other leaves
+    (det/delta, 0); scaling the lattice by t^-v(delta) and each column
+    by a unit of O then gives [[t^level, beta/delta], [0, 1]] with
+    level = v(det) - 2 v(delta).  The tail is beta/delta expanded below
+    that level, since t^level O absorbs the rest.
+    """
     if not delta or (gamma and gamma.valuation() < delta.valuation()):
         beta, delta = alpha, gamma
-    level = det.valuation() - 2 * delta.valuation()
-    return TreeVertex(level, (beta / delta).truncate(level))
+    level = det_valuation - 2 * delta.valuation()
+    return TreeVertex(level, _series_quotient(beta, delta, level))
 
 
 def _series_quotient(num: LaurentPoly, den: LaurentPoly,
@@ -284,9 +319,9 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
     """The Laurent expansion of num/den at t = 0, below exponent bound.
 
     Power-series long division: only the lowest coefficient of den is
-    ever inverted, so the quotient needs neither lowest terms nor a gcd.
-    RationalFunction.truncate expands reduced fractions the same way and
-    is kept apart as the reference the tree action is tested against.
+    ever inverted, so the quotient needs neither lowest terms nor a gcd,
+    and num/den need not be reduced.  This is the tail of every vertex
+    the tree computes.
     """
     if not num:
         return _QT.zero()
@@ -340,41 +375,38 @@ def _act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     The image is the lattice spanned by the columns of
     g [[t^a, r], [0, 1]] = [[x t^a, x r + y], [z t^a, z r + w]] for
     g = [[x, y], [z, w]].  This basis has determinant t^a because
-    det g = 1, so the reduction of canonical_vertex needs valuations
-    only: take delta = z r + w, or z t^a when that has the smaller
-    valuation (or delta vanishes), and beta from the same column; the
-    image is (a - 2 v(delta); beta/delta expanded below that level).
-    The expansion is a truncated series quotient, so no rational
-    function is formed and no gcd is taken.
+    det g = 1, so its reduction needs no determinant: its valuation is
+    the level a.
     """
     x, y, z, w = mat.entries()
-    beta = x * vertex.r + y
-    delta = z * vertex.r + w
-    if not delta or (z and z.valuation() + vertex.a < delta.valuation()):
-        power = _QT.monomial((vertex.a,), 1)
-        beta, delta = x * power, z * power
-    level = vertex.a - 2 * delta.valuation()
-    return TreeVertex(level, _series_quotient(beta, delta, level))
+    return _reduce(_shift(x, vertex.a), x * vertex.r + y,
+                   _shift(z, vertex.a), z * vertex.r + w, vertex.a)
+
+
+def _shift(f: LaurentPoly, a: int) -> LaurentPoly:
+    """f t^a, by moving exponents instead of multiplying."""
+    return LaurentPoly._make(_QT, {(e + a,): c for (e,), c in f.terms.items()})
+
+
+def _meet_level(v: TreeVertex, w: TreeVertex) -> int:
+    """The lowest level on the geodesic from v to w, where it turns:
+    min(a_v, a_w, ord(r_v - r_w)), from the elementary divisors of the
+    transition matrix."""
+    diff = v.r - w.r
+    low = min(v.a, w.a)
+    return min(low, diff.valuation()) if diff else low
 
 
 def distance(v: TreeVertex, w: TreeVertex) -> int:
-    """The path metric, via elementary divisors of the transition matrix."""
-    diff = v.r - w.r
-    levels = [v.a, w.a]
-    if diff:
-        levels.append(diff.valuation())
-    return v.a + w.a - 2 * min(levels)
+    """The path metric: down from v to the meet level and back up to w."""
+    return v.a + w.a - 2 * _meet_level(v, w)
 
 
 def first_step(v: TreeVertex, w: TreeVertex) -> TreeVertex:
     """The neighbor of v on the geodesic toward w."""
     if v == w:
         raise ValueError("the vertices coincide")
-    diff = w.r - v.r
-    levels = [v.a, w.a]
-    if diff:
-        levels.append(diff.valuation())
-    if min(levels) < v.a:
+    if _meet_level(v, w) < v.a:
         return v.parent()
     kept = {e: c for e, c in w.r.terms.items() if e[0] <= v.a}
     return TreeVertex(v.a + 1, LaurentPoly(_QT, kept))

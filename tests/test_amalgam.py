@@ -184,6 +184,14 @@ def test_double_coset_connecting_matrix_is_the_product():
             assert str(report.connecting) == str(product)
 
 
+def test_witness_writes_the_connecting_matrix():
+    for d in [*range(-50, 0), *range(1, 51)]:
+        k, l = (d + 1, 1) if d > 0 else (1, 1 - d)
+        written = f"M_{l}^-1 M_{k} = {matrix_Mk(d)} in U"
+        assert written in amalgam._witness(k, l)
+        assert written in double_cosets_distinct(k, l).witness
+
+
 def test_double_coset_json_shape():
     data = double_cosets_distinct(2, 3).to_json()
     assert set(data) == {"k", "l", "distinct", "witness"}
@@ -523,7 +531,7 @@ def test_certificate_json_frozen_digests(genus, kmax, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_certificate_builds_one_connecting_matrix_per_difference(monkeypatch):
+def test_certificate_builds_one_matrix_per_power(monkeypatch):
     built = []
     real = amalgam.matrix_Mk
 
@@ -535,9 +543,9 @@ def test_certificate_builds_one_connecting_matrix_per_difference(monkeypatch):
     kmax = 30
     cert = build_certificate(kmax, 2)
     assert len(cert.pairwise) == kmax * (kmax - 1) // 2
-    # one M_k per record, one M_d per difference d = k - l in [1 - K, -1]
-    assert sorted(built) == sorted(list(range(1, kmax + 1))
-                                   + list(range(1 - kmax, 0)))
+    # one M_k per record; the pairwise witnesses write M_{k-l} in
+    # closed form
+    assert sorted(built) == list(range(1, kmax + 1))
 
 
 def test_certificate_validates_each_lift_once(monkeypatch):

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -5,6 +6,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistcert import amalgam, cli, tree
 from twistcert.amalgam import Certificate
@@ -280,6 +283,40 @@ def test_tree_fixes_reports_both_ways(capsys, monkeypatch):
     assert len(checks) == 2
 
 
+def test_no_tree_path_forms_a_rational_function(capsys, monkeypatch):
+    # RationalFunction is the test reference only: every reduction in
+    # the library and the CLI works from valuations and series
+    import twistcert
+    assert not hasattr(twistcert, "RationalFunction")
+    n = matrix_N()
+    word = matrix_Mk(3) @ n @ matrix_Mk(-2) @ n
+    vertex = tree.parse_vertex("(2; 1/2*t^-1 + t)")
+    queries = [
+        ("tree", "distance", "[[t,0],[0,t^-1]]", "base"),
+        ("tree", "fixes", str(n), "[[t, 1], [0, 1]]"),
+        ("tree", "fixes", str(n), "(-1; 0)"),
+        ("tree", "ball", "[[t^2, t], [1, 1]]", "--ball-radius", "2"),
+        ("tree", "translation", str(word)),
+        ("normal-form", str(word)),
+        ("normal-form", str(word), "--format", "json"),
+    ]
+
+    def library():
+        return (tree.canonical_vertex(*word.entries()),
+                tree.act(word, vertex),
+                [str(letter) for letter in amalgam.amalgam_normal_form(word)])
+
+    expected = (library(), [run(capsys, *argv) for argv in queries])
+    assert all(code == 0 for code, _, _ in expected[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a RationalFunction was formed")
+
+    monkeypatch.setattr(tree.RationalFunction, "__init__", refuse)
+    assert (library(), [run(capsys, *argv) for argv in queries]) == expected
+    assert expected[1][0][1] == "2\n"
+
+
 def test_tree_translation_exact_and_clipped(capsys):
     code, out, _ = run(capsys, "tree", "translation", "[[t,0],[0,t^-1]]")
     assert code == 0
@@ -452,6 +489,13 @@ def test_verify_genus_limit(capsys, monkeypatch):
     ("t^1001", "exponent 1001 exceeds the limit of 1000"),
     ("(1+t)^32", None),
     ("(1+t)^64", "product of 33 by 33 terms exceeds the limit of 1000"),
+    # every polynomial built while parsing obeys the limits, not only
+    # the exponent written after ^
+    ("(t^-100)^10", None),
+    ("(t^100)^20", "exponent 1600 exceeds the limit of 1000"),
+    ("t^1000*t", "exponent 1001 exceeds the limit of 1000"),
+    ("(2^1000)^14", None),
+    ("((2^1000)^1000)^1000", "coefficient has more than 4300 digits"),
 ])
 def test_eval_expression_limits(capsys, expression, message):
     code, out, err = run(capsys, "eval", expression)
@@ -465,6 +509,10 @@ def test_eval_expression_limits(capsys, expression, message):
 @pytest.mark.parametrize("argv", [
     ["eval", "(1+t)^3000"],
     ["verify", "--kmax", "100000000"],
+    ["eval", "(t^100)^20"],
+    ["eval", "((2^1000)^1000)^1000"],
+    ["eval", "((1/2)^1000)^15", "--domain", "Q"],
+    ["normal-form", "[[(t^100)^20, 0], [0, (t^-100)^20]]"],
 ])
 def test_unbounded_requests_fail_fast(argv):
     started = time.perf_counter()
@@ -646,3 +694,63 @@ def test_seed_recheck_catches_a_stage_that_reads_the_table(capsys,
         "verdict: PASS",
         "pairing-table recheck: failed",
         "failing check: certificate depends on the pairing table (seed 7)"]
+
+
+# -- fuzzing ---------------------------------------------------------------------
+
+# fragments of the inputs' grammars, so that generated text also reaches
+# past the first parse error
+_FRAGMENTS = st.sampled_from([
+    "t", "t^-1", "t^2", "s2", "t2", "1", "0", "-3", "1/2", "2^9", "^", "*",
+    "+", "-", "(", ")", "[[", "]]", ", ", "], [", "base", "(0; 0)",
+    "(-1; t^-2)", ";", "{", "}", '"a"', ":", "-", " "])
+_TEXT = st.one_of(st.text(max_size=12),
+                  st.lists(_FRAGMENTS, max_size=10).map("".join))
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 41) | _TEXT
+    | st.sampled_from([1.5, "0,1", "1,-1", "0,0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["genus", "w", "m", "n", "a", "b", "c", "d", "x",
+                         "y", "value", "0,1", "1,0", "0,0", "e"]),
+        inner, max_size=4),
+    max_leaves=8)
+_JSON = st.one_of(_JSON_VALUE.map(json.dumps), _TEXT)
+_MATRIX = st.one_of(
+    _TEXT, _JSON,
+    st.lists(_TEXT, min_size=4, max_size=4).map(
+        lambda e: f"[[{e[0]}, {e[1]}], [{e[2]}, {e[3]}]]"))
+_VERTEX = st.one_of(_TEXT, _MATRIX)
+_ARGV = st.one_of(
+    st.tuples(_TEXT, st.sampled_from(["Z", "Q"])).map(
+        lambda a: ["eval", a[0], "--domain", a[1]]),
+    st.tuples(_MATRIX, st.sampled_from(["text", "json"])).map(
+        lambda a: ["normal-form", a[0], "--format", a[1]]),
+    st.tuples(_VERTEX, _VERTEX).map(lambda a: ["tree", "distance", *a]),
+    st.tuples(_MATRIX, _VERTEX).map(lambda a: ["tree", "fixes", *a]),
+    _MATRIX.map(lambda m: ["tree", "translation", m]),
+    _JSON.map(lambda lift: ["rho", lift]),
+    _JSON.map(lambda lift: ["verify", "--kmax", "2", "--lift", lift]),
+    _JSON.map(lambda table: ["verify", "--kmax", "2", "--eps-table", table]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO()  # an argument "-" reads stdin
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        # argparse rejects an argument list (a value that looks like an
+        # option) before any handler runs
+        assert exc.code == 2 and err.getvalue().startswith("usage:")
+        return
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")
+        assert len(err.getvalue().splitlines()) == 1

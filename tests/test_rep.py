@@ -12,6 +12,7 @@ from twistcert.homology import (
     twist_apply,
 )
 from twistcert.laurent import (
+    LaurentPoly,
     parse_poly,
     single_variable_ring,
     specialize_phi,
@@ -160,6 +161,25 @@ def test_products_of_represented_matrices_stay_balanced(seed):
     prod = multiply(mats)
     assert prod.det() == L.one()
     assert h_form(prod).all_balanced
+
+
+def test_rho_multiplies_the_families_three_times(monkeypatch):
+    # Q = inv(m) n from the lift check gives both diagonal entries;
+    # inv(m) m and inv(n) n are the only other products
+    rng = random.Random(3)
+    lift = random_valid_lift(rng, 3)
+    expected = rho_pre_phi(lift).map_entries(specialize_phi)
+    products = []
+    real = LaurentPoly.__mul__
+
+    def counting(self, other):
+        if self.ring is lift.ring and getattr(other, "ring", None) is lift.ring:
+            products.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
+    assert rho(lift) == expected
+    assert len(products) == 3
 
 
 def test_rho_rejects_invalid_lift():

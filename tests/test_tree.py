@@ -11,6 +11,7 @@ from conftest import (
     random_u_element,
 )
 from twistcert.laurent import (
+    LaurentPoly,
     ParseError,
     parse_poly,
     single_variable_ring,
@@ -46,6 +47,24 @@ def _q(text: str):
 
 def _rf(num: str, den: str = "1") -> RationalFunction:
     return RationalFunction(_q(num), _q(den))
+
+
+def _rational_vertex(alpha, beta, gamma, delta) -> TreeVertex:
+    """The reference reduction, through reduced rational functions.
+
+    Column operations over the local ring bring the matrix to upper
+    triangular form; scaling by the center and by units then pins down
+    the representative.
+    """
+    alpha, beta, gamma, delta = (
+        RationalFunction.wrap(e) for e in (alpha, beta, gamma, delta))
+    det = alpha * delta - beta * gamma
+    if not det:
+        raise ValueError("lattice matrix is singular")
+    if not delta or (gamma and gamma.valuation() < delta.valuation()):
+        beta, delta = alpha, gamma
+    level = det.valuation() - 2 * delta.valuation()
+    return TreeVertex(level, (beta / delta).truncate(level))
 
 
 # -- rational functions --------------------------------------------------
@@ -157,13 +176,13 @@ def test_canonical_vertex_of_identity_is_base():
 
 
 def test_canonical_vertex_of_diagonal():
-    assert canonical_vertex(_rf("t"), 0, 0, 1) == TreeVertex(1, QT.zero())
-    assert canonical_vertex(_rf("t^-1"), 0, 0, 1) == odd_base_vertex()
+    assert canonical_vertex(_q("t"), 0, 0, 1) == TreeVertex(1, QT.zero())
+    assert canonical_vertex(_q("t^-1"), 0, 0, 1) == odd_base_vertex()
 
 
 def test_canonical_vertex_scaling_invariance_example():
-    plain = canonical_vertex(1, _rf("t^-1"), 0, 1)
-    scaled = canonical_vertex(_rf("t"), 1, 0, _rf("t"))
+    plain = canonical_vertex(1, _q("t^-1"), 0, 1)
+    scaled = canonical_vertex(_q("t"), 1, 0, _q("t"))
     assert plain == scaled == TreeVertex(0, _q("t^-1"))
 
 
@@ -171,11 +190,66 @@ def test_canonical_vertex_scaling_invariance_random():
     rng = random.Random(7)
     for _ in range(15):
         mat = random_laurent_sl2(rng)
-        lam = _rf(f"{rng.randint(1, 3)}*t^{rng.randint(-2, 2)}") + \
-            _rf(str(rng.randint(0, 2)))
-        entries = [RationalFunction(e) for e in mat.entries()]
+        lam = _q(f"{rng.randint(1, 3)}*t^{rng.randint(-2, 2)}") + \
+            _q(str(rng.randint(0, 2)))
+        entries = mat.entries()
         scaled = [lam * e for e in entries]
         assert canonical_vertex(*entries) == canonical_vertex(*scaled)
+
+
+def _random_entry(rng: random.Random) -> LaurentPoly:
+    terms = {}
+    for _ in range(rng.randint(0, 3)):
+        e = rng.randint(-3, 3)
+        terms[(e,)] = terms.get((e,), 0) + Fraction(
+            rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+    return LaurentPoly(QT, terms)
+
+
+def test_canonical_vertex_matches_rational_reduction():
+    # random bases (non-unit determinants, often delta = 0 or
+    # v(gamma) < v(delta)) and bases g [[t^a, r], [0, 1]] scaled by a
+    # monomial (unit determinants)
+    rng = random.Random(21)
+    seen = {"unit det": 0, "non-unit det": 0, "delta = 0": 0,
+            "v(gamma) < v(delta)": 0}
+    checked = 0
+    while checked < 2000:
+        if rng.random() < 0.25:
+            lam = QT.monomial((rng.randint(-2, 2),), rng.choice((1, -2)))
+            basis = random_laurent_sl2(rng, 2) @ vertex_matrix(
+                random_tree_vertex(rng))
+            entries = [lam * e for e in basis.entries()]
+        else:
+            entries = [_random_entry(rng) for _ in range(4)]
+        alpha, beta, gamma, delta = entries
+        det = alpha * delta - beta * gamma
+        if not det:
+            with pytest.raises(ValueError, match="singular"):
+                canonical_vertex(*entries)
+            continue
+        seen["unit det" if len(det.terms) == 1 else "non-unit det"] += 1
+        seen["delta = 0"] += not delta
+        seen["v(gamma) < v(delta)"] += bool(
+            delta and gamma and gamma.valuation() < delta.valuation())
+        assert canonical_vertex(*entries) == _rational_vertex(*entries)
+        checked += 1
+    assert min(seen.values()) >= 100, seen
+
+
+def test_canonical_vertex_takes_laurent_entries_only():
+    # the same vertex from ints, Fractions and Z or Q polynomials in t
+    zt = single_variable_ring("t")
+    assert canonical_vertex(2, Fraction(1, 2), zt.zero(), zt.constant(1)) \
+        == canonical_vertex(_q("2"), _q("1/2"), 0, 1) == base_vertex()
+    with pytest.raises(TypeError, match="RationalFunction"):
+        canonical_vertex(_rf("t", "1 + t"), 0, 0, 1)
+    with pytest.raises(TypeError, match="float"):
+        canonical_vertex(1.5, 0, 0, 1)
+    with pytest.raises(ValueError, match="univariate in t"):
+        canonical_vertex(surface_ring(2).one(), 0, 0, 1)
+    with pytest.raises(ValueError, match="univariate in t"):
+        canonical_vertex(single_variable_ring("s").one(), 0, 0, 1)
 
 
 def test_canonical_vertex_rejects_singular_input():
@@ -228,8 +302,8 @@ def test_action_is_a_group_action():
 
 
 def test_action_matches_rational_reduction():
-    # act works from valuations and a truncated series; canonical_vertex
-    # reduces the same lattice basis as rational functions
+    # act reduces the basis g [[t^a, r], [0, 1]] knowing its determinant
+    # is t^a; the reference reduces it through rational functions
     rng = random.Random(17)
     pairs = [(random_laurent_sl2(rng), random_tree_vertex(rng))
              for _ in range(200)]
@@ -238,9 +312,7 @@ def test_action_matches_rational_reduction():
     pairs += [(weyl, TreeVertex(a, QT.zero())) for a in (-2, 0, 3)]
     for g, v in pairs:
         basis = g @ vertex_matrix(v)
-        oracle = canonical_vertex(
-            *(RationalFunction(e) for e in basis.entries()))
-        assert act(g, v) == oracle
+        assert act(g, v) == _rational_vertex(*basis.entries())
 
 
 def test_action_rejects_other_variables():

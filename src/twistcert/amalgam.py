@@ -3,10 +3,14 @@ infinite-generation certificate built on it.
 
 SL2(Q[t, t^-1]) is the amalgamated product A *_U B where A = SL2(Q[t]),
 B is the conjugate of A by diag(t, 1), and U = A cap B.  On the tree, A
-and B are the stabilizers of the two endpoints of the fundamental edge,
-which is what drives both the normal-form algorithm and the separation
-argument: a matrix in A whose balanced form vanishes must be the
-identity, so distinct twist powers land in distinct double cosets.
+and B are the stabilizers of the two endpoints of the fundamental edge.
+The normal form reads each letter from valuations of the remainder: its
+image of the base vertex has the remainder's pivot column as lattice
+basis, and the first edge toward that image depends only on the lowest
+term of the image's tail, the pivot column's upper entry over its lower
+one.  The separation argument needs no tree: a matrix in A whose
+balanced form vanishes must be the identity, so distinct twist powers
+land in distinct double cosets.
 
 The certificate assembles, for k = 1..kmax, the pushed-forward
 bounding-curve lift, its represented matrix, the conjugation identity
@@ -31,14 +35,7 @@ from .homology import (
 )
 from .laurent import specialize_phi
 from .rep import Matrix2, h_form, matrix_Mk, matrix_N, multiply, rho
-from .tree import (
-    _act,
-    as_sl2,
-    base_vertex,
-    first_step,
-    odd_base_vertex,
-    series_ring,
-)
+from .tree import as_sl2, pivot_column, series_ring
 
 _QT = series_ring()
 
@@ -192,45 +189,45 @@ def _witness(k: int, l: int) -> str:
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     """Factor a matrix as an alternating word in A and B.
 
-    The word is read off the tree.  While the remainder g fixes neither
-    endpoint v0, v1 of the fundamental edge, the image edge (g v0, g v1)
-    misses both of them (g fixes neither, and SL2 preserves the parity
-    of a vertex's level), so it lies in one half-tree of the fundamental
-    edge, and p = g v0 says which: v0's half exactly when the geodesic
-    from v0 to p does not start at v1.  The first edge toward p from
-    that half's endpoint names a letter of its stabilizer that pulls the
-    image one edge closer.  So each letter costs one tree action and no
-    distance.  Letters alternate sides automatically, every non-initial
-    letter lies outside U, and the word length is at most the
-    displacement of the base vertex plus one.
+    While the remainder g fixes neither endpoint v0, v1 of the
+    fundamental edge, p = g v0 lies in one half-tree of that edge (SL2
+    keeps the parity of levels), and the first edge from v0 or v1
+    toward p names a letter that pulls g one edge closer.  It is read
+    from valuations, with no tree walk: with (beta, delta) g's pivot
+    column, p has level -2 v(delta) and tail beta/delta below it, and
+    the first edge reads only the tail's lowest term lead t^s (s is the
+    level when the tail is zero below it).  When s >= 0 the path climbs
+    from v0: the letter is [[c, -1], [1, 0]] in A, c = lead if s = 0,
+    else 0.  Otherwise it passes v1: the letter is [[1, lead t^-1],
+    [0, 1]] in B when s = -1, and [[0, -t^-1], [t, 0]] when s <= -2.
+    Letters alternate sides automatically, every non-initial letter lies
+    outside U, and the word length is at most the displacement of the
+    base vertex plus one.
     """
     original = as_sl2(mat)
     rest = original
-    v0, v1 = base_vertex(), odd_base_vertex()
     t = _QT.variable(0)
     t_inv = t.unit_inverse()
     one, zero = _QT.one(), _QT.zero()
     letters: list[tuple[str, Matrix2]] = []
     # every letter has determinant one, so rest keeps the determinant
-    # checked on entry: its sides follow from exponent signs, and it
-    # acts on the tree without a second check
+    # checked on entry, and its sides follow from exponent signs
     while not any(_sides(rest)):
-        p = _act(rest, v0)
-        step = first_step(v0, p)
-        if step != v1:
-            # step is a child (1; c); the letter fixes v0 and moves the
-            # fundamental edge onto (v0, step)
-            c = step.r.coeff((0,))
+        beta, delta = pivot_column(*rest.entries())
+        v = delta.valuation()
+        level = -2 * v
+        s = beta.valuation() - v if beta else level
+        if s < level:
+            lead = beta.coeff((s + v,)) / delta.coeff((v,))
+        else:  # the tail is zero below the level
+            s, lead = level, 0
+        if s >= 0:
+            c = lead if s == 0 else 0
             letter, side = Matrix2.from_rows(_QT, [[c, -1], [1, 0]]), "A"
+        elif s == -1:
+            letter, side = Matrix2(one, t_inv.scale(lead), zero, one), "B"
         else:
-            step = first_step(v1, p)
-            if step.a == -2:
-                letter = Matrix2(zero, -t_inv, t, zero)
-            else:
-                # step is a sibling (0; c t^-1) of the base vertex
-                letter = Matrix2(one, _QT.monomial((-1,), step.r.coeff((-1,))),
-                                 zero, one)
-            side = "B"
+            letter, side = Matrix2(zero, -t_inv, t, zero), "B"
         letters.append((side, letter))
         rest = letter.inverse() @ rest
     rest_in_a, rest_in_b = _sides(rest)

@@ -490,6 +490,9 @@ def _tokenize(text: str):
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1) is not None:
+            if len(m.group(1)) > _MAX_DIGITS:
+                raise ParseError(f"integer literal has more than "
+                                 f"{_MAX_DIGITS} digits", m.start(1))
             tokens.append(("int", int(m.group(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))

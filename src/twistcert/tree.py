@@ -294,24 +294,35 @@ def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
     return _reduce(alpha, beta, gamma, delta, det.valuation())
 
 
+def pivot_column(alpha: LaurentPoly, beta: LaurentPoly, gamma: LaurentPoly,
+                 delta: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
+    """Of the basis columns (alpha, gamma) and (beta, delta), the one whose
+    lower entry has the least valuation; (beta, delta) on a tie."""
+    if not delta or (gamma and gamma.valuation() < delta.valuation()):
+        return alpha, gamma
+    return beta, delta
+
+
 def _reduce(alpha: LaurentPoly, beta: LaurentPoly, gamma: LaurentPoly,
             delta: LaurentPoly, det_valuation: int) -> TreeVertex:
     """The vertex of the lattice with basis columns (alpha, gamma) and
     (beta, delta), whose determinant has valuation det_valuation.
 
-    The pivot column is the one whose lower entry has the least
-    valuation: (beta, delta), unless gamma's valuation is smaller or
-    delta vanishes, and then the columns swap.  Subtracting gamma/delta
-    (which lies in O) times the pivot column from the other leaves
-    (det/delta, 0); scaling the lattice by t^-v(delta) and each column
-    by a unit of O then gives [[t^level, beta/delta], [0, 1]] with
+    With (beta, delta) the pivot column, subtracting gamma/delta (which
+    lies in O) times it from the other column leaves (det/delta, 0);
+    scaling the lattice by t^-v(delta) and each column by a unit of O
+    then gives [[t^level, beta/delta], [0, 1]] with
     level = v(det) - 2 v(delta).  The tail is beta/delta expanded below
     that level, since t^level O absorbs the rest.
     """
-    if not delta or (gamma and gamma.valuation() < delta.valuation()):
-        beta, delta = alpha, gamma
+    beta, delta = pivot_column(alpha, beta, gamma, delta)
     level = det_valuation - 2 * delta.valuation()
     return TreeVertex(level, _series_quotient(beta, delta, level))
+
+
+# the most coefficient steps, (bound - shift) x (terms of den), that one
+# series quotient may take; a vertex tail past it is refused
+MAX_SERIES_STEPS = 100_000
 
 
 def _series_quotient(num: LaurentPoly, den: LaurentPoly,
@@ -321,7 +332,8 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
     Power-series long division: only the lowest coefficient of den is
     ever inverted, so the quotient needs neither lowest terms nor a gcd,
     and num/den need not be reduced.  This is the tail of every vertex
-    the tree computes.
+    the tree computes.  An expansion of more than MAX_SERIES_STEPS
+    coefficient steps raises ValueError before it starts.
     """
     if not num:
         return _QT.zero()
@@ -330,6 +342,11 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
     count = bound - shift
     if count <= 0:
         return _QT.zero()
+    if count * len(den.terms) > MAX_SERIES_STEPS:
+        raise ValueError(
+            f"vertex tail needs {count} coefficients of a quotient by "
+            f"{len(den.terms)} terms, over the limit of {MAX_SERIES_STEPS} "
+            "steps")
     num_c = {e[0] - v_num: Fraction(c) for e, c in num.terms.items()}
     # ascending exponents: the lowest coefficient leads, and the loop
     # below stops at the first exponent past i
@@ -365,12 +382,7 @@ def as_sl2(mat: Matrix2) -> Matrix2:
 
 
 def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
-    """Apply a determinant-one matrix to a vertex (checked by as_sl2)."""
-    return _act(as_sl2(mat), vertex)
-
-
-def _act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
-    """act for a matrix that as_sl2 has already checked.
+    """Apply a determinant-one matrix (checked by as_sl2) to a vertex.
 
     The image is the lattice spanned by the columns of
     g [[t^a, r], [0, 1]] = [[x t^a, x r + y], [z t^a, z r + w]] for
@@ -378,7 +390,7 @@ def _act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     det g = 1, so its reduction needs no determinant: its valuation is
     the level a.
     """
-    x, y, z, w = mat.entries()
+    x, y, z, w = as_sl2(mat).entries()
     return _reduce(_shift(x, vertex.a), x * vertex.r + y,
                    _shift(z, vertex.a), z * vertex.r + w, vertex.a)
 

@@ -262,7 +262,7 @@ def _two_action_normal_form(mat):
     t = QT.variable(0)
     letters = []
     while not any(amalgam._sides(rest)):
-        p, q = tree._act(rest, v0), tree._act(rest, v1)
+        p, q = tree.act(rest, v0), tree.act(rest, v1)
         near_v0 = min(distance(v0, p), distance(v0, q))
         near_v1 = min(distance(v1, p), distance(v1, q))
         if near_v0 < near_v1:
@@ -281,6 +281,12 @@ def _two_action_normal_form(mat):
             side = "B"
         letters.append((side, letter))
         rest = letter.inverse() @ rest
+    return _closed_word(letters, rest)
+
+
+def _closed_word(letters, rest):
+    """The walked letters with the remainder appended, or merged into
+    the last letter when it lies in U."""
     rest_in_a, rest_in_b = amalgam._sides(rest)
     if not letters:
         return [AmalgamLetter("A" if rest_in_a else "B", rest)]
@@ -290,6 +296,32 @@ def _two_action_normal_form(mat):
     else:
         letters.append(("A" if rest_in_a else "B", rest))
     return [AmalgamLetter(side, matrix) for side, matrix in letters]
+
+
+def _one_action_normal_form(mat):
+    """Reference walk: act on v0 only, and step toward the image from
+    v0, or from v1 when that first step is v1, with no distances."""
+    rest = tree.as_sl2(mat)
+    v0, v1 = base_vertex(), odd_base_vertex()
+    t = QT.variable(0)
+    letters = []
+    while not any(amalgam._sides(rest)):
+        p = tree.act(rest, v0)
+        step = tree.first_step(v0, p)
+        if step != v1:
+            letter, side = _mat([[step.r.coeff((0,)), -1], [1, 0]]), "A"
+        else:
+            step = tree.first_step(v1, p)
+            if step.a == -2:
+                letter = Matrix2(QT.zero(), -t.unit_inverse(), t, QT.zero())
+            else:
+                c = step.r.coeff((-1,))
+                letter = Matrix2(QT.one(), QT.monomial((-1,), c),
+                                 QT.zero(), QT.one())
+            side = "B"
+        letters.append((side, letter))
+        rest = letter.inverse() @ rest
+    return _closed_word(letters, rest)
 
 
 def _random_factor(rng, side):
@@ -335,6 +367,25 @@ def test_normal_form_matches_the_two_action_walk():
     assert max(lengths) >= 6
 
 
+def test_normal_form_matches_the_one_action_walk():
+    # the letters read from the remainder's pivot column are those of the
+    # walk that acts on v0 and takes first steps on the tree, on words of
+    # up to ten factors with rational, multi-term entries
+    rng = random.Random(53)
+    lengths = []
+    for _ in range(1000):
+        sides = [rng.choice("AB")]
+        for _ in range(rng.randint(0, 9)):
+            sides.append(sides[-1] if rng.random() < 0.2
+                         else "AB"[sides[-1] == "A"])
+        word = multiply([_random_factor(rng, side) for side in sides], QT)
+        letters = amalgam_normal_form(word)
+        assert [str(l) for l in letters] == \
+            [str(l) for l in _one_action_normal_form(word)]
+        lengths.append(len(letters))
+    assert max(lengths) >= 8 and sum(lengths) >= 3000
+
+
 def test_normal_form_rejects_a_wrong_product(monkeypatch):
     word = matrix_Mk(3) @ matrix_N()
     monkeypatch.setattr(amalgam, "multiply",
@@ -349,8 +400,8 @@ def test_normal_form_requires_unimodular_input():
 
 
 def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
-    # the loop acts with the already checked remainder; only the entry
-    # check and one check per AmalgamLetter remain
+    # the loop reads letters from the already checked remainder; only the
+    # entry check and one check per AmalgamLetter remain
     calls = []
     checked = tree.as_sl2
 
@@ -360,22 +411,18 @@ def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
 
     monkeypatch.setattr(tree, "as_sl2", counting)
     monkeypatch.setattr(amalgam, "as_sl2", counting)
-    # and the loop acts once per letter, on v0 only
-    acts = []
-    acting = tree._act
-
-    def counting_act(mat, vertex):
-        acts.append(vertex)
-        return acting(mat, vertex)
-
-    monkeypatch.setattr(amalgam, "_act", counting_act)
+    # and it reads them from valuations: no tree action, no series
+    walked = []
+    for name in ("act", "_series_quotient"):
+        monkeypatch.setattr(tree, name,
+                            lambda *args, name=name: walked.append(name))
     n = matrix_N()
     word = matrix_Mk(1) @ n @ matrix_Mk(2) @ n @ matrix_Mk(-3) @ n
     letters = _check_normal_form(word)
     assert [l.side for l in letters] == ["A", "B"] * 3
     assert len(calls) <= 1 + len(letters)
-    assert 0 < len(acts) <= len(letters)
-    assert set(acts) == {base_vertex()}
+    assert walked == []
+    monkeypatch.undo()
     with pytest.raises(ValueError, match="determinant"):
         act(_mat([["t", 0], [0, 1]]), base_vertex())
 

@@ -496,6 +496,10 @@ def test_verify_genus_limit(capsys, monkeypatch):
     ("t^1000*t", "exponent 1001 exceeds the limit of 1000"),
     ("(2^1000)^14", None),
     ("((2^1000)^1000)^1000", "coefficient has more than 4300 digits"),
+    # a literal is measured before it is converted to an int
+    pytest.param("7" * 4300, None, id="4300-digit-literal"),
+    pytest.param("1 + " + "7" * 5000, "integer literal has more than 4300 "
+                 "digits (at position 4)", id="5000-digit-literal"),
 ])
 def test_eval_expression_limits(capsys, expression, message):
     code, out, err = run(capsys, "eval", expression)
@@ -513,6 +517,12 @@ def test_eval_expression_limits(capsys, expression, message):
     ["eval", "((2^1000)^1000)^1000"],
     ["eval", "((1/2)^1000)^15", "--domain", "Q"],
     ["normal-form", "[[(t^100)^20, 0], [0, (t^-100)^20]]"],
+    ["eval", "7" * 5000],
+    # vertex tails past tree.MAX_SERIES_STEPS: a 1,000-term pivot entry
+    # at level 2,000, and a level of ten million
+    ["tree", "distance", "[[t^1000, t^-1000], [0, %s]]" % " + ".join(
+        f"t^{e}" for e in range(-1000, 0)), "base"],
+    ["tree", "fixes", "[[1, 1], [0, 1]]", "(10000000; 0)"],
 ])
 def test_unbounded_requests_fail_fast(argv):
     started = time.perf_counter()

@@ -19,6 +19,7 @@ from twistcert.laurent import (
 )
 from twistcert.rep import Matrix2, matrix_Mk, matrix_N
 from twistcert.tree import (
+    MAX_SERIES_STEPS,
     RationalFunction,
     TreeVertex,
     act,
@@ -318,6 +319,21 @@ def test_action_matches_rational_reduction():
 def test_action_rejects_other_variables():
     with pytest.raises(ValueError, match="univariate in t"):
         act(Matrix2.identity(single_variable_ring("s")), base_vertex())
+
+
+def test_action_refuses_a_tail_past_the_step_limit():
+    # the shear moves (a; 0) to (a; 1), whose tail 1/1 takes a steps;
+    # the limit is checked before the expansion starts
+    shear = Matrix2.from_rows(QT, [[1, 1], [0, 1]])
+    far = TreeVertex(MAX_SERIES_STEPS, QT.zero())
+    assert act(shear, far) == TreeVertex(MAX_SERIES_STEPS, QT.one())
+    with pytest.raises(ValueError, match="over the limit of 100000 steps"):
+        act(shear, TreeVertex(MAX_SERIES_STEPS + 1, QT.zero()))
+    # a lower entry of two terms doubles the steps of each coefficient
+    t = QT.variable(0)
+    assert canonical_vertex(t ** 50000, 1, 0, QT.one() + t).a == 50000
+    with pytest.raises(ValueError, match="50001 coefficients"):
+        canonical_vertex(t ** 50001, 1, 0, QT.one() + t)
 
 
 def test_action_is_isometric():

@@ -59,6 +59,11 @@ class UsageError(Exception):
     """A configuration problem; the process exits with code 2."""
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # main prints one line, not a usage block
+        raise UsageError(message)
+
+
 def _check_genus(genus: int):
     if not 2 <= genus <= MAX_GENUS:
         raise UsageError(
@@ -283,7 +288,7 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="twistcert",
         description="Exact certificates for separating twist subgroups.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -358,8 +363,8 @@ _ESCAPED_LINE_BREAKS = str.maketrans(
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}",

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 from .laurent import (
@@ -407,17 +407,11 @@ class CycleClass:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The verdict of validate_lift: ok, or the first mismatching shift.
-
-    _q is the product Q = m-bar n the verdict is read from, kept so that
-    rho builds its matrix from it instead of multiplying it out again;
-    it takes no part in comparisons.
-    """
+    """The verdict of validate_lift: ok, or the first mismatching shift."""
 
     ok: bool
     shift: Optional[ExponentVector] = None
     detail: str = ""
-    _q: Optional[LaurentPoly] = field(default=None, compare=False, repr=False)
 
     def __bool__(self):
         return self.ok
@@ -576,12 +570,11 @@ def validate_lift(lift: LiftClass) -> ValidationReport:
     # a mismatch at p or -p leaves a term of q at one of them
     mismatched = [p for p, c in q.terms.items() if q_bar.coeff(p) != c]
     if not mismatched:
-        return ValidationReport(True, _q=q)
+        return ValidationReport(True)
     p = min(max(e, tuple(-x for x in e)) for e in mismatched)
     lhs, rhs = q.coeff(p), q_bar.coeff(p)
     return ValidationReport(
-        False, p, f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}",
-        _q=q)
+        False, p, f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}")
 
 
 def _require_valid(lift: LiftClass):

@@ -431,13 +431,6 @@ class RingHom:
             total = total + term
         return total
 
-    def then(self, after: "RingHom") -> "RingHom":
-        """The composite f |-> after(self(f)) as a single assignment map."""
-        if after.source != self.target:
-            raise RingMismatchError("homomorphisms do not compose")
-        return RingHom(self.source, after.target,
-                       tuple(after.apply(im) for im in self.images))
-
 
 @cache
 def phi_hom(ring: LaurentRing) -> RingHom:
@@ -559,19 +552,26 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        poly = self.term()
+        # one running term map: each + or - checks only the terms it
+        # changes, since every term is within limits when it is parsed
+        total = dict(self.term().terms)
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                rhs = self.term()
-                poly = poly + rhs if val == "+" else poly - rhs
-                if len(poly.terms) > MAX_TERMS:
-                    raise ParseError(
-                        f"expression has more than {MAX_TERMS} terms", pos)
-                self.check_size(poly, pos)
-            else:
-                return poly
+            if not (kind == "op" and val in "+-"):
+                return LaurentPoly._make(self.ring, total)
+            self.advance()
+            sign = 1 if val == "+" else -1
+            touched = {}
+            for exps, c in self.term().terms.items():
+                s = total.get(exps, 0) + sign * c
+                if s:
+                    total[exps] = touched[exps] = s
+                else:
+                    del total[exps]
+            if len(total) > MAX_TERMS:
+                raise ParseError(
+                    f"expression has more than {MAX_TERMS} terms", pos)
+            self.check_size(touched, pos)
 
     def term(self) -> LaurentPoly:
         poly = self.factor()
@@ -588,12 +588,14 @@ class _Parser:
             raise ParseError(
                 f"product of {len(f.terms)} by {len(g.terms)} terms exceeds "
                 f"the limit of {MAX_TERMS} terms", pos)
-        return self.check_size(f * g, pos)
+        out = f * g
+        self.check_size(out.terms, pos)
+        return out
 
     @staticmethod
-    def check_size(poly: LaurentPoly, pos: int) -> LaurentPoly:
-        """poly, once its exponents and coefficients are within limits."""
-        for exps, c in poly.terms.items():
+    def check_size(terms: Mapping[ExponentVector, Coeff], pos: int):
+        """Refuse terms whose exponents or coefficients exceed the limits."""
+        for exps, c in terms.items():
             for e in exps:
                 if abs(e) > MAX_EXPONENT:
                     raise ParseError(f"exponent {e} exceeds the limit of "
@@ -602,7 +604,6 @@ class _Parser:
                     or c.denominator >= _COEFF_LIMIT:
                 raise ParseError(f"coefficient has more than {_MAX_DIGITS} "
                                  "digits", pos)
-        return poly
 
     def factor(self) -> LaurentPoly:
         sign = 1

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .homology import LiftClass, validate_lift
+from .homology import LiftClass, _require_valid
 from .laurent import (
     LaurentPoly,
     LaurentRing,
@@ -165,29 +165,28 @@ def rho_pre_phi(lift: LiftClass) -> Matrix2:
     validation; the commutator part of the lift never reaches the
     handle span and does not enter.
     """
-    return _handle_matrix(lift, lift.m.involution() * lift.n)
+    return _handle_matrix(lift.m, lift.n)
 
 
-def _handle_matrix(lift: LiftClass, q: LaurentPoly) -> Matrix2:
-    """rho_pre_phi from Q = inv(m) n: the diagonal is 1 + inv(Q), 1 - Q,
-    since inv(n) m is the involution of Q, so only the off-diagonal
-    entries take products of their own."""
-    m, n = lift.m, lift.n
-    one = lift.ring.one()
+def _handle_matrix(m: LaurentPoly, n: LaurentPoly) -> Matrix2:
+    """The handle matrix of the families m and n, over their ring: with
+    Q = inv(m) n, the diagonal is 1 + inv(Q), 1 - Q, since inv(n) m is
+    the involution of Q."""
+    q = m.involution() * n
+    one = m.ring.one()
     return Matrix2(one + q.involution(), -(m.involution() * m),
                    n.involution() * n, one - q)
 
 
 def rho(lift: LiftClass) -> Matrix2:
-    """The represented matrix over L, after applying Phi entrywise.
+    """The represented matrix over L, Phi applied to rho_pre_phi.
 
-    The lift check's product Q = inv(m) n is reused for the diagonal,
-    so rho takes three products of the m and n families in all.
+    Phi is a ring homomorphism that commutes with the involution, so
+    the matrix is the handle matrix of Phi(m) and Phi(n): each family
+    is specialised once, and the products are taken over L.
     """
-    report = validate_lift(lift)
-    if not report.ok:
-        raise ValueError(f"invalid lift: {report.detail}")
-    mat = _handle_matrix(lift, report._q).map_entries(specialize_phi)
+    _require_valid(lift)
+    mat = _handle_matrix(specialize_phi(lift.m), specialize_phi(lift.n))
     det = mat.det()
     if det != mat.ring.one():
         raise ValueError(

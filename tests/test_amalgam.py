@@ -14,7 +14,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
-from twistcert import amalgam, homology, rep, tree
+from twistcert import amalgam, homology, tree
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -604,7 +604,6 @@ def test_certificate_validates_each_lift_once(monkeypatch):
         return real(lift)
 
     monkeypatch.setattr(homology, "validate_lift", counting)
-    monkeypatch.setattr(rep, "validate_lift", counting)
     cert = build_certificate(4, 3)
     assert cert.verdict
     assert len(seen) == 4

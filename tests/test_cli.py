@@ -197,6 +197,32 @@ def test_malformed_json_records_are_usage_errors(capsys, argv):
     assert len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--kmax", "x"], "argument --kmax: invalid int value: 'x'"),
+    (["verify", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
+    ([], "the following arguments are required: subcommand"),
+    (["tree"], "the following arguments are required: query"),
+    (["rho"], "the following arguments are required: lift"),
+    (["tree", "fixes", "[[1, 0], [0, 1]]"],
+     "the following arguments are required: vertex"),
+    (["verify", "--format", "yaml"], "argument --format: invalid choice"),
+    (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+])
+def test_argument_errors_are_one_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["verify", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: twistcert")
+
+
 def test_verify_writes_artifact(capsys, tmp_path):
     out_path = tmp_path / "cert.json"
     code, _, _ = run(capsys, "verify", "--kmax", "2",
@@ -754,9 +780,9 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:
-        # argparse rejects an argument list (a value that looks like an
-        # option) before any handler runs
-        assert exc.code == 2 and err.getvalue().startswith("usage:")
+        # only help output exits: a value such as -h or --he asks for it
+        assert exc.code == 0 and out.getvalue().startswith("usage:")
+        assert not err.getvalue()
         return
     finally:
         sys.stdin = stdin

@@ -262,12 +262,13 @@ def test_specialize_single():
 
 
 def test_hom_composition():
-    # u1 -> s2*t2, u2 -> t2^-1, then phi; composing assignments agrees.
+    # u1 -> s2*t2, u2 -> t2^-1, then phi
     U = LaurentRing(("u1", "u2"))
     h1 = RingHom(U, L2, (parse_poly("s2*t2", L2), parse_poly("t2^-1", L2)))
     h2 = phi_hom(L2)
     f = parse_poly("u1^2 - 3*u2", U)
-    assert h2.apply(h1.apply(f)) == h1.then(h2).apply(f)
+    assert h1.apply(f) == parse_poly("s2^2*t2^2 - 3*t2^-1", L2)
+    assert h2.apply(h1.apply(f)) == parse_poly("t^2 - 3*t^-1", T)
 
 
 # -- parse / print ----------------------------------------------------------
@@ -446,3 +447,30 @@ def test_parser_term_limit():
     assert parse_poly("(1+t)^31", T) == parse_poly("(1+t)^30", T) * parse_poly("1+t", T)
     with pytest.raises(ParseError, match="33 by 33 terms"):
         parse_poly("(1+t)^64", T)
+
+
+def test_sum_checks_only_the_terms_each_addition_touches(monkeypatch):
+    # a sum of n distinct monomials: each + or - touches one term of the
+    # running sum, so its checks inspect the terms' own checks plus n - 1
+    from twistcert import laurent
+
+    check = laurent._Parser.check_size
+    inspected = []
+
+    def counting(terms, pos):
+        inspected.append(len(terms))
+        return check(terms, pos)
+
+    monkeypatch.setattr(laurent._Parser, "check_size", staticmethod(counting))
+
+    def count(text: str) -> int:
+        inspected.clear()
+        parse_poly(text, L2)
+        return sum(inspected)
+
+    terms = [f"{i % 7 + 1}*s2^{i // 40 - 12}*t2^{i % 40 - 20}"
+             for i in range(1000)]
+    text = " + ".join(terms[:500]) + " - " + " - ".join(terms[500:])
+    alone = sum(count(term) for term in terms)
+    assert count(text) == alone + len(terms) - 1
+    assert len(parse_poly(text, L2).terms) == 1000

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import random_epsilon, random_poly, random_valid_lift
+from twistcert import rep
 from twistcert.homology import (
     CycleClass,
     Generator,
@@ -163,23 +164,72 @@ def test_products_of_represented_matrices_stay_balanced(seed):
     assert h_form(prod).all_balanced
 
 
-def test_rho_multiplies_the_families_three_times(monkeypatch):
-    # Q = inv(m) n from the lift check gives both diagonal entries;
-    # inv(m) m and inv(n) n are the only other products
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_rho_is_phi_of_rho_pre_phi(genus):
+    # Phi commutes with the involution, so specialising m and n first
+    # gives the same matrix as specialising each entry over L_g
+    rng = random.Random(40 + genus)
+    styles, with_w = set(), 0
+    for _ in range(30):
+        lift = random_valid_lift(rng, genus)
+        styles.add("n = 0" if not lift.n else "m = 0" if not lift.m
+                   else "n = q m")
+        with_w += not lift.w.is_zero()
+        assert rho(lift) == rho_pre_phi(lift).map_entries(specialize_phi)
+    assert styles == {"n = 0", "m = 0", "n = q m"}
+    # genus 2 has no commutator generator: [a2, b2] is the excluded one
+    assert with_w or genus == 2
+
+
+def test_rho_specialises_each_family_once(monkeypatch):
+    # the lift check's Q = inv(m) n is the one product over L_g; rho
+    # specialises m and n and multiplies over L
     rng = random.Random(3)
-    lift = random_valid_lift(rng, 3)
-    expected = rho_pre_phi(lift).map_entries(specialize_phi)
-    products = []
+    lifts = [random_valid_lift(rng, 3) for _ in range(5)]
+    expected = [rho_pre_phi(lift).map_entries(specialize_phi)
+                for lift in lifts]
+    ring = surface_ring(3)
+    products, specialised = [], []
     real = LaurentPoly.__mul__
 
-    def counting(self, other):
-        if self.ring is lift.ring and getattr(other, "ring", None) is lift.ring:
+    def mul(self, other):
+        if self.ring is ring and getattr(other, "ring", None) is ring:
             products.append(other)
         return real(self, other)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counting)
-    assert rho(lift) == expected
-    assert len(products) == 3
+    def specialise(f):
+        specialised.append(f)
+        return specialize_phi(f)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", mul)
+    monkeypatch.setattr(rep, "specialize_phi", specialise)
+    for lift, want in zip(lifts, expected):
+        products.clear()
+        specialised.clear()
+        assert rho(lift) == want
+        assert len(products) == 1
+        assert specialised == [lift.m, lift.n]
+
+
+@pytest.mark.parametrize("lift, message", [
+    (LiftClass(2, None, {(0, 0): 1}, {(1, 0): 1}),
+     "cross-correlation mismatch at shift (1, 0): 1 != 0"),
+    (LiftClass(3, None, {(0, 0, 1, 0): 1, (0, 0, 0, 0): -1},
+               {(1, 0, 0, 0): 2, (0, 0, 0, 0): -2}),
+     "cross-correlation mismatch at shift (0, 0, 1, 0): 0 != -2"),
+    (LiftClass(4, None, parse_poly("t2 - 1 + s3^2", surface_ring(4)),
+               parse_poly("t3 - 2*s2 + t4^-1", surface_ring(4))),
+     "cross-correlation mismatch at shift (0, 0, 0, 0, 0, 1): 0 != -1"),
+    (LiftClass(5, CycleClass(5, {Generator.comm(1, 2):
+                                 parse_poly("s2 - 1", surface_ring(5))}),
+               parse_poly("t2 - 1", surface_ring(5)),
+               parse_poly("s5*t2 - s5 + t2^2", surface_ring(5))),
+     "cross-correlation mismatch at shift (0, 0, 0, 0, 1, 0, 0, 0): 1 != 0"),
+])
+def test_rho_names_the_lift_mismatch(lift, message):
+    with pytest.raises(ValueError) as exc:
+        rho(lift)
+    assert str(exc.value) == f"invalid lift: {message}"
 
 
 def test_rho_rejects_invalid_lift():

@@ -1,4 +1,13 @@
-"""Exact infinite-generation certificates for separating-twist subgroups.
+"""Exact checks of the twist-power identities of a separating-twist
+argument.
+
+For the twist powers k = 1..K, a certificate checks exactly that the
+pushed-forward bounding-curve lift is valid, that its matrix equals
+M_k N M_k^-1 and the twist's action on the handle classes, that the
+matrices lie on the expected sides of the amalgam, and that distinct
+powers name distinct double cosets (in closed form).  It does not check
+that the separations imply infinite generation; the README's Claims
+table lists what each step rests on.
 
 The pipeline: Laurent polynomial coefficients of lifted cycles in an
 abelian cover (laurent, homology), the induced 2x2 twist representation

@@ -1,5 +1,5 @@
 """The amalgam decomposition of SL2 over the Laurent ring, and the
-infinite-generation certificate built on it.
+certificate for the twist powers 1..kmax built on it.
 
 SL2(Q[t, t^-1]) is the amalgamated product A *_U B where A = SL2(Q[t]),
 B is the conjugate of A by diag(t, 1), and U = A cap B.  On the tree, A
@@ -12,29 +12,48 @@ one.  The separation argument needs no tree: a matrix in A whose
 balanced form vanishes must be the identity, so distinct twist powers
 land in distinct double cosets.
 
-The certificate assembles, for k = 1..kmax, the pushed-forward
-bounding-curve lift, its represented matrix, the conjugation identity
-rho = M_k N M_k^-1, the membership facts M_k in A minus U and N in B
-minus U, and the pairwise double-coset separations.
+The certificate checks each identity once, as an identity in the twist
+power k.  Pushing the bounding-curve lift forward by the k-th power
+moves its n family to n + k m, so the represented matrix rho_k, the
+conjugate M_k N M_k^-1 and the twist's images of the handle classes are
+each of degree at most 2 in k: the conjugation identity rho_k =
+M_k N M_k^-1 and the twist-consistency identity are compared
+coefficient by coefficient, and the lift check and the determinant
+check run once.  The per-k records, for k = 1..kmax, are evaluations:
+the pushed-forward lift, rho_k, each identity's verdict at k (an
+identity that fails is decided at each k from its residual), the
+membership facts M_k in A minus U and N in B minus U, and the balance
+of rho_k.  The pairwise records separate the double cosets of every
+pair of powers.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .homology import (
     CycleClass,
     EpsilonTable,
     Generator,
+    InvalidLift,
     LiftClass,
-    _twist_apply,
     canonical_lift,
+    pairing_polynomial,
     pushforward_b1_twist,
 )
 from .laurent import specialize_phi
-from .rep import Matrix2, h_form, matrix_Mk, matrix_N, multiply, rho
+from .rep import (
+    Matrix2,
+    at_k,
+    conjugate_in_k,
+    h_form,
+    matrix_Mk,
+    matrix_N,
+    multiply,
+    rho_in_k,
+)
 from .tree import as_sl2, pivot_column, series_ring
 
 _QT = series_ring()
@@ -319,32 +338,54 @@ class Certificate:
 
 
 def _handle_images(lift: LiftClass, eps: EpsilonTable) -> tuple:
-    """The twist's images of a1 and b1: the one stage that takes the
-    pairing table, and it reads no sign of it (see pairing_polynomial)."""
-    # unchecked twist: in build_certificate rho has validated the lift,
-    # and the recheck only compares the images
-    return tuple(_twist_apply(lift, CycleClass.basis(lift.genus, gen), eps)
-                 for gen in (Generator.a1(), Generator.b1()))
+    """The twist's images of a1 and b1 under every pushforward of lift:
+    for each, the classes (X0, X1, X2) with X0 + k X1 + k^2 X2 its image
+    under the twist about pushforward_b1_twist(lift, k).
+
+    This is the one stage that takes the pairing table, and it reads no
+    sign of it (see pairing_polynomial).  An image x + p(x) C is
+    bilinear in the lift, and the pushforward is affine in k: lift + k
+    delta, where delta has n-family m and nothing else.  So with p0, p1
+    the pairings of x with lift and delta, and C0, C1 their classes, the
+    image is x + p0 C0 + k (p0 C1 + p1 C0) + k^2 p1 C1.
+    """
+    delta = LiftClass(lift.genus, None, lift.ring.zero(), lift.m)
+    c0, c1 = lift.as_cycle_class(), delta.as_cycle_class()
+    images = []
+    for gen in (Generator.a1(), Generator.b1()):
+        x = CycleClass.basis(lift.genus, gen)
+        p0 = pairing_polynomial(x, lift, eps)
+        p1 = pairing_polynomial(x, delta, eps)
+        images.append((x + c0.scaled_by(p0),
+                       c1.scaled_by(p0) + c0.scaled_by(p1),
+                       c1.scaled_by(p1)))
+    return tuple(images)
 
 
-def _twist_consistent(lift: LiftClass, mat: Matrix2,
-                      eps: EpsilonTable) -> bool:
-    """The represented matrix must match the twist's action on handles."""
-    image_a1, image_b1 = _handle_images(lift, eps)
-    return (mat.a == specialize_phi(image_a1.a1_coeff())
-            and mat.c == specialize_phi(image_a1.b1_coeff())
-            and mat.b == specialize_phi(image_b1.a1_coeff())
-            and mat.d == specialize_phi(image_b1.b1_coeff()))
+def _twist_in_k(lift: LiftClass, eps: EpsilonTable) -> tuple[Matrix2, ...]:
+    """The twist's action on the handle span after Phi, as coefficients
+    in k: for each coefficient of _handle_images, the matrix whose
+    columns are Phi of the (a1, b1) coordinates of the images of a1 and
+    b1."""
+    return tuple(
+        Matrix2(specialize_phi(image_a1.a1_coeff()),
+                specialize_phi(image_b1.a1_coeff()),
+                specialize_phi(image_a1.b1_coeff()),
+                specialize_phi(image_b1.b1_coeff()))
+        for image_a1, image_b1 in zip(*_handle_images(lift, eps)))
 
 
-def pairing_table_recheck(kmax: int, base_lift: LiftClass,
-                          eps: EpsilonTable, probe: EpsilonTable) -> bool:
+def pairing_table_recheck(base_lift: LiftClass, eps: EpsilonTable,
+                          probe: EpsilonTable) -> bool:
     """Whether the certificate for base_lift is the same under probe as
     under eps: the only stage that takes the table, _handle_images, is
-    run again for k = 1..kmax under both."""
-    moved = (pushforward_b1_twist(base_lift, k) for k in range(1, kmax + 1))
-    return all(_handle_images(lift, eps) == _handle_images(lift, probe)
-               for lift in moved)
+    run again under both, and it gives the images for every power k."""
+    return _handle_images(base_lift, eps) == _handle_images(base_lift, probe)
+
+
+def _vanishes(residual: Sequence[Matrix2]) -> bool:
+    """Whether every entry of every matrix in residual is zero."""
+    return not any(entry for mat in residual for entry in mat.entries())
 
 
 def build_certificate(kmax: int, genus: int,
@@ -352,9 +393,14 @@ def build_certificate(kmax: int, genus: int,
                       base_lift: Optional[LiftClass] = None) -> Certificate:
     """Run the full pipeline for twist powers 1..kmax at the given genus.
 
-    The epsilon table reaches only _handle_images, inside the
-    twist-consistency check, where the sign choices provably never
-    matter; pairing_table_recheck re-runs that stage under another table.
+    The lift check, rho, the conjugate M_k N M_k^-1 and the twist's
+    handle images are computed once, as polynomials in k of degree at
+    most 2, and the conjugation and twist-consistency identities are
+    compared coefficient by coefficient; each per-k record evaluates
+    them at k by scaling and adding, with no product.  The epsilon table
+    reaches only _handle_images, inside the twist-consistency check,
+    where the sign choices provably never matter; pairing_table_recheck
+    re-runs that stage under another table.
     """
     if kmax < 2:
         raise ValueError("need kmax >= 2 to separate at least two cosets")
@@ -369,28 +415,42 @@ def build_certificate(kmax: int, genus: int,
         raise ValueError(f"epsilon table has genus {eps.genus}, expected {genus}")
     n_mat = matrix_N()
     n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
+    powers = range(1, kmax + 1)
+    pairwise = tuple(
+        {"k": k, "l": l, "distinct": k != l, "witness": _witness(k, l)}
+        for k in powers for l in range(k + 1, kmax + 1))
+    try:
+        rho_k = rho_in_k(star)
+    except ValueError as exc:  # the lift check or the determinant check
+        errors = (exc.pushed_forward(powers) if isinstance(exc, InvalidLift)
+                  else [str(exc)] * kmax)
+        records = tuple({"k": k, "error": error}
+                        for k, error in zip(powers, errors))
+        return Certificate(kmax, genus, records, pairwise)
+    # the residuals' coefficients in k: an identity that holds for every
+    # k needs no evaluation, and one that fails is evaluated at each k
+    conj_residual = [r - c for r, c in zip(rho_k, conjugate_in_k(n_mat))]
+    twist_residual = [r - t for r, t in zip(rho_k, _twist_in_k(star, eps))]
+    conj_identity = _vanishes(conj_residual)
+    twist_identity = _vanishes(twist_residual)
     records = []
-    for k in range(1, kmax + 1):
-        moved = pushforward_b1_twist(star, k)
-        try:
-            mat = rho(moved)
-        except ValueError as exc:
-            records.append({"k": k, "error": str(exc)})
-            continue
-        mk = matrix_Mk(k)
-        mk_in_a, mk_in_b = _sides(as_sl2(mk))
+    for k in powers:
+        mat = at_k(rho_k, k)
+        # M_k = [[1, 0], [k, 1]] has determinant 1 by its shape, so its
+        # sides are read from exponent signs alone
+        mk_in_a, mk_in_b = _sides(matrix_Mk(k))
         records.append({
             "k": k,
-            "lift": moved.to_json(),
+            "lift": pushforward_b1_twist(star, k).to_json(),
             "rho": mat.to_json(),
-            "conjugation_ok": mat == mk @ n_mat @ mk.inverse(),
-            "twist_consistency_ok": _twist_consistent(moved, mat, eps),
+            "conjugation_ok":
+                conj_identity or _vanishes([at_k(conj_residual, k)]),
+            "twist_consistency_ok":
+                twist_identity or _vanishes([at_k(twist_residual, k)]),
             "memberships": {
                 "Mk_in_A_not_U": mk_in_a and not mk_in_b,
                 "N_in_B_not_U": n_in_b_not_u,
                 "conjugate_balanced": h_form(mat).all_balanced,
             },
         })
-    pairwise = [{"k": k, "l": l, "distinct": k != l, "witness": _witness(k, l)}
-                for k in range(1, kmax + 1) for l in range(k + 1, kmax + 1)]
-    return Certificate(kmax, genus, tuple(records), tuple(pairwise))
+    return Certificate(kmax, genus, tuple(records), pairwise)

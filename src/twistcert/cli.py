@@ -1,8 +1,10 @@
 """Command-line front end for the certificate pipeline.
 
 Five subcommands cover the library surface: ``verify`` builds and checks
-the full infinite-generation certificate, ``eval`` evaluates a Laurent
-expression, ``rho`` prints the representation matrix of a lift, ``tree``
+the certificate for the twist powers 1..K (exact identities and amalgam
+memberships for each power, and a double-coset separation for each
+pair; a PASS does not prove infinite generation, see the README's
+Claims table), ``eval`` evaluates a Laurent expression, ``rho`` prints the representation matrix of a lift, ``tree``
 answers distance/stabilizer/translation queries, and ``normal-form``
 decomposes a matrix into alternating amalgam letters.
 
@@ -180,8 +182,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     recheck_note = None
     if args.seed is not None and not pairing_table_recheck(
-            args.kmax, lift, eps,
-            EpsilonTable.seeded(args.genus, args.seed)):
+            lift, eps, EpsilonTable.seeded(args.genus, args.seed)):
         recheck_note = (f"certificate depends on the pairing table "
                         f"(seed {args.seed})")
 

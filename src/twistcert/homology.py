@@ -26,7 +26,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .laurent import (
     MAX_TERMS,
@@ -572,15 +572,45 @@ def validate_lift(lift: LiftClass) -> ValidationReport:
     if not mismatched:
         return ValidationReport(True)
     p = min(max(e, tuple(-x for x in e)) for e in mismatched)
-    lhs, rhs = q.coeff(p), q_bar.coeff(p)
-    return ValidationReport(
-        False, p, f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}")
+    return ValidationReport(False, p, _mismatch(p, q.coeff(p), q_bar.coeff(p)))
+
+
+def _mismatch(p: ExponentVector, lhs, rhs) -> str:
+    return f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}"
+
+
+class InvalidLift(ValueError):
+    """A lift that fails validate_lift, with the report that says where."""
+
+    def __init__(self, lift: LiftClass, report: ValidationReport):
+        super().__init__(f"invalid lift: {report.detail}")
+        self.lift = lift
+        self.report = report
+
+    def pushed_forward(self, ks: Iterable[int]) -> list[str]:
+        """This error's text for pushforward_b1_twist(lift, k), k in ks.
+
+        With n_k = n + k m, Q_k = Q + k inv(m) m, and inv(m) m is fixed
+        by the involution: every pushforward mismatches at the lift's
+        own shifts, with both sides moved by k (inv(m) m)[shift].
+        """
+        m, n = self.lift.m, self.lift.n
+        p = self.report.shift
+
+        def correlation(f: LaurentPoly, g: LaurentPoly) -> int:
+            # sum_v f[v] g[v + p], the coefficient of inv(f) g at p
+            return sum(c * g.coeff(tuple(a + b for a, b in zip(v, p)))
+                       for v, c in f.terms.items())
+
+        lhs, rhs, drift = correlation(m, n), correlation(n, m), correlation(m, m)
+        return [f"invalid lift: {_mismatch(p, lhs + k * drift, rhs + k * drift)}"
+                for k in ks]
 
 
 def _require_valid(lift: LiftClass):
     report = validate_lift(lift)
     if not report.ok:
-        raise ValueError(f"invalid lift: {report.detail}")
+        raise InvalidLift(lift, report)
 
 
 def pair_with_a1(lift: LiftClass, shift: Sequence[int]) -> int:
@@ -656,4 +686,4 @@ def pushforward_b1_twist(lift: LiftClass, k: int) -> LiftClass:
     """
     if not isinstance(k, int):
         raise TypeError("twist power must be an integer")
-    return LiftClass(lift.genus, lift.w, lift.m, lift.n + k * lift.m)
+    return LiftClass(lift.genus, lift.w, lift.m, lift.n + lift.m.scale(k))

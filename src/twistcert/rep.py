@@ -14,6 +14,13 @@ Applying Phi entrywise lands in SL_2 of the one-variable ring L.  The
 built-in bounding-curve lift maps to N = [[1, t - 2 + t^-1], [0, 1]],
 and pushing it forward under k-th powers of the handle twist conjugates
 N by M_k = [[1, 0], [k, 1]].
+
+Pushing a lift forward by the k-th power moves n to n + k m, so the
+matrix of the pushed lift, and the conjugate M_k N M_k^-1, are
+quadratic in k.  rho_in_k and conjugate_in_k give their three
+coefficient matrices; the determinant check runs once, on the identity
+in k, and the matrix for one power is an evaluation of it (at_k), by
+scaling and adding entries.
 """
 
 from __future__ import annotations
@@ -117,6 +124,15 @@ class Matrix2:
     def is_identity(self) -> bool:
         return self == Matrix2.identity(self.ring)
 
+    def __add__(self, other: "Matrix2") -> "Matrix2":
+        return Matrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
+
+    def __sub__(self, other: "Matrix2") -> "Matrix2":
+        return Matrix2(*(x - y for x, y in zip(self.entries(), other.entries())))
+
+    def scale(self, c) -> "Matrix2":
+        return self.map_entries(lambda entry: entry.scale(c))
+
     def map_entries(self, fn) -> "Matrix2":
         return Matrix2(fn(self.a), fn(self.b), fn(self.c), fn(self.d))
 
@@ -185,13 +201,53 @@ def rho(lift: LiftClass) -> Matrix2:
     the matrix is the handle matrix of Phi(m) and Phi(n): each family
     is specialised once, and the products are taken over L.
     """
+    return rho_in_k(lift)[0]
+
+
+def rho_in_k(lift: LiftClass) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """The coefficients C0, C1, C2 of the matrix of every pushforward:
+    rho(pushforward_b1_twist(lift, k)) = C0 + k C1 + k^2 C2.
+
+    With P = inv(m) m, Q = inv(m) n and R = inv(n) n after Phi, n + k m
+    keeps P, moves Q to Q + k P and R to R + k (Q + inv(Q)) + k^2 P, so
+
+        rho_k = [[1 + inv(Q) + k P, -P], [R + k (Q + inv(Q)) + k^2 P, 1 - Q - k P]].
+
+    The pushforwards share the lift's validity (Q_k - inv(Q_k) = Q -
+    inv(Q), since P is fixed by the involution), so the lift is checked
+    once, and the determinant once, as a polynomial in k.
+    """
     _require_valid(lift)
-    mat = _handle_matrix(specialize_phi(lift.m), specialize_phi(lift.n))
-    det = mat.det()
-    if det != mat.ring.one():
-        raise ValueError(
-            f"represented matrix {mat} has determinant {det}, not 1")
-    return mat
+    c0 = _handle_matrix(specialize_phi(lift.m), specialize_phi(lift.n))
+    one, zero = c0.ring.one(), c0.ring.zero()
+    p, q = -c0.b, one - c0.d  # P and Q, read off C0
+    coeffs = (c0, Matrix2(p, zero, q + q.involution(), -p),
+              Matrix2(zero, zero, p, zero))
+    det = det_in_k(coeffs)
+    if det != [one] + [zero] * (len(det) - 1):
+        in_k = " + ".join(f"({d}) k^{i}" for i, d in enumerate(det) if d)
+        raise ValueError(f"represented matrix {c0} + ({coeffs[1]}) k + "
+                         f"({coeffs[2]}) k^2 has determinant {in_k}, not 1")
+    return coeffs
+
+
+def det_in_k(coeffs: Sequence[Matrix2]) -> list[LaurentPoly]:
+    """The coefficients in k of det(sum_i k^i C_i), lowest first."""
+    ring = coeffs[0].ring
+    out = [ring.zero()] * (2 * len(coeffs) - 1)
+    for i, x in enumerate(coeffs):
+        for j, y in enumerate(coeffs):
+            out[i + j] = out[i + j] + (x.a * y.d - x.b * y.c)
+    return out
+
+
+def at_k(coeffs: Sequence[Matrix2], k: int) -> Matrix2:
+    """sum_i k^i C_i, by scaling and adding entries: no product."""
+    out, power = coeffs[0], 1
+    for coeff in coeffs[1:]:
+        power *= k
+        out = out + coeff.scale(power)
+    return out
 
 
 def matrix_N(ring: Optional[LaurentRing] = None) -> Matrix2:
@@ -208,6 +264,19 @@ def matrix_Mk(k: int, ring: Optional[LaurentRing] = None) -> Matrix2:
     if ring is None:
         ring = single_variable_ring()
     return Matrix2.from_rows(ring, [[1, 0], [k, 1]])
+
+
+def conjugate_in_k(mat: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """The coefficients in k of M_k mat M_k^-1.
+
+    M_k = I + k E with E = [[0, 0], [1, 0]] and E^2 = 0, so M_k^-1 =
+    I - k E, and for mat = [[a, b], [c, d]]
+
+        M_k mat M_k^-1 = [[a - k b, b], [c + k (a - d) - k^2 b, d + k b]].
+    """
+    a, b, c, d = mat.entries()
+    zero = mat.ring.zero()
+    return (mat, Matrix2(-b, zero, a - d, b), Matrix2(zero, zero, -b, zero))
 
 
 @dataclass(frozen=True)

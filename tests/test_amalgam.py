@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     _random_q_polynomial,
+    random_poly,
     random_a_element,
     random_b_element,
     random_epsilon,
@@ -14,7 +15,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
-from twistcert import amalgam, homology, tree
+from twistcert import amalgam, cli, homology, rep, tree
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -27,8 +28,14 @@ from twistcert.amalgam import (
     in_U,
 )
 from twistcert.homology import LiftClass, canonical_lift
-from twistcert.laurent import parse_poly, single_variable_ring, surface_ring
-from twistcert.rep import Matrix2, matrix_Mk, matrix_N, multiply, rho
+from twistcert.laurent import (
+    LaurentPoly,
+    parse_poly,
+    single_variable_ring,
+    specialize_phi,
+    surface_ring,
+)
+from twistcert.rep import Matrix2, h_form, matrix_Mk, matrix_N, multiply, rho
 from twistcert.tree import act, base_vertex, distance, odd_base_vertex
 
 QT = single_variable_ring("t", "Q")
@@ -503,7 +510,7 @@ def test_pairing_table_recheck_reads_no_sign():
     lift = _lift_with_commutator_terms()
     zero = homology.EpsilonTable.zero(3)
     for probe in (homology.EpsilonTable.seeded(3, 7), _UnreadableTable(3)):
-        assert amalgam.pairing_table_recheck(5, lift, zero, probe)
+        assert amalgam.pairing_table_recheck(lift, zero, probe)
 
 
 def test_verdict_is_the_absence_of_a_first_failure():
@@ -595,7 +602,9 @@ def test_certificate_builds_one_matrix_per_power(monkeypatch):
     assert sorted(built) == list(range(1, kmax + 1))
 
 
-def test_certificate_validates_each_lift_once(monkeypatch):
+def test_certificate_validates_the_base_lift_once(monkeypatch):
+    # every pushforward n + k m shares the base lift's validity, so the
+    # lift check runs once per certificate, whatever kmax
     seen = []
     real = homology.validate_lift
 
@@ -604,7 +613,189 @@ def test_certificate_validates_each_lift_once(monkeypatch):
         return real(lift)
 
     monkeypatch.setattr(homology, "validate_lift", counting)
-    cert = build_certificate(4, 3)
-    assert cert.verdict
-    assert len(seen) == 4
-    assert len({id(lift) for lift in seen}) == 4
+    for kmax in (4, 40):
+        seen.clear()
+        cert = build_certificate(kmax, 3)
+        assert cert.verdict
+        assert seen == [canonical_lift(3)]
+
+
+# -- the per-power reference ---------------------------------------------------
+
+
+def _per_k_images(lift, eps):
+    """The twist's images of a1 and b1 for one lift, over L_g."""
+    return tuple(
+        homology._twist_apply(lift, homology.CycleClass.basis(lift.genus, gen),
+                              eps)
+        for gen in (homology.Generator.a1(), homology.Generator.b1()))
+
+
+def _per_k_certificate(kmax, genus, eps=None, base_lift=None):
+    """Reference certificate: the lift check, rho, the conjugate
+    M_k N M_k^-1 and the twist's handle images over L_g, made again for
+    every power k, with matrix products and an inverse."""
+    star = base_lift if base_lift is not None else canonical_lift(genus)
+    if eps is None:
+        eps = homology.EpsilonTable.zero(genus)
+    n_mat = matrix_N()
+    n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
+    records = []
+    for k in range(1, kmax + 1):
+        moved = homology.pushforward_b1_twist(star, k)
+        try:
+            mat = rho(moved)
+        except ValueError as exc:
+            records.append({"k": k, "error": str(exc)})
+            continue
+        mk = matrix_Mk(k)
+        image_a1, image_b1 = _per_k_images(moved, eps)
+        twist = Matrix2(specialize_phi(image_a1.a1_coeff()),
+                        specialize_phi(image_b1.a1_coeff()),
+                        specialize_phi(image_a1.b1_coeff()),
+                        specialize_phi(image_b1.b1_coeff()))
+        records.append({
+            "k": k,
+            "lift": moved.to_json(),
+            "rho": mat.to_json(),
+            "conjugation_ok": mat == mk @ n_mat @ mk.inverse(),
+            "twist_consistency_ok": mat == twist,
+            "memberships": {
+                "Mk_in_A_not_U": in_A(mk) and not in_U(mk),
+                "N_in_B_not_U": n_in_b_not_u,
+                "conjugate_balanced": h_form(mat).all_balanced,
+            },
+        })
+    pairwise = [{"k": k, "l": l, "distinct": k != l,
+                 "witness": amalgam._witness(k, l)}
+                for k in range(1, kmax + 1) for l in range(k + 1, kmax + 1)]
+    return Certificate(kmax, genus, tuple(records), tuple(pairwise))
+
+
+def _sweep_inputs(genus):
+    """(name, pairing table, base lift, largest kmax) for one genus: the
+    canonical and random valid lifts under the zero, a seeded and a
+    random table, and lifts on which conjugation or the lift check
+    fails.  The reference takes up to 60 ms per power on a random lift
+    with commutator terms, so those stop at kmax 25."""
+    rng = random.Random(100 + genus)
+    ring = surface_ring(genus)
+    star = canonical_lift(genus)
+    t2, s2, one = ring.variable("t2"), ring.variable("s2"), ring.one()
+    w_lifts = [random_valid_lift(rng, genus) for _ in range(2)]
+    invalid = LiftClass(genus, None, w_lifts[0].m, w_lifts[0].n)
+    while homology.validate_lift(invalid).ok:
+        invalid = LiftClass(genus, w_lifts[1].w,
+                            random_poly(rng, ring, max_exp=2),
+                            random_poly(rng, ring, max_exp=2))
+    return [
+        ("canonical", None, star, 100),
+        ("seeded table", homology.EpsilonTable.seeded(genus, genus), star,
+         100),
+        ("random lift, seeded table", homology.EpsilonTable.seeded(genus, 7),
+         w_lifts[0], 25),
+        ("random lift, random table", random_epsilon(rng, genus), w_lifts[1],
+         25),
+        ("skewed", None, LiftClass(genus, None, ring.zero(), t2 - one), 100),
+        ("mutated scale", None,
+         LiftClass(genus, None, (t2 - one).scale(3), ring.zero()), 100),
+        ("mutated power", None,
+         LiftClass(genus, None, t2 * t2 - one, ring.zero()), 100),
+        ("mutated variable", None,
+         LiftClass(genus, w_lifts[0].w, s2 - one, ring.zero()), 100),
+        ("invalid", None, LiftClass(genus, None, s2 - one, one), 100),
+        ("invalid random", None, invalid, 100),
+    ]
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_certificate_matches_the_per_power_reference(genus):
+    outcomes = set()
+    for name, eps, lift, largest in _sweep_inputs(genus):
+        reference = _per_k_certificate(largest, genus, eps, lift)
+        for kmax in (2, 3, 7, 25, 100):
+            if kmax > largest:
+                continue
+            expected = Certificate(
+                kmax, genus, reference.records[:kmax],
+                tuple(p for p in reference.pairwise if p["l"] <= kmax))
+            cert = build_certificate(kmax, genus, eps=eps, base_lift=lift)
+            assert cert.json_text() == expected.json_text(), (name, kmax)
+            assert cert.summary_lines() == expected.summary_lines(), \
+                (name, kmax)
+        record = reference.records[0]
+        outcomes.add("error" if "error" in record else
+                     "conjugation" if not record["conjugation_ok"] else
+                     "pass" if reference.verdict else "other")
+        if name == "invalid":
+            # m = s2 - 1 and n = 1 mismatch at the shift s2 by -k != 1 - k,
+            # so each power has its own error text
+            assert len({r["error"] for r in reference.records}) == largest
+    assert outcomes == {"pass", "conjugation", "error"}
+
+
+def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
+    # images whose a1 coefficient is off by (k - 2) x: the identity in k
+    # fails, and the records say so for every power but k = 2
+    real = amalgam._handle_images
+
+    def shifted(lift, eps):
+        (x0, x1, x2), images_b1 = real(lift, eps)
+        off = homology.CycleClass.basis(lift.genus, homology.Generator.a1())
+        off = off.scaled_by(lift.ring.variable("t2"))
+        return (x0 - off - off, x1 + off, x2), images_b1
+
+    monkeypatch.setattr(amalgam, "_handle_images", shifted)
+    cert = build_certificate(5, 3)
+    assert [r["twist_consistency_ok"] for r in cert.records] == \
+        [False, True, False, False, False]
+    assert all(r["conjugation_ok"] for r in cert.records)
+    assert cert.first_failure() is cert.records[0]
+
+
+def _products_and_phi(monkeypatch, run):
+    """The number of LaurentPoly products and of Phi specialisations
+    that run() makes."""
+    counts = {"mul": 0, "phi": 0}
+    mul = LaurentPoly.__mul__
+
+    def counting_mul(self, other):
+        counts["mul"] += 1
+        return mul(self, other)
+
+    def counting_phi(f):
+        counts["phi"] += 1
+        return specialize_phi(f)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counting_mul)
+    for module in (amalgam, rep):
+        monkeypatch.setattr(module, "specialize_phi", counting_phi)
+    run()
+    monkeypatch.undo()
+    return counts
+
+
+@pytest.mark.parametrize("lift", [None, _lift_with_commutator_terms()],
+                         ids=["canonical", "commutator-terms"])
+def test_certificate_products_do_not_grow_with_kmax(monkeypatch, lift):
+    small, large = (
+        _products_and_phi(monkeypatch, lambda kmax=kmax: build_certificate(
+            kmax, 3, base_lift=lift))
+        for kmax in (5, 60))
+    assert small == large
+    assert 0 < small["phi"] <= 14
+
+
+def test_seed_recheck_products_do_not_grow_with_kmax(monkeypatch):
+    # the recheck compares the images' coefficients in k once; the whole
+    # verify --seed makes as many products at kmax 60 as at kmax 5
+    lift = _lift_with_commutator_terms()
+    zero = homology.EpsilonTable.zero(3)
+    counts = _products_and_phi(monkeypatch, lambda: amalgam.pairing_table_recheck(
+        lift, zero, homology.EpsilonTable.seeded(3, 7)))
+    assert counts["mul"] > 0 and counts["phi"] == 0
+    small, large = (
+        _products_and_phi(monkeypatch, lambda kmax=kmax: cli.main(
+            ["verify", "--genus", "3", "--kmax", str(kmax), "--seed", "7"]))
+        for kmax in (5, 60))
+    assert small == large

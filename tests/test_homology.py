@@ -15,6 +15,7 @@ from twistcert.homology import (
     EpsilonTable,
     Generator,
     LiftClass,
+    InvalidLift,
     ValidationReport,
     canonical_lift,
     comm_pairs,
@@ -390,6 +391,29 @@ def test_validation_matches_the_per_shift_scan():
         assert report == _per_shift_scan(lift), lift
         invalid += not report.ok
     assert invalid >= 2100 // 3, invalid
+
+
+def test_pushed_forward_errors_match_each_pushforward():
+    # a lift's pushforwards mismatch at its own shift, each side moved
+    # by k times the self-correlation of m there
+    rng = random.Random(67)
+    invalid = moved = 0
+    for _ in range(300):
+        genus = rng.choice((2, 3))
+        ring = surface_ring(genus)
+        lift = LiftClass(genus, None, random_poly(rng, ring, max_exp=1),
+                         random_poly(rng, ring, max_exp=1))
+        report = validate_lift(lift)
+        if report.ok:
+            continue
+        invalid += 1
+        ks = [1, 2, 5, 30]
+        texts = InvalidLift(lift, report).pushed_forward(ks)
+        for k, text in zip(ks, texts):
+            pushed = validate_lift(pushforward_b1_twist(lift, k))
+            assert text == f"invalid lift: {pushed.detail}"
+        moved += len(set(texts)) > 1
+    assert invalid >= 150 and moved >= 20, (invalid, moved)
 
 
 def test_validation_is_one_product_on_a_large_lift(monkeypatch):

@@ -22,11 +22,15 @@ from twistcert.laurent import (
 from twistcert.rep import (
     HFormReport,
     Matrix2,
+    at_k,
+    conjugate_in_k,
+    det_in_k,
     h_form,
     matrix_Mk,
     matrix_N,
     multiply,
     rho,
+    rho_in_k,
     rho_pre_phi,
 )
 
@@ -134,6 +138,41 @@ def test_pushforward_conjugates_by_Mk(genus):
     for k in range(1, 21):
         mk = matrix_Mk(k)
         assert rho(pushforward_b1_twist(star, k)) == mk @ n @ mk.inverse()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_rho_in_k_evaluates_to_rho_of_each_pushforward(seed):
+    rng = random.Random(seed)
+    lift = random_valid_lift(rng, rng.choice((2, 3)))
+    coeffs = rho_in_k(lift)
+    assert coeffs[0] == rho(lift)
+    for k in (-3, 0, 1, 2, 7, 40):
+        assert at_k(coeffs, k) == rho(pushforward_b1_twist(lift, k))
+
+
+def test_conjugate_in_k_evaluates_to_the_product():
+    rng = random.Random(17)
+    mats = [matrix_N()] + [
+        Matrix2(*(random_poly(rng, L, max_terms=3, max_exp=2)
+                  for _ in range(4)))
+        for _ in range(10)]
+    for mat in mats:
+        coeffs = conjugate_in_k(mat)
+        for k in (-2, 0, 1, 3, 11):
+            mk = matrix_Mk(k)
+            assert at_k(coeffs, k) == mk @ mat @ mk.inverse()
+
+
+def test_det_in_k_is_the_determinant_at_each_k():
+    rng = random.Random(19)
+    coeffs = [Matrix2(*(random_poly(rng, L, max_terms=2, max_exp=1)
+                        for _ in range(4)))
+              for _ in range(3)]
+    det = det_in_k(coeffs)
+    assert len(det) == 5
+    for k in (-1, 0, 2, 5):
+        assert at_k(coeffs, k).det() == sum(
+            (d.scale(k ** i) for i, d in enumerate(det)), L.zero())
 
 
 def test_conjugated_matrix_frozen_value():

@@ -15,16 +15,16 @@ land in distinct double cosets.
 The certificate checks each identity once, as an identity in the twist
 power k.  Pushing the bounding-curve lift forward by the k-th power
 moves its n family to n + k m, so the represented matrix rho_k, the
-conjugate M_k N M_k^-1 and the twist's images of the handle classes are
+conjugate M_k N M_k^-1 and the twist's action on the handle span are
 each of degree at most 2 in k: the conjugation identity rho_k =
 M_k N M_k^-1 and the twist-consistency identity are compared
-coefficient by coefficient, and the lift check and the determinant
-check run once.  The per-k records, for k = 1..kmax, are evaluations:
-the pushed-forward lift, rho_k, each identity's verdict at k (an
-identity that fails is decided at each k from its residual), the
-membership facts M_k in A minus U and N in B minus U, and the balance
-of rho_k.  The pairwise records separate the double cosets of every
-pair of powers.
+coefficient by coefficient, and the lift check (the certificate's only
+product of two families over L_g) and the determinant check run once.
+The per-k records, for k = 1..kmax, are evaluations: the pushed-forward
+lift, rho_k, each identity's verdict at k (an identity that fails is
+decided at each k from its residual), the membership facts M_k in A
+minus U and N in B minus U, and the balance of rho_k.  The pairwise
+records separate the double cosets of every pair of powers.
 """
 
 from __future__ import annotations
@@ -103,9 +103,6 @@ class AmalgamLetter:
         if not (in_a if self.side == "A" else in_b):
             raise ValueError(f"matrix {self.matrix} is not in side {self.side}")
         object.__setattr__(self, "matrix", matrix)
-
-    def in_edge_subgroup(self) -> bool:
-        return all(_sides(self.matrix))
 
     def __str__(self):
         return f"({self.side}) {self.matrix}"
@@ -337,50 +334,47 @@ class Certificate:
         return lines
 
 
-def _handle_images(lift: LiftClass, eps: EpsilonTable) -> tuple:
-    """The twist's images of a1 and b1 under every pushforward of lift:
-    for each, the classes (X0, X1, X2) with X0 + k X1 + k^2 X2 its image
-    under the twist about pushforward_b1_twist(lift, k).
-
-    This is the one stage that takes the pairing table, and it reads no
-    sign of it (see pairing_polynomial).  An image x + p(x) C is
-    bilinear in the lift, and the pushforward is affine in k: lift + k
-    delta, where delta has n-family m and nothing else.  So with p0, p1
-    the pairings of x with lift and delta, and C0, C1 their classes, the
-    image is x + p0 C0 + k (p0 C1 + p1 C0) + k^2 p1 C1.
+def _handle_pairings(lift: LiftClass, eps: EpsilonTable) -> tuple:
+    """The pairings (p0, p1) of a1 and b1 with the lift and with delta,
+    the class with n-family m alone: the k-th pushforward is lift + k
+    delta, so they pair with it as p0 + k p1.  This is the one stage
+    that takes the pairing table, and it reads no sign of it (see
+    pairing_polynomial).
     """
     delta = LiftClass(lift.genus, None, lift.ring.zero(), lift.m)
-    c0, c1 = lift.as_cycle_class(), delta.as_cycle_class()
-    images = []
-    for gen in (Generator.a1(), Generator.b1()):
-        x = CycleClass.basis(lift.genus, gen)
-        p0 = pairing_polynomial(x, lift, eps)
-        p1 = pairing_polynomial(x, delta, eps)
-        images.append((x + c0.scaled_by(p0),
-                       c1.scaled_by(p0) + c0.scaled_by(p1),
-                       c1.scaled_by(p1)))
-    return tuple(images)
+    handles = [CycleClass.basis(lift.genus, gen)
+               for gen in (Generator.a1(), Generator.b1())]
+    return tuple(tuple(pairing_polynomial(x, target, eps) for x in handles)
+                 for target in (lift, delta))
 
 
 def _twist_in_k(lift: LiftClass, eps: EpsilonTable) -> tuple[Matrix2, ...]:
-    """The twist's action on the handle span after Phi, as coefficients
-    in k: for each coefficient of _handle_images, the matrix whose
-    columns are Phi of the (a1, b1) coordinates of the images of a1 and
-    b1."""
-    return tuple(
-        Matrix2(specialize_phi(image_a1.a1_coeff()),
-                specialize_phi(image_b1.a1_coeff()),
-                specialize_phi(image_a1.b1_coeff()),
-                specialize_phi(image_b1.b1_coeff()))
-        for image_a1, image_b1 in zip(*_handle_images(lift, eps)))
+    """The twist's action on the handle span after Phi, in k: x goes to
+    x + p(x) C, so the action is I + c p^T, with c the lift's (a1, b1)
+    coordinates and p the pairings of a1 and b1.  The pushforward moves
+    c0 = (m, n) by k c1 = k (0, m) and p0 by k p1, so the coefficients
+    are I + c0 p0^T, c0 p1^T + c1 p0^T and c1 p1^T.  Phi is a ring
+    homomorphism, so it is applied to c and p, and the products are
+    taken over L."""
+    p0, p1 = (tuple(map(specialize_phi, p))
+              for p in _handle_pairings(lift, eps))
+    m, n = specialize_phi(lift.m), specialize_phi(lift.n)
+    c0, c1 = (m, n), (m.ring.zero(), m)
+
+    def outer(c, p) -> Matrix2:
+        return Matrix2(c[0] * p[0], c[0] * p[1], c[1] * p[0], c[1] * p[1])
+
+    return (Matrix2.identity(m.ring) + outer(c0, p0),
+            outer(c0, p1) + outer(c1, p0), outer(c1, p1))
 
 
 def pairing_table_recheck(base_lift: LiftClass, eps: EpsilonTable,
                           probe: EpsilonTable) -> bool:
     """Whether the certificate for base_lift is the same under probe as
-    under eps: the only stage that takes the table, _handle_images, is
-    run again under both, and it gives the images for every power k."""
-    return _handle_images(base_lift, eps) == _handle_images(base_lift, probe)
+    under eps: the only stage that takes the table, _handle_pairings, is
+    run again under both, and it gives the pairings for every power k."""
+    return (_handle_pairings(base_lift, eps)
+            == _handle_pairings(base_lift, probe))
 
 
 def _vanishes(residual: Sequence[Matrix2]) -> bool:
@@ -394,13 +388,14 @@ def build_certificate(kmax: int, genus: int,
     """Run the full pipeline for twist powers 1..kmax at the given genus.
 
     The lift check, rho, the conjugate M_k N M_k^-1 and the twist's
-    handle images are computed once, as polynomials in k of degree at
-    most 2, and the conjugation and twist-consistency identities are
-    compared coefficient by coefficient; each per-k record evaluates
-    them at k by scaling and adding, with no product.  The epsilon table
-    reaches only _handle_images, inside the twist-consistency check,
-    where the sign choices provably never matter; pairing_table_recheck
-    re-runs that stage under another table.
+    action on the handle span are computed once, as polynomials in k of
+    degree at most 2, and the conjugation and twist-consistency
+    identities are compared coefficient by coefficient; each per-k
+    record evaluates them at k by scaling and adding, with no product.
+    The epsilon table reaches only _handle_pairings, inside the
+    twist-consistency check, where the sign choices provably never
+    matter; pairing_table_recheck re-runs that stage under another
+    table.
     """
     if kmax < 2:
         raise ValueError("need kmax >= 2 to separate at least two cosets")

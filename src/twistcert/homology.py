@@ -12,9 +12,9 @@ The intersection pairing between translated commutator generators is
 only pinned down up to a family of signs epsilon (one per pair of
 generators with disjoint or singly-overlapping index sets).  Those signs
 are configuration, kept in an EpsilonTable.  The certificate passes a
-table to one stage only, the twist's images of a1 and b1, and pairing a
-handle class with a lift reads the lift's m and n families, never a
-sign: no sign choice reaches the certificate.
+table to one stage only, the pairings of a1 and b1 with the lift, and
+pairing a handle class with a lift reads the lift's m and n families,
+never a sign: no sign choice reaches the certificate.
 
 A LiftClass records the class of a lifted simple closed curve: a
 w-part supported on commutator generators plus coefficient families
@@ -310,7 +310,8 @@ def pair_generators(x: Generator, shift: Sequence[int], y: Generator,
     """The intersection number [x] . (u^shift [y]).
 
     Pairings in which either side is a1 or b1 vanish here; the symplectic
-    a1/b1 pairing enters the lift-level functions pair_with_a1/b1 instead.
+    a1/b1 pairing enters pairing_polynomial, against a lift's m and n
+    families, instead.
     """
     shift = tuple(int(e) for e in shift)
     n = 2 * eps.genus - 2
@@ -611,18 +612,6 @@ def _require_valid(lift: LiftClass):
     report = validate_lift(lift)
     if not report.ok:
         raise InvalidLift(lift, report)
-
-
-def pair_with_a1(lift: LiftClass, shift: Sequence[int]) -> int:
-    """a1 . (u^shift C~) = n[-shift]."""
-    key = tuple(-int(e) for e in shift)
-    return lift.n.coeff(key)
-
-
-def pair_with_b1(lift: LiftClass, shift: Sequence[int]) -> int:
-    """b1 . (u^shift C~) = -m[-shift]."""
-    key = tuple(-int(e) for e in shift)
-    return -lift.m.coeff(key)
 
 
 def pairing_polynomial(x: CycleClass, lift: LiftClass,

@@ -356,12 +356,6 @@ class LaurentPoly:
         """True when no variable appears with a negative exponent."""
         return all(all(e >= 0 for e in exps) for exps in self.terms)
 
-    def eval_at_zero(self) -> Coeff:
-        """Constant term of a genuine polynomial; domain error otherwise."""
-        if not self.is_polynomial():
-            raise ValueError(f"{self} has negative exponents, cannot evaluate at 0")
-        return self.coeff((0,) * self.ring.nvars)
-
     def as_domain(self, domain: str) -> "LaurentPoly":
         """The same polynomial viewed in the ring with the given domain."""
         target = _ring(self.ring.names, domain)

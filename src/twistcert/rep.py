@@ -121,9 +121,6 @@ class Matrix2:
             k >>= 1
         return out
 
-    def is_identity(self) -> bool:
-        return self == Matrix2.identity(self.ring)
-
     def __add__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
 

@@ -120,8 +120,8 @@ def test_letters_validate_their_side():
         AmalgamLetter("C", matrix_Mk(2))
     with pytest.raises(ValueError):
         AmalgamLetter("A", matrix_N())
-    assert not AmalgamLetter("A", matrix_Mk(2)).in_edge_subgroup()
-    assert AmalgamLetter("A", Matrix2.identity(ZT)).in_edge_subgroup()
+    assert not in_U(AmalgamLetter("A", matrix_Mk(2)).matrix)
+    assert in_U(AmalgamLetter("A", Matrix2.identity(ZT)).matrix)
 
 
 # -- the identity-forcing argument ------------------------------------------
@@ -137,7 +137,7 @@ def test_identity_forcing_accepts_the_identity():
 def test_identity_forcing_accepts_trivial_representation_values():
     zero = surface_ring(2).zero()
     image = rho(LiftClass(2, None, zero, zero))
-    assert image.is_identity()
+    assert image == Matrix2.identity(image.ring)
     report = h_cap_a_forces_identity(image)
     assert report.status == "ok"
 
@@ -222,14 +222,15 @@ def _check_normal_form(mat):
     for first, second in zip(letters, letters[1:]):
         assert first.side != second.side
     for letter in letters[1:]:
-        assert not letter.in_edge_subgroup()
+        # membership in U from exponent signs, with no determinant check
+        assert not all(amalgam._sides(letter.matrix))
     return letters
 
 
 def test_normal_form_of_single_letters():
     letters = amalgam_normal_form(Matrix2.identity(ZT))
     assert [l.side for l in letters] == ["A"]
-    assert letters[0].matrix.is_identity()
+    assert letters[0].matrix == Matrix2.identity(QT)
     letters = amalgam_normal_form(matrix_N())
     assert [l.side for l in letters] == ["B"]
     for k in (1, 2, 6):
@@ -500,7 +501,7 @@ def _lift_with_commutator_terms() -> LiftClass:
                          ids=["canonical", "commutator-terms"])
 def test_certificate_never_reads_the_pairing_table(lift):
     # a future stage that reads the table fails here, and then the
-    # --seed recheck, which re-runs only _handle_images, must grow too
+    # --seed recheck, which re-runs only _handle_pairings, must grow too
     zero = build_certificate(6, 3, base_lift=lift).json_text()
     assert build_certificate(6, 3, eps=_UnreadableTable(3),
                              base_lift=lift).json_text() == zero
@@ -735,17 +736,17 @@ def test_certificate_matches_the_per_power_reference(genus):
 
 
 def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
-    # images whose a1 coefficient is off by (k - 2) x: the identity in k
-    # fails, and the records say so for every power but k = 2
-    real = amalgam._handle_images
+    # a1's pairing with the k-th pushforward off by (k - 2) q: the
+    # identity in k fails, and the records say so for every power but
+    # k = 2
+    real = amalgam._handle_pairings
 
     def shifted(lift, eps):
-        (x0, x1, x2), images_b1 = real(lift, eps)
-        off = homology.CycleClass.basis(lift.genus, homology.Generator.a1())
-        off = off.scaled_by(lift.ring.variable("t2"))
-        return (x0 - off - off, x1 + off, x2), images_b1
+        ((a1_0, b1_0), (a1_1, b1_1)) = real(lift, eps)
+        q = lift.ring.variable("t2")
+        return (a1_0 - q - q, b1_0), (a1_1 + q, b1_1)
 
-    monkeypatch.setattr(amalgam, "_handle_images", shifted)
+    monkeypatch.setattr(amalgam, "_handle_pairings", shifted)
     cert = build_certificate(5, 3)
     assert [r["twist_consistency_ok"] for r in cert.records] == \
         [False, True, False, False, False]
@@ -755,12 +756,15 @@ def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
 
 def _products_and_phi(monkeypatch, run):
     """The number of LaurentPoly products and of Phi specialisations
-    that run() makes."""
-    counts = {"mul": 0, "phi": 0}
+    that run() makes, and the term products of the products over a
+    surface ring (the only rings with more than one variable)."""
+    counts = {"mul": 0, "phi": 0, "surface_terms": 0}
     mul = LaurentPoly.__mul__
 
     def counting_mul(self, other):
         counts["mul"] += 1
+        if isinstance(other, LaurentPoly) and self.ring.nvars > 1:
+            counts["surface_terms"] += len(self.terms) * len(other.terms)
         return mul(self, other)
 
     def counting_phi(f):
@@ -784,6 +788,28 @@ def test_certificate_products_do_not_grow_with_kmax(monkeypatch, lift):
         for kmax in (5, 60))
     assert small == large
     assert 0 < small["phi"] <= 14
+
+
+def test_certificate_forms_one_product_of_the_families(monkeypatch):
+    # many-term families and a w-part: the lift check's inv(m) n is the
+    # one product over L_g whose cost is |m| |n|; the twist-consistency
+    # stage pairs a1 and b1 with the lift, linear in |m| + |n|, and takes
+    # its products over L
+    ring = surface_ring(3)
+    rng = random.Random(12)
+    m = LaurentPoly(ring, {tuple(rng.randint(-3, 3) for _ in range(4)):
+                           rng.choice((-2, -1, 1, 2)) for _ in range(40)})
+    n = m * parse_poly("s2 + s2^-1 + 3", ring)
+    lift = LiftClass(3, _lift_with_commutator_terms().w, m, n)
+    assert len(m.terms) > 30 and len(n.terms) > 60
+    counts = _products_and_phi(monkeypatch, lambda: build_certificate(
+        4, 3, base_lift=lift))
+    size = len(m.terms) + len(n.terms)
+    assert counts["surface_terms"] <= len(m.terms) * len(n.terms) + 2 * size
+    # the lift is valid and twist-consistent; it is no bounding curve's,
+    # so conjugation fails
+    records = build_certificate(4, 3, base_lift=lift).records
+    assert all(r["twist_consistency_ok"] for r in records)
 
 
 def test_seed_recheck_products_do_not_grow_with_kmax(monkeypatch):

@@ -713,16 +713,16 @@ def test_seed_never_draws_the_probe_table(capsys, monkeypatch):
 
 def test_seed_recheck_catches_a_stage_that_reads_the_table(capsys,
                                                            monkeypatch):
-    real = amalgam._handle_images
+    real = amalgam._handle_pairings
     pairs = comm_pairs(3)
 
     def reading(lift, eps):
-        image_a1, image_b1 = real(lift, eps)
+        p0, p1 = real(lift, eps)
         if any(eps.value(x, y) for x in pairs for y in pairs):
-            image_a1 = image_a1 + image_a1
-        return image_a1, image_b1
+            p0 = tuple(p + p for p in p0)
+        return p0, p1
 
-    monkeypatch.setattr(amalgam, "_handle_images", reading)
+    monkeypatch.setattr(amalgam, "_handle_pairings", reading)
     code, out, _ = run(capsys, "verify", "--genus", "3", "--kmax", "4",
                        "--seed", "7")
     assert code == 1

@@ -22,8 +22,6 @@ from twistcert.homology import (
     excluded_pair,
     pair_generators,
     pair_kernel,
-    pair_with_a1,
-    pair_with_b1,
     pairing_polynomial,
     pushforward_b1_twist,
     twist_apply,
@@ -483,13 +481,17 @@ def test_lift_json_rejects_bad_records():
 
 
 def test_pairing_with_handle_translates():
+    # the coefficient of u^r in pairing_polynomial(x, lift) is x . u^r C~:
+    # a1 . u^r C~ = n[-r] and b1 . u^r C~ = -m[-r]
+    a1 = CycleClass.basis(2, Generator.a1())
+    b1 = CycleClass.basis(2, Generator.b1())
     lift = LiftClass(2, None, (), {(1, 0): 1})
-    assert pair_with_a1(lift, (-1, 0)) == 1
-    assert pair_with_a1(lift, (0, 0)) == 0
+    assert pairing_polynomial(a1, lift).coeff((-1, 0)) == 1
+    assert pairing_polynomial(a1, lift).coeff((0, 0)) == 0
     star = canonical_lift(2)
-    assert pair_with_b1(star, (0, -1)) == -1
-    assert pair_with_b1(star, (0, 0)) == 1
-    assert pair_with_b1(star, (1, 0)) == 0
+    assert pairing_polynomial(b1, star).coeff((0, -1)) == -1
+    assert pairing_polynomial(b1, star).coeff((0, 0)) == 1
+    assert pairing_polynomial(b1, star).coeff((1, 0)) == 0
 
 
 # -- twists --------------------------------------------------------------

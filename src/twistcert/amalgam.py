@@ -23,8 +23,15 @@ product of two families over L_g) and the determinant check run once.
 The per-k records, for k = 1..kmax, are evaluations: the pushed-forward
 lift, rho_k, each identity's verdict at k (an identity that fails is
 decided at each k from its residual), the membership facts M_k in A
-minus U and N in B minus U, and the balance of rho_k.  The pairwise
-records separate the double cosets of every pair of powers.
+minus U and N in B minus U, and the balance of rho_k, itself checked
+once in k (balance is linear) and at each k only when that fails.
+
+The pairwise records separate the double cosets of every pair of powers
+k < l.  Separation goes through M_l^-1 M_k = M_{k-l}, so it depends on
+k - l alone: the verdict checks each of the kmax - 1 differences once.
+The records themselves are a closed form in (k, l), never stored: the
+certificate derives them from kmax when asked, and its JSON writes them
+from one template.
 """
 
 from __future__ import annotations
@@ -194,6 +201,19 @@ def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
     return DoubleCosetReport(k, l, k != l, _witness(k, l), matrix_Mk(k - l))
 
 
+def _separated(d: int) -> bool:
+    """Whether powers k and l with k - l = d lie in distinct double
+    cosets: M_d lies outside U exactly when its lower-left entry d is
+    nonzero at t = 0."""
+    return d != 0
+
+
+def _pair_record(k: int, l: int) -> dict:
+    """The pairwise record of powers k and l."""
+    return {"k": k, "l": l, "distinct": _separated(k - l),
+            "witness": _witness(k, l)}
+
+
 def _witness(k: int, l: int) -> str:
     """The separation witness for M_k and M_l, with M_{k-l} written out."""
     if k == l:
@@ -268,13 +288,28 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
 class Certificate:
     """A machine-checkable record that the twist powers are independent.
 
-    The verdict is true exactly when first_failure finds nothing.
+    The verdict is true exactly when first_failure finds nothing.  The
+    pairwise records are derived from kmax, not stored.
     """
 
     kmax: int
     genus: int
     records: tuple[dict, ...]
-    pairwise: tuple[dict, ...]
+
+    def _pairs(self):
+        """Every pair k < l of powers, by k and then by l."""
+        return ((k, l) for k in range(1, self.kmax + 1)
+                for l in range(k + 1, self.kmax + 1))
+
+    @property
+    def pairwise(self) -> tuple[dict, ...]:
+        """The separation record of every pair of powers, in _pairs order."""
+        return tuple(_pair_record(k, l) for k, l in self._pairs())
+
+    def _failed_differences(self) -> list[int]:
+        """The differences l - k, from 1 to kmax - 1, whose pairs are not
+        separated: each difference is checked once."""
+        return [d for d in range(1, self.kmax) if not _separated(-d)]
 
     def first_failure(self) -> Optional[dict]:
         """The first per-k record or pairwise separation that failed."""
@@ -283,10 +318,10 @@ class Certificate:
                     record["conjugation_ok"] and record["twist_consistency_ok"]
                     and all(record["memberships"].values())):
                 return record
-        for entry in self.pairwise:
-            if not entry["distinct"]:
-                return entry
-        return None
+        failed = self._failed_differences()
+        # every difference first appears at k = 1, so the smallest
+        # failing one names the first failing pair
+        return _pair_record(1, 1 + failed[0]) if failed else None
 
     @property
     def verdict(self) -> bool:
@@ -297,12 +332,34 @@ class Certificate:
             "kmax": self.kmax,
             "genus": self.genus,
             "records": [dict(r) for r in self.records],
-            "pairwise": [dict(p) for p in self.pairwise],
+            "pairwise": list(self.pairwise),
             "verdict": self.verdict,
         }
 
     def json_text(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
+        """json.dumps(self.to_json(), sort_keys=True, indent=2), byte for
+        byte.  The pairwise records are written from one template at
+        their fixed indent; the other fields are dumped alone and
+        indented one level (JSON escapes every newline in a string)."""
+        fields = {"genus": self.genus, "kmax": self.kmax,
+                  "records": self.records, "verdict": self.verdict}
+        texts = {key: json.dumps(value, sort_keys=True, indent=2)
+                 .replace("\n", "\n  ") for key, value in fields.items()}
+        texts["pairwise"] = self._pairwise_text()
+        return "{\n  " + ",\n  ".join(
+            f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) \
+            + "\n}"
+
+    def _pairwise_text(self) -> str:
+        """The pairwise list as json_text writes it, one level deep."""
+        if self.kmax < 2:
+            return "[]"
+        distinct = [json.dumps(_separated(-d)) for d in range(self.kmax)]
+        return "[\n" + ",\n".join(
+            f'    {{\n      "distinct": {distinct[l - k]},\n'
+            f'      "k": {k},\n      "l": {l},\n'
+            f'      "witness": {json.dumps(_witness(k, l))}\n    }}'
+            for k, l in self._pairs()) + "\n  ]"
 
     def summary_lines(self) -> list[str]:
         lines = [f"certificate: genus {self.genus}, twist powers 1..{self.kmax}"]
@@ -324,12 +381,15 @@ class Certificate:
                 else "balance FAILED",
             ]
             lines.append(f"  k={record['k']}: " + ", ".join(bits))
-        failed_pairs = [p for p in self.pairwise if not p["distinct"]]
+        failed = self._failed_differences()
+        pairs = self.kmax * (self.kmax - 1) // 2
+        # difference d has kmax - d pairs, (k, k + d) for k = 1..kmax - d
         lines.append(f"  pairwise separations: "
-                     f"{len(self.pairwise) - len(failed_pairs)}"
-                     f"/{len(self.pairwise)} distinct")
-        for pair in failed_pairs:
-            lines.append(f"    NOT distinct: k={pair['k']}, l={pair['l']}")
+                     f"{pairs - sum(self.kmax - d for d in failed)}"
+                     f"/{pairs} distinct")
+        for k, l in sorted((k, k + d) for d in failed
+                           for k in range(1, self.kmax - d + 1)):
+            lines.append(f"    NOT distinct: k={k}, l={l}")
         lines.append(f"verdict: {'PASS' if self.verdict else 'FAIL'}")
         return lines
 
@@ -389,9 +449,11 @@ def build_certificate(kmax: int, genus: int,
 
     The lift check, rho, the conjugate M_k N M_k^-1 and the twist's
     action on the handle span are computed once, as polynomials in k of
-    degree at most 2, and the conjugation and twist-consistency
-    identities are compared coefficient by coefficient; each per-k
-    record evaluates them at k by scaling and adding, with no product.
+    degree at most 2, the conjugation and twist-consistency identities
+    are compared coefficient by coefficient, and the balance of rho_k is
+    checked on its coefficients; each per-k record evaluates them at k
+    by scaling and adding, with no product.  No pairwise record is
+    built: the certificate derives them from kmax.
     The epsilon table reaches only _handle_pairings, inside the
     twist-consistency check, where the sign choices provably never
     matter; pairing_table_recheck re-runs that stage under another
@@ -411,9 +473,6 @@ def build_certificate(kmax: int, genus: int,
     n_mat = matrix_N()
     n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
     powers = range(1, kmax + 1)
-    pairwise = tuple(
-        {"k": k, "l": l, "distinct": k != l, "witness": _witness(k, l)}
-        for k in powers for l in range(k + 1, kmax + 1))
     try:
         rho_k = rho_in_k(star)
     except ValueError as exc:  # the lift check or the determinant check
@@ -421,13 +480,17 @@ def build_certificate(kmax: int, genus: int,
                   else [str(exc)] * kmax)
         records = tuple({"k": k, "error": error}
                         for k, error in zip(powers, errors))
-        return Certificate(kmax, genus, records, pairwise)
+        return Certificate(kmax, genus, records)
     # the residuals' coefficients in k: an identity that holds for every
     # k needs no evaluation, and one that fails is evaluated at each k
     conj_residual = [r - c for r, c in zip(rho_k, conjugate_in_k(n_mat))]
     twist_residual = [r - t for r, t in zip(rho_k, _twist_in_k(star, eps))]
     conj_identity = _vanishes(conj_residual)
     twist_identity = _vanishes(twist_residual)
+    # balance is linear, so h_form(rho_k) is balanced for every k when
+    # h_form(C0) and every entry of C1 and C2 are
+    balance_identity = h_form(rho_k[0]).all_balanced and all(
+        entry.is_balanced() for coeff in rho_k[1:] for entry in coeff.entries())
     records = []
     for k in powers:
         mat = at_k(rho_k, k)
@@ -445,7 +508,8 @@ def build_certificate(kmax: int, genus: int,
             "memberships": {
                 "Mk_in_A_not_U": mk_in_a and not mk_in_b,
                 "N_in_B_not_U": n_in_b_not_u,
-                "conjugate_balanced": h_form(mat).all_balanced,
+                "conjugate_balanced":
+                    balance_identity or h_form(mat).all_balanced,
             },
         })
-    return Certificate(kmax, genus, tuple(records), pairwise)
+    return Certificate(kmax, genus, tuple(records))

@@ -667,10 +667,30 @@ def _per_k_certificate(kmax, genus, eps=None, base_lift=None):
                 "conjugate_balanced": h_form(mat).all_balanced,
             },
         })
-    pairwise = [{"k": k, "l": l, "distinct": k != l,
+    return Certificate(kmax, genus, tuple(records))
+
+
+def _stored_tuple_scan(cert):
+    """first_failure() and summary_lines() as a certificate gave them when
+    it stored a record for every pair of powers: each pair's separation
+    is evaluated, and the records and then the pairs are scanned.  The
+    per-k summary lines are the certificate's own."""
+    pairwise = [{"k": k, "l": l, "distinct": amalgam._separated(k - l),
                  "witness": amalgam._witness(k, l)}
-                for k in range(1, kmax + 1) for l in range(k + 1, kmax + 1)]
-    return Certificate(kmax, genus, tuple(records), tuple(pairwise))
+                for k in range(1, cert.kmax + 1)
+                for l in range(k + 1, cert.kmax + 1)]
+    failed = [p for p in pairwise if not p["distinct"]]
+    first = next((r for r in cert.records if "error" in r or not (
+        r["conjugation_ok"] and r["twist_consistency_ok"]
+        and all(r["memberships"].values()))), None)
+    if first is None and failed:
+        first = failed[0]
+    lines = cert.summary_lines()[:len(cert.records) + 1]
+    lines.append(f"  pairwise separations: {len(pairwise) - len(failed)}"
+                 f"/{len(pairwise)} distinct")
+    lines += [f"    NOT distinct: k={p['k']}, l={p['l']}" for p in failed]
+    lines.append(f"verdict: {'PASS' if first is None else 'FAIL'}")
+    return first, lines
 
 
 def _sweep_inputs(genus):
@@ -717,13 +737,13 @@ def test_certificate_matches_the_per_power_reference(genus):
         for kmax in (2, 3, 7, 25, 100):
             if kmax > largest:
                 continue
-            expected = Certificate(
-                kmax, genus, reference.records[:kmax],
-                tuple(p for p in reference.pairwise if p["l"] <= kmax))
+            expected = Certificate(kmax, genus, reference.records[:kmax])
             cert = build_certificate(kmax, genus, eps=eps, base_lift=lift)
             assert cert.json_text() == expected.json_text(), (name, kmax)
             assert cert.summary_lines() == expected.summary_lines(), \
                 (name, kmax)
+            assert (cert.first_failure(), cert.summary_lines()) == \
+                _stored_tuple_scan(expected), (name, kmax)
         record = reference.records[0]
         outcomes.add("error" if "error" in record else
                      "conjugation" if not record["conjugation_ok"] else
@@ -733,6 +753,100 @@ def test_certificate_matches_the_per_power_reference(genus):
             # so each power has its own error text
             assert len({r["error"] for r in reference.records}) == largest
     assert outcomes == {"pass", "conjugation", "error"}
+
+
+def _oracle_certificates():
+    """Certificates for the byte-identity oracle: every genus 2-5 at kmax
+    2-30, the benchmark's large kmax, a mutated lift (verdict false), an
+    invalid lift (error records), a seeded pairing table and a single
+    power."""
+    for genus in range(2, 6):
+        for kmax in range(2, 31):
+            yield build_certificate(kmax, genus)
+    for genus in (3, 5):
+        for kmax in (84, 100, 116):
+            yield build_certificate(kmax, genus)
+    mutated = canonical_lift(2).to_json()
+    mutated["m"]["0,1"] = 2
+    yield build_certificate(9, 2, base_lift=LiftClass.from_json(mutated))
+    ring = surface_ring(2)
+    yield build_certificate(
+        9, 2, base_lift=LiftClass(2, None, parse_poly("s2 - 1", ring),
+                                  ring.one()))
+    yield build_certificate(12, 3, eps=homology.EpsilonTable.seeded(3, 7))
+    # made directly, with no pair of powers: the pairwise list is empty
+    yield Certificate(1, 2, build_certificate(2, 2).records[:1])
+
+
+def test_json_text_is_the_generic_encoders_bytes():
+    seen = set()
+    for cert in _oracle_certificates():
+        assert cert.json_text() == json.dumps(
+            cert.to_json(), sort_keys=True, indent=2), (cert.genus, cert.kmax)
+        assert (cert.first_failure(), cert.summary_lines()) == \
+            _stored_tuple_scan(cert), (cert.genus, cert.kmax)
+        first = cert.first_failure()
+        seen.add("pass" if first is None else
+                 "error" if "error" in first else "fail")
+    assert seen == {"pass", "error", "fail"}
+
+
+def test_failed_separations_are_read_per_difference(monkeypatch):
+    # separation depends on k - l alone: with differences 2 and 6 made to
+    # fail, every pair at those distances fails, the first failure is the
+    # pair (1, 3), and the JSON, the count and the NOT-distinct lines are
+    # what a scan over every stored pair gave
+    monkeypatch.setattr(amalgam, "_separated", lambda d: d not in (-2, -6))
+    kmax = 7
+    cert = build_certificate(kmax, 2)
+    assert cert.json_text() == json.dumps(cert.to_json(), sort_keys=True,
+                                          indent=2)
+    assert (cert.first_failure(), cert.summary_lines()) == \
+        _stored_tuple_scan(cert)
+    assert cert.verdict is False
+    assert cert.first_failure() == {
+        "k": 1, "l": 3, "distinct": False,
+        "witness": amalgam._witness(1, 3)}
+    lines = cert.summary_lines()
+    assert "  pairwise separations: 15/21 distinct" in lines
+    assert sum("NOT distinct" in line for line in lines) == (7 - 2) + (7 - 6)
+    assert [p["distinct"] for p in cert.pairwise].count(False) == 6
+    # a failing per-k record still comes first
+    mutated = canonical_lift(2).to_json()
+    mutated["m"]["0,1"] = 2
+    broken = build_certificate(kmax, 2, base_lift=LiftClass.from_json(mutated))
+    assert broken.first_failure() is broken.records[0]
+    assert (broken.first_failure(), broken.summary_lines()) == \
+        _stored_tuple_scan(broken)
+
+
+@pytest.mark.parametrize(
+    "shift", [(2, -1, 0), (0, -2, 1), (0, 1, 0), (0, 0, 1)],
+    ids=["(2 - k) q", "k (k - 2) q", "k q", "k^2 q"])
+def test_balance_is_evaluated_per_power_when_it_fails(monkeypatch, shift):
+    # rho_k's upper-right entry, and so the h-form's q1, off by a
+    # multiple of q = t - 1 that depends on k (q vanishes at 1 but is not
+    # fixed by the involution); the conjugate and the twist's action move
+    # with it, so only balance fails, in k and at every power where the
+    # multiple is nonzero
+    def shifted(coeffs):
+        zero = coeffs[0].ring.zero()
+        q = Matrix2(zero, parse_poly("t - 1", zero.ring), zero, zero)
+        return tuple(c + q.scale(s) for c, s in zip(coeffs, shift))
+
+    for name in ("rho_in_k", "conjugate_in_k", "_twist_in_k"):
+        real = getattr(amalgam, name)
+        monkeypatch.setattr(amalgam, name, lambda *args, real=real:
+                            shifted(real(*args)))
+    cert = build_certificate(5, 3)
+    assert [r["memberships"]["conjugate_balanced"] for r in cert.records] \
+        == [sum(s * k ** i for i, s in enumerate(shift)) == 0
+            for k in range(1, 6)]
+    assert all(r["conjugation_ok"] and r["twist_consistency_ok"]
+               for r in cert.records)
+    assert cert.verdict is False
+    assert cert.first_failure() is cert.records[0]
+    assert cert.summary_lines()[1].endswith("balance FAILED")
 
 
 def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
@@ -788,6 +902,50 @@ def test_certificate_products_do_not_grow_with_kmax(monkeypatch, lift):
         for kmax in (5, 60))
     assert small == large
     assert 0 < small["phi"] <= 14
+
+
+@pytest.mark.parametrize("lift", [None, _lift_with_commutator_terms()],
+                         ids=["canonical", "commutator-terms"])
+def test_balance_checks_do_not_grow_with_kmax(monkeypatch, lift):
+    calls = []
+    real = LaurentPoly.is_balanced
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(LaurentPoly, "is_balanced", counting)
+    counts = []
+    for kmax in (5, 60):
+        calls.clear()
+        cert = build_certificate(kmax, 3, base_lift=lift)
+        assert all(r["memberships"]["conjugate_balanced"]
+                   for r in cert.records)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+
+
+def test_witnesses_are_formatted_only_for_json(capsys, monkeypatch):
+    # the text summary checks each difference once and formats no
+    # witness; the JSON formats each of the K(K-1)/2 witnesses once
+    calls = []
+    real = amalgam._witness
+
+    def counting(k, l):
+        calls.append((k, l))
+        return real(k, l)
+
+    monkeypatch.setattr(amalgam, "_witness", counting)
+    kmax = 100
+    counts = []
+    for extra in ([], ["--format", "json"]):
+        calls.clear()
+        assert cli.main(["verify", "--genus", "3", "--kmax", str(kmax),
+                         *extra]) == 0
+        counts.append(len(set(calls)))
+        assert len(calls) == counts[-1]
+    capsys.readouterr()
+    assert counts == [0, kmax * (kmax - 1) // 2]
 
 
 def test_certificate_forms_one_product_of_the_families(monkeypatch):

@@ -190,11 +190,15 @@ class DoubleCosetReport:
 def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
     """Separate the double cosets of M_k and M_l modulo U on the right.
 
-    Coset equality would force M_k = h M_l u with h balanced in A and u
-    in U; h is the identity (h_cap_a_forces_identity), so u = M_l^-1 M_k
-    would lie in U.  That product is [[1, 0], [-l, 1]] [[1, 0], [k, 1]]
-    = M_{k-l}, whose lower-left entry is the constant k - l, and U
-    requires that entry to vanish at t = 0.
+    Coset equality would force M_k = h M_l u with h balanced and u in U.
+    Then h = M_k u^-1 M_l^-1 is a product of elements of A (U lies in
+    A), so h lies in A with no further assumption.  Writing
+    u^-1 = [[a, b], [c, d]],
+    h = [[a - l b, b], [k a + c - l (k b + d), k b + d]].  A balanced
+    polynomial h is the identity (h_cap_a_forces_identity), so b = 0,
+    a = d = 1 and c = l - k; U requires t to divide c, so k = l.
+    Equivalently, u = M_l^-1 M_k = M_{k-l}, whose lower-left entry is
+    the constant k - l.
     """
     if k < 1 or l < 1:
         raise ValueError("twist powers must be at least 1")

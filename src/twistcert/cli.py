@@ -170,11 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     lift = canonical_lift(args.genus)
     if args.lift is not None:
         lift = _lift_from_spec(args.lift, args.genus)
-    try:
-        cert = build_certificate(args.kmax, args.genus, eps=eps,
-                                 base_lift=lift)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    cert = build_certificate(args.kmax, args.genus, eps=eps, base_lift=lift)
     # serialise only when the JSON bytes are printed or written
     text = None
     if args.format == "json" or args.output is not None:
@@ -270,10 +266,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 def cmd_normal_form(args: argparse.Namespace) -> int:
     mat = parse_matrix(_read_source(args.matrix))
-    try:
-        letters = amalgam_normal_form(mat)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    letters = amalgam_normal_form(mat)
     if args.format == "json":
         print(json.dumps(
             [{"side": l.side, "matrix": l.matrix.to_json()} for l in letters],

@@ -33,6 +33,7 @@ from .laurent import (
     ExponentVector,
     LaurentPoly,
     LaurentRing,
+    _exponent_vector,
     parse_poly,
     surface_ring,
 )
@@ -177,24 +178,24 @@ class EpsilonTable:
         self.genus = genus
         self._signs = {}
         self._draw = None
+        # one rule for every key: it is the storage key of two pairs of
+        # the generating set, as from_entries requires of each entry
         valid = set(comm_pairs(genus))
-        for (p, q), v in dict(disjoint).items():
-            if p not in valid or q not in valid or set(p) & set(q):
-                raise ValueError(f"bad disjoint key ({p}, {q})")
-            if p >= q:
-                raise ValueError(f"disjoint key ({p}, {q}) is not canonical")
-            if v not in (-1, 0, 1):
-                raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
-            if v:
-                self._signs[(p, q)] = v
-        n = 2 * genus - 2
-        for (s, x, y), v in dict(parallel).items():
-            if not (1 <= s <= n and 1 <= x < y <= n) or s in (x, y):
-                raise ValueError(f"bad shared-index key ({s}, {x}, {y})")
-            if v not in (-1, 0, 1):
-                raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
-            if v:
-                self._signs[(s, x, y)] = v
+        for what, size, signs in (("disjoint", 2, disjoint),
+                                  ("shared-index", 3, parallel)):
+            for key, v in dict(signs).items():
+                # a shared-index key (s, x, y) names the pairs {s, x}, {s, y}
+                pairs = key if size == 2 else [
+                    tuple(sorted((key[0], i))) for i in key[1:]]
+                if len(key) != size or pairs[0] == pairs[1] \
+                        or not valid.issuperset(pairs) \
+                        or _storage_key(*pairs)[0] != key:
+                    raise ValueError(f"{what} key {key} is not the storage "
+                                     "key of two pairs in the generating set")
+                if v not in (-1, 0, 1):
+                    raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
+                if v:
+                    self._signs[key] = v
 
     @classmethod
     def _from_signs(cls, genus: int, signs: Mapping[tuple, int]):
@@ -313,7 +314,7 @@ def pair_generators(x: Generator, shift: Sequence[int], y: Generator,
     a1/b1 pairing enters pairing_polynomial, against a lift's m and n
     families, instead.
     """
-    shift = tuple(int(e) for e in shift)
+    shift = _exponent_vector(shift)
     n = 2 * eps.genus - 2
     if len(shift) != n:
         raise ValueError(f"shift of length {len(shift)} for genus {eps.genus}")
@@ -653,13 +654,6 @@ def twist_apply(lift: LiftClass, x: CycleClass,
     enters negated, giving the inverse twist.
     """
     _require_valid(lift)
-    return _twist_apply(lift, x, eps, inverse)
-
-
-def _twist_apply(lift: LiftClass, x: CycleClass,
-                 eps: Optional[EpsilonTable] = None,
-                 inverse: bool = False) -> CycleClass:
-    """twist_apply for a lift the caller has already validated."""
     p = pairing_polynomial(x, lift, eps)
     if inverse:
         p = -p

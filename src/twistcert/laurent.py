@@ -51,6 +51,16 @@ class ParseError(ValueError):
         self.position = position
 
 
+def _exponent_vector(exponents: Sequence[int]) -> ExponentVector:
+    """The exponents as a tuple; anything but an int (a bool, a float,
+    a string) is refused, not truncated."""
+    exps = tuple(exponents)
+    for e in exps:
+        if type(e) is not int:
+            raise TypeError(f"exponent {e!r} is not an integer")
+    return exps
+
+
 @dataclass(frozen=True)
 class LaurentRing:
     """A Laurent polynomial ring signature: variable names and domain."""
@@ -94,7 +104,7 @@ class LaurentRing:
         return LaurentPoly._make(self, {(0,) * self.nvars: c})
 
     def monomial(self, exponents: Sequence[int], coeff: Coeff = 1) -> "LaurentPoly":
-        exps = tuple(int(e) for e in exponents)
+        exps = _exponent_vector(exponents)
         if len(exps) != self.nvars:
             raise RingMismatchError(
                 f"exponent vector of length {len(exps)} in a {self.nvars}-variable ring"
@@ -165,7 +175,7 @@ class LaurentPoly:
     def __init__(self, ring: LaurentRing, terms: Mapping[Sequence[int], Coeff]):
         cleaned = {}
         for exps, c in terms.items():
-            key = tuple(int(e) for e in exps)
+            key = _exponent_vector(exps)
             if len(key) != ring.nvars:
                 raise RingMismatchError(
                     f"exponent vector {key} in a {ring.nvars}-variable ring"
@@ -195,7 +205,7 @@ class LaurentPoly:
         return not self.terms
 
     def coeff(self, exponents: Sequence[int]) -> Coeff:
-        key = tuple(int(e) for e in exponents)
+        key = _exponent_vector(exponents)
         zero = 0 if self.ring.domain == "Z" else Fraction(0)
         return self.terms.get(key, zero)
 

@@ -42,6 +42,24 @@ def series_ring():
     return _QT
 
 
+def _in_qt(value, what: str) -> LaurentPoly:
+    """value as an element of Q[t, t^-1]: an int or Fraction is a
+    constant, a Z polynomial in t is promoted to Q, and anything else is
+    refused with a message that begins with what, e.g. "vertex tails are".
+    """
+    if isinstance(value, LaurentPoly):
+        if value.ring is _QT:
+            return value
+        if value.ring.names != ("t",):
+            raise ValueError(f"{what} univariate in t, not in "
+                             + ", ".join(value.ring.names))
+        return value.as_domain("Q")
+    if isinstance(value, (int, Fraction)):
+        return _QT.constant(value)
+    raise TypeError(f"{what} ints, Fractions or Laurent polynomials in t, "
+                    f"not {type(value).__name__}")
+
+
 def _poly_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
     # plain long division of polynomials (nonnegative exponents) over Q
     q = _QT.zero()
@@ -102,13 +120,7 @@ class RationalFunction:
     def _coerce(value) -> LaurentPoly:
         if isinstance(value, RationalFunction):
             raise TypeError("nested rational functions; use the arithmetic ops")
-        if isinstance(value, LaurentPoly):
-            if value.ring is _QT:
-                return value
-            if value.ring.names == ("t",):
-                return value.as_domain("Q")
-            raise ValueError("rational functions are univariate in t")
-        return _QT.constant(value)
+        return _in_qt(value, "rational functions are")
 
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
@@ -204,11 +216,7 @@ class TreeVertex:
     r: LaurentPoly
 
     def __post_init__(self):
-        if self.r.ring is not _QT:
-            if self.r.ring.names == ("t",):
-                object.__setattr__(self, "r", self.r.as_domain("Q"))
-            else:
-                raise ValueError("vertex tail must be univariate in t")
+        object.__setattr__(self, "r", _in_qt(self.r, "vertex tails are"))
         if self.r and self.r.degree() >= self.a:
             raise ValueError(
                 f"vertex tail {self.r} has exponents at or above level {self.a}"
@@ -265,21 +273,6 @@ def vertex_matrix(vertex: TreeVertex) -> Matrix2:
                    _QT.zero(), _QT.one())
 
 
-def _lattice_entry(value) -> LaurentPoly:
-    """A lattice basis entry as a Q Laurent polynomial in t."""
-    if isinstance(value, LaurentPoly):
-        if value.ring is _QT:
-            return value
-        if value.ring.names == ("t",):
-            return value.as_domain("Q")
-        raise ValueError("lattice entries are univariate in t, not in "
-                         + ", ".join(value.ring.names))
-    if isinstance(value, (int, Fraction)):
-        return _QT.constant(value)
-    raise TypeError("lattice entries are ints, Fractions or Laurent "
-                    f"polynomials in t, not {type(value).__name__}")
-
-
 def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
     """The vertex of the lattice spanned by the columns of [[a, b], [c, d]].
 
@@ -287,7 +280,7 @@ def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
     matrix must be nonsingular.
     """
     alpha, beta, gamma, delta = (
-        _lattice_entry(e) for e in (alpha, beta, gamma, delta))
+        _in_qt(e, "lattice entries are") for e in (alpha, beta, gamma, delta))
     det = alpha * delta - beta * gamma
     if not det:
         raise ValueError("lattice matrix is singular")
@@ -371,10 +364,7 @@ def as_sl2(mat: Matrix2) -> Matrix2:
     normal forms) checks its input here.
     """
     if mat.ring is not _QT:
-        if mat.ring.names != ("t",):
-            raise ValueError("SL2 matrices here are univariate in t, not in "
-                             + ", ".join(mat.ring.names))
-        mat = mat.map_entries(lambda f: f.as_domain("Q"))
+        mat = mat.map_entries(lambda f: _in_qt(f, "SL2 matrices here are"))
     det = mat.det()
     if det != _QT.one():
         raise ValueError(f"SL2 needs determinant one, got determinant {det}")
@@ -420,8 +410,8 @@ def first_step(v: TreeVertex, w: TreeVertex) -> TreeVertex:
         raise ValueError("the vertices coincide")
     if _meet_level(v, w) < v.a:
         return v.parent()
-    kept = {e: c for e, c in w.r.terms.items() if e[0] <= v.a}
-    return TreeVertex(v.a + 1, LaurentPoly(_QT, kept))
+    # past the meet level w's tail agrees with v's below v.a
+    return v.child(w.r.coeff((v.a,)))
 
 
 def geodesic(v: TreeVertex, w: TreeVertex) -> list[TreeVertex]:
@@ -472,18 +462,16 @@ def ball_dot(center: Optional[TreeVertex] = None, radius: int = 2,
     seen = {center}
     frontier = [center]
     edges: list[tuple[str, str]] = []
-    edge_keys = set()
     for _ in range(radius):
         next_frontier = []
         for vertex in frontier:
+            # in a tree the only neighbor already seen is the one walked
+            # from, so an edge is new exactly when its far end is
             for neighbor in vertex.neighbors(coefficients):
-                key = frozenset((str(vertex), str(neighbor)))
-                if key not in edge_keys:
-                    edge_keys.add(key)
-                    edges.append((str(vertex), str(neighbor)))
                 if neighbor not in seen:
                     seen.add(neighbor)
                     next_frontier.append(neighbor)
+                    edges.append((str(vertex), str(neighbor)))
         frontier = next_frontier
     lines = ["graph ball {"]
     for vertex in sorted(seen, key=lambda v: (v.a, str(v))):

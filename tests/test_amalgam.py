@@ -627,8 +627,8 @@ def test_certificate_validates_the_base_lift_once(monkeypatch):
 def _per_k_images(lift, eps):
     """The twist's images of a1 and b1 for one lift, over L_g."""
     return tuple(
-        homology._twist_apply(lift, homology.CycleClass.basis(lift.genus, gen),
-                              eps)
+        homology.twist_apply(lift, homology.CycleClass.basis(lift.genus, gen),
+                             eps)
         for gen in (homology.Generator.a1(), homology.Generator.b1()))
 
 

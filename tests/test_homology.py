@@ -112,6 +112,35 @@ def test_epsilon_entries_reject_bad_data():
         EpsilonTable.from_entries(3, [{"x": [1, 2], "value": 1}])
 
 
+@pytest.mark.parametrize("genus, key, x, y", [
+    (3, (2, 1, 4), [1, 2], [2, 4]),
+    (4, (3, 1, 6), [1, 3], [3, 6]),
+])
+def test_table_keys_follow_the_entries_rule(genus, key, x, y):
+    # the shared-index key names the pairs x and y, of which y is the
+    # excluded [a_g, b_g]: the constructor refuses it as from_entries does
+    with pytest.raises(ValueError, match="pairs in the generating set"):
+        EpsilonTable(genus, {}, {key: 1})
+    with pytest.raises(ValueError, match="pairs in the generating set"):
+        EpsilonTable(genus, {}, {key: -1})
+    with pytest.raises(ValueError, match=r"entry .* names a pair outside "
+                                         "the generating set"):
+        EpsilonTable.from_entries(genus, [{"x": x, "y": y, "value": 1}])
+
+
+@pytest.mark.parametrize("disjoint, parallel", [
+    ({((3, 4), (1, 2)): 1}, {}),  # reversed
+    ({((1, 2), (2, 3)): 1}, {}),  # not disjoint
+    ({(1, 2, 3): 1}, {}),  # a shared-index key
+    ({}, {(1, 3, 2): 1}),  # others reversed
+    ({}, {(1, 2, 2): 1}),  # one pair twice
+    ({}, {((1, 2), (3, 4)): 1}),  # a disjoint key
+])
+def test_table_keys_must_be_storage_keys(disjoint, parallel):
+    with pytest.raises(ValueError, match="not the storage key"):
+        EpsilonTable(3, disjoint, parallel)
+
+
 def test_epsilon_conflicting_entries_rejected():
     entries = [
         {"x": [1, 2], "y": [3, 4], "value": 1},
@@ -221,6 +250,13 @@ def test_pairing_rejects_bad_shift_and_pairs():
         pair_generators(Generator.comm(1, 2), (0, 0), Generator.comm(1, 3), eps)
     with pytest.raises(ValueError):
         pair_generators(Generator.comm(2, 4), Z4, Generator.comm(1, 3), eps)
+
+
+def test_pairing_refuses_a_shift_that_is_not_integral():
+    # refused, not truncated to (1, 0, 0, 0)
+    with pytest.raises(TypeError, match="exponent"):
+        pair_generators(Generator.comm(1, 2), (1.5, 0, 0, 0),
+                        Generator.comm(1, 3), EpsilonTable.zero(3))
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -103,6 +103,17 @@ def test_domain_coercion():
     assert f == TQ.one()
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.7, True, "2"])
+def test_exponents_are_refused_not_truncated(bad):
+    # refused, not read through int() as t^1, t^2, t and t^2
+    with pytest.raises(TypeError, match="exponent"):
+        LaurentPoly(T, {(bad,): 1})
+    with pytest.raises(TypeError, match="exponent"):
+        T.monomial((bad,), 3)
+    with pytest.raises(TypeError, match="exponent"):
+        parse_poly("t + 2*t^2", T).coeff((bad,))
+
+
 def test_ring_mismatch_errors():
     with pytest.raises(RingMismatchError):
         T.one() + TQ.one()

@@ -295,6 +295,32 @@ def test_rho_columns_match_twist_action_on_handles(seed):
     assert mat.d == specialize_phi(image_b1.b1_coeff())
 
 
+def _handle_action(twist, genus):
+    """The action of a map on classes on the handle span a1, b1, after
+    Phi, built from the map's images as rho's columns are."""
+    image_a1, image_b1 = (twist(CycleClass.basis(genus, gen))
+                          for gen in (Generator.a1(), Generator.b1()))
+    return Matrix2(specialize_phi(image_a1.a1_coeff()),
+                   specialize_phi(image_b1.a1_coeff()),
+                   specialize_phi(image_a1.b1_coeff()),
+                   specialize_phi(image_b1.b1_coeff()))
+
+
+def test_rho_is_multiplicative_on_composed_twists():
+    # rho(T_C o T_D) = rho(T_C) rho(T_D): the commutator part T_D leaves
+    # on a1 and b1 pairs with C to a polynomial that Phi kills
+    rng = random.Random(7)
+    for _ in range(10):
+        c_lift, d_lift = random_valid_lift(rng, 3), random_valid_lift(rng, 3)
+        eps = random_epsilon(rng, 3)
+        t_c = _handle_action(lambda x: twist_apply(c_lift, x, eps), 3)
+        t_d = _handle_action(lambda x: twist_apply(d_lift, x, eps), 3)
+        t_cd = _handle_action(
+            lambda x: twist_apply(c_lift, twist_apply(d_lift, x, eps), eps), 3)
+        assert t_c == rho(c_lift)
+        assert t_cd == t_c @ t_d
+
+
 # -- balancedness reports ------------------------------------------------
 
 

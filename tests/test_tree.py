@@ -510,6 +510,67 @@ def test_ball_dot_radius_zero_is_a_single_node():
     assert "--" not in text
 
 
+# recorded while ball_dot kept a set of the edges it had drawn
+BALL_AROUND_2_5T = """graph ball {
+  "(-1; 0)";
+  "(0; 0)";
+  "(1; 0)";
+  "(1; 1)";
+  "(2; 0)";
+  "(2; 5*t)";
+  "(2; t)";
+  "(3; 0)";
+  "(3; 5*t + t^2)";
+  "(3; 5*t)";
+  "(3; t + t^2)";
+  "(3; t)";
+  "(3; t^2)";
+  "(4; 5*t + t^2 + t^3)";
+  "(4; 5*t + t^2)";
+  "(4; 5*t + t^3)";
+  "(4; 5*t)";
+  "(5; 5*t + t^2 + t^3 + t^4)";
+  "(5; 5*t + t^2 + t^3)";
+  "(5; 5*t + t^2 + t^4)";
+  "(5; 5*t + t^2)";
+  "(5; 5*t + t^3 + t^4)";
+  "(5; 5*t + t^3)";
+  "(5; 5*t + t^4)";
+  "(5; 5*t)";
+  "(2; 5*t)" -- "(1; 0)";
+  "(2; 5*t)" -- "(3; 5*t)";
+  "(2; 5*t)" -- "(3; 5*t + t^2)";
+  "(1; 0)" -- "(0; 0)";
+  "(1; 0)" -- "(2; 0)";
+  "(1; 0)" -- "(2; t)";
+  "(3; 5*t)" -- "(4; 5*t)";
+  "(3; 5*t)" -- "(4; 5*t + t^3)";
+  "(3; 5*t + t^2)" -- "(4; 5*t + t^2)";
+  "(3; 5*t + t^2)" -- "(4; 5*t + t^2 + t^3)";
+  "(0; 0)" -- "(-1; 0)";
+  "(0; 0)" -- "(1; 1)";
+  "(2; 0)" -- "(3; 0)";
+  "(2; 0)" -- "(3; t^2)";
+  "(2; t)" -- "(3; t)";
+  "(2; t)" -- "(3; t + t^2)";
+  "(4; 5*t)" -- "(5; 5*t)";
+  "(4; 5*t)" -- "(5; 5*t + t^4)";
+  "(4; 5*t + t^3)" -- "(5; 5*t + t^3)";
+  "(4; 5*t + t^3)" -- "(5; 5*t + t^3 + t^4)";
+  "(4; 5*t + t^2)" -- "(5; 5*t + t^2)";
+  "(4; 5*t + t^2)" -- "(5; 5*t + t^2 + t^4)";
+  "(4; 5*t + t^2 + t^3)" -- "(5; 5*t + t^2 + t^3)";
+  "(4; 5*t + t^2 + t^3)" -- "(5; 5*t + t^2 + t^3 + t^4)";
+}"""
+
+
+def test_ball_dot_off_the_base_frozen():
+    # the centre's parent (1; 0) does not list it among the explored
+    # children (0, 1), so the one edge between them is drawn from the
+    # centre's side only
+    assert ball_dot(parse_vertex("(2; 5*t)"), 3) == BALL_AROUND_2_5T
+
+
 def test_ball_dot_respects_coefficient_set():
     text = ball_dot(radius=2, coefficients=(0,))
     # a path: two steps up, two steps down from the base vertex

@@ -226,6 +226,27 @@ def _witness(k: int, l: int) -> str:
             f"but its lower-left entry is {k - l} at t = 0, not divisible by t")
 
 
+def _peel(rest: Matrix2, s: int, lead) -> tuple[str, Matrix2, Matrix2]:
+    """The side and matrix of the letter read from the tail's lowest
+    term lead t^s (see amalgam_normal_form), and letter^-1 rest, the row
+    operation (c, d, c0 c - a, c0 d - b), (a - x c, b - x d, c, d) or
+    (t^-1 c, t^-1 d, -t a, -t b) on rest = [[a, b], [c, d]]."""
+    a, b, c, d = rest.entries()
+    one, zero = _QT.one(), _QT.zero()
+    if s >= 0:
+        c0 = _QT.constant(lead if s == 0 else 0)
+        return ("A", Matrix2(c0, -one, one, zero),
+                Matrix2(c, d, c0 * c - a, c0 * d - b))
+    t_inv = _QT.monomial((-1,))
+    if s == -1:
+        x = t_inv.scale(lead)
+        return ("B", Matrix2(one, x, zero, one),
+                Matrix2(a - x * c, b - x * d, c, d))
+    t = _QT.variable(0)
+    return ("B", Matrix2(zero, -t_inv, t, zero),
+            Matrix2(t_inv * c, t_inv * d, -(t * a), -(t * b)))
+
+
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     """Factor a matrix as an alternating word in A and B.
 
@@ -237,18 +258,17 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     column, p has level -2 v(delta) and tail beta/delta below it, and
     the first edge reads only the tail's lowest term lead t^s (s is the
     level when the tail is zero below it).  When s >= 0 the path climbs
-    from v0: the letter is [[c, -1], [1, 0]] in A, c = lead if s = 0,
-    else 0.  Otherwise it passes v1: the letter is [[1, lead t^-1],
-    [0, 1]] in B when s = -1, and [[0, -t^-1], [t, 0]] when s <= -2.
-    Letters alternate sides automatically, every non-initial letter lies
-    outside U, and the word length is at most the displacement of the
-    base vertex plus one.
+    from v0: the letter is [[c0, -1], [1, 0]] in A, c0 = lead if s = 0,
+    else 0.  Otherwise it passes v1: the letter is [[1, x], [0, 1]] in
+    B, x = lead t^-1, when s = -1, and [[0, -t^-1], [t, 0]] when
+    s <= -2.  The remainder becomes letter^-1 g by the row operation of
+    the letter's inverse (_peel), with no determinant, inverse or 2x2
+    product.  Letters alternate sides automatically, every non-initial
+    letter lies outside U, and the word length is at most the
+    displacement of the base vertex plus one.
     """
     original = as_sl2(mat)
     rest = original
-    t = _QT.variable(0)
-    t_inv = t.unit_inverse()
-    one, zero = _QT.one(), _QT.zero()
     letters: list[tuple[str, Matrix2]] = []
     # every letter has determinant one, so rest keeps the determinant
     # checked on entry, and its sides follow from exponent signs
@@ -261,15 +281,8 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
             lead = beta.coeff((s + v,)) / delta.coeff((v,))
         else:  # the tail is zero below the level
             s, lead = level, 0
-        if s >= 0:
-            c = lead if s == 0 else 0
-            letter, side = Matrix2.from_rows(_QT, [[c, -1], [1, 0]]), "A"
-        elif s == -1:
-            letter, side = Matrix2(one, t_inv.scale(lead), zero, one), "B"
-        else:
-            letter, side = Matrix2(zero, -t_inv, t, zero), "B"
+        side, letter, rest = _peel(rest, s, lead)
         letters.append((side, letter))
-        rest = letter.inverse() @ rest
     rest_in_a, rest_in_b = _sides(rest)
     if not letters:
         out = [AmalgamLetter("A" if rest_in_a else "B", rest)]

@@ -9,16 +9,18 @@ answers distance/stabilizer/translation queries, and ``normal-form``
 decomposes a matrix into alternating amalgam letters.
 
 Exit codes are a stable contract: 0 on success (and a true verdict), 1
-when verification fails, 2 on usage or parse errors.  Work is bounded by
-documented limits: --genus at most MAX_GENUS, --kmax at most MAX_KMAX,
-tree ball --ball-radius at most MAX_BALL_RADIUS, and the expression
-limits of the laurent parser.
+when verification fails, 2 on usage or parse errors and when standard
+output closes early.  Work is bounded by documented limits: --genus at
+most MAX_GENUS, --kmax at most MAX_KMAX, tree ball --ball-radius at most
+MAX_BALL_RADIUS, and the expression limits of the laurent parser.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -359,10 +361,19 @@ _ESCAPED_LINE_BREAKS = str.maketrans(
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
     except (UsageError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {str(exc).translate(_ESCAPED_LINE_BREAKS)}",
               file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:  # the reader closed standard output
+        # what is still buffered goes to os.devnull: exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        with contextlib.suppress(BrokenPipeError):  # 2>&1 into that pipe
+            print(f"error: cannot write standard output: {exc.strerror}",
+                  file=sys.stderr)
         return 2
 
 

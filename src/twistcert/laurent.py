@@ -11,8 +11,9 @@ where it shows, when a polynomial is printed or serialized.
 There is one ring object per signature (single_variable_ring,
 surface_ring and as_domain hand out the same object for the same names
 and domain), so ring checks are identity checks in the common case.
-Products over Q clear each operand's denominators once and convolve
-integer numerators, building one Fraction per surviving term.
+A product by a single term moves and scales the other operand's terms;
+other products over Q clear each operand's denominators once and
+convolve integer numerators, building one Fraction per surviving term.
 
 The text format round-trips: parse_poly(str(f), f.ring) == f.  Terms are
 printed in ascending lexicographic exponent order, e.g.
@@ -29,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -257,6 +259,12 @@ class LaurentPoly:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_ring(other)
+        # an operand c x^e of at most one term moves the other's exponents
+        # by e and scales by c: in a domain no two terms meet, none vanishes
+        if len(other.terms) <= 1:
+            return self._times_term(other)
+        if len(self.terms) <= 1:
+            return other._times_term(self)
         if self.ring.domain == "Q":
             return self._mul_q(other)
         out: dict = {}
@@ -269,6 +277,21 @@ class LaurentPoly:
                 else:
                     out.pop(key, None)
         return LaurentPoly._make(self.ring, out)
+
+    def _times_term(self, term: "LaurentPoly") -> "LaurentPoly":
+        if not term.terms:
+            return self.ring.zero()
+        (shift, c), = term.terms.items()
+        items = self.terms.items()
+        if any(shift):
+            items = [(tuple(map(add, e, shift)), v) for e, v in items]
+        elif c == 1:
+            return self
+        if c == 1:
+            return LaurentPoly._make(self.ring, dict(items))
+        if c == -1:
+            return LaurentPoly._make(self.ring, {e: -v for e, v in items})
+        return LaurentPoly._make(self.ring, {e: c * v for e, v in items})
 
     def _mul_q(self, other: "LaurentPoly") -> "LaurentPoly":
         # Content and primitive part: with d the lcm of an operand's
@@ -473,29 +496,25 @@ def specialize_single(f: LaurentPoly, keep: int) -> LaurentPoly:
 
 # -- parsing ------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])")
+# each match skips whitespace, then takes one token or one stray character
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.group(1) is not None:
-            if len(m.group(1)) > _MAX_DIGITS:
+    for m in _TOKEN_RE.finditer(text):
+        digits, name, op, other = m.groups()
+        if digits is not None:
+            if len(digits) > _MAX_DIGITS:
                 raise ParseError(f"integer literal has more than "
                                  f"{_MAX_DIGITS} digits", m.start(1))
-            tokens.append(("int", int(m.group(1)), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2), m.start(2)))
+            tokens.append(("int", int(digits), m.start(1)))
+        elif name is not None:
+            tokens.append(("name", name, m.start(2)))
+        elif op is not None:
+            tokens.append(("op", op, m.start(3)))
         else:
-            tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
+            raise ParseError(f"unexpected character {other!r}", m.start(4))
     tokens.append(("end", None, len(text)))
     return tokens
 

@@ -381,13 +381,9 @@ def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
     the level a.
     """
     x, y, z, w = as_sl2(mat).entries()
-    return _reduce(_shift(x, vertex.a), x * vertex.r + y,
-                   _shift(z, vertex.a), z * vertex.r + w, vertex.a)
-
-
-def _shift(f: LaurentPoly, a: int) -> LaurentPoly:
-    """f t^a, by moving exponents instead of multiplying."""
-    return LaurentPoly._make(_QT, {(e + a,): c for (e,), c in f.terms.items()})
+    shift = _QT.monomial((vertex.a,))
+    return _reduce(x * shift, x * vertex.r + y,
+                   z * shift, z * vertex.r + w, vertex.a)
 
 
 def _meet_level(v: TreeVertex, w: TreeVertex) -> int:

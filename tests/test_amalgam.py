@@ -435,6 +435,24 @@ def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
         act(_mat([["t", 0], [0, 1]]), base_vertex())
 
 
+
+@pytest.mark.parametrize("s, lead, side", [
+    (0, Fraction(3, 2), "A"), (0, Fraction(-1), "A"), (2, Fraction(5), "A"),
+    (-1, Fraction(-2, 3), "B"), (-1, Fraction(1), "B"),
+    (-2, 0, "B"), (-5, 0, "B"),
+])
+def test_peeling_is_the_inverse_letter_times_the_remainder(s, lead, side):
+    # the row operation that replaces letter^-1 @ rest, on remainders
+    # that need not lie anywhere near the letter: it is an identity
+    rng = random.Random(59 + s)
+    for _ in range(12):
+        rest = random_laurent_sl2(rng, factors=4)
+        got_side, letter, peeled = amalgam._peel(rest, s, lead)
+        assert got_side == side
+        assert AmalgamLetter(side, letter).matrix == letter
+        assert peeled == letter.inverse() @ rest
+        assert peeled.ring is QT
+
 # -- certificates --------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -14,7 +16,7 @@ from twistcert.amalgam import Certificate
 from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
 from twistcert.homology import EpsilonTable, canonical_lift, comm_pairs
-from twistcert.rep import matrix_Mk, matrix_N
+from twistcert.rep import matrix_Mk, matrix_N, multiply
 from twistcert.tree import series_ring
 
 
@@ -427,6 +429,37 @@ def test_normal_form_json(capsys):
     assert data[0]["matrix"]["c"] == "3"
 
 
+# reduced words of 6, 4 and 5 letters: factors outside U, sides
+# alternating (the last word writes one B factor as a product of two);
+# the sha256 of the normal-form text and JSON were recorded while every
+# letter was still peeled off by a 2x2 inverse and product
+_FROZEN_WORDS = (
+    (("[[1, 0], [1 + t, 1]]", "[[1, 2*t^-1 - 1/2], [0, 1]]",
+      "[[1, 0], [3/2 - t^2, 1]]", "[[1, -t^-1 + 3], [0, 1]]",
+      "[[1, 0], [-2 + 1/2*t, 1]]", "[[1, 3/2*t^-1], [0, 1]]"),
+     "fbf83f4fff6c4930c011016a038d9561520ede34d9dad8bfb25b899ea92d8c39",
+     "257aa23695c1bd7b95c83a1488781014412dcaea39f673e73d5c8677574a6651"),
+    (("[[1, -1/2*t^-1], [0, 1]]", "[[0, -1], [1, 2 - t^2]]",
+      "[[0, -t^-1], [t, 0]]", "[[1, 0], [3 - t, 1]]",
+      "[[1, 2*t + 1], [0, 1]]"),
+     "677efe2acc4be7bbdc350ffb02bc9802bad557518ac17afc7fd5731786772597",
+     "743fb168a9e1b3ffe6a2eee95220b6612ee378e052a78d6c0ca1b81e4c9743f1"),
+    (("[[2, 1], [1, 1]]", "[[1, 1/3*t^-1 + t], [0, 1]]",
+      "[[1, 0], [-1, 1]]", "[[1, 0], [2*t, 1]]", "[[1, -t^-1], [0, 1]]",
+      "[[0, 1], [-1, 5/2*t^2]]"),
+     "bb8d5b7e7b173d3aa5b76b74bdf4d054f6607a9a6589b880aecf92a8dfa3657a",
+     "152ff543e1b566f954ec4c06380d732affa5a982298f40ceb9ba5b08f4bc52b4"),
+)
+
+
+@pytest.mark.parametrize("factors, text_digest, json_digest", _FROZEN_WORDS)
+def test_normal_form_frozen_bytes(capsys, factors, text_digest, json_digest):
+    word = multiply([parse_matrix(factor) for factor in factors])
+    for fmt, digest in (("text", text_digest), ("json", json_digest)):
+        code, out, err = run(capsys, "normal-form", str(word), "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 def test_normal_form_rejects_non_unimodular(capsys):
     code, _, err = run(capsys, "normal-form", "[[t, 0], [0, 1]]")
     assert code == 2
@@ -440,6 +473,43 @@ def test_module_entry_point_runs():
     assert result.returncode == 0
     assert result.stdout == "1\n"
 
+
+
+@pytest.mark.parametrize("argv", (
+    ["eval", "t"],
+    ["verify", "--kmax", "300", "--format", "json"],
+    ["tree", "ball", "base", "--ball-radius", "10"],
+))
+def test_closed_standard_output_is_exit_2(argv):
+    # as in `twistcert ... | head -1`: a reader that has gone makes the
+    # write (or, for a short output, the final flush) fail; exit 1 is
+    # the code of a failed verification, and exit 120 would mean the
+    # flush at interpreter exit failed too
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "twistcert.cli", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr == "error: cannot write standard output: Broken pipe\n"
+
+
+def test_closed_pipe_for_both_streams_is_exit_2():
+    # as in `twistcert ... 2>&1 | head -1`: the error line cannot be
+    # written either, and that is no traceback or exit 1 or 120
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        code = subprocess.run(
+            [sys.executable, "-m", "twistcert.cli", "tree", "ball", "base",
+             "--ball-radius", "10"], stdout=write_end, stderr=write_end,
+        ).returncode
+    finally:
+        os.close(write_end)
+    assert code == 2
 
 @pytest.mark.parametrize("argv, code, expected", (
     (["normal-form", "[[t,0],[0,1]]"], 2, "determinant"),

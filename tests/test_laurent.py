@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twistcert import laurent
 from twistcert.laurent import (
     LaurentPoly,
     LaurentRing,
@@ -345,6 +347,69 @@ def test_roundtrip_rational_random():
         assert parse_poly(str(f), TQ) == f
 
 
+_ORACLE_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])")
+
+
+def _oracle_tokenize(text: str):
+    """The tokenizer as it was before the one-scan regex: a loop that
+    skips whitespace with str.isspace and matches one token at a time."""
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        if text[pos].isspace():
+            pos += 1
+            continue
+        m = _ORACLE_TOKEN_RE.match(text, pos)
+        if not m:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        if m.group(1) is not None:
+            if len(m.group(1)) > laurent._MAX_DIGITS:
+                raise ParseError(f"integer literal has more than "
+                                 f"{laurent._MAX_DIGITS} digits", m.start(1))
+            tokens.append(("int", int(m.group(1)), m.start(1)))
+        elif m.group(2) is not None:
+            tokens.append(("name", m.group(2), m.start(2)))
+        else:
+            tokens.append(("op", m.group(3), m.start(3)))
+        pos = m.end()
+    tokens.append(("end", None, len(text)))
+    return tokens
+
+
+def _tokens_or_error(tokenize, text: str):
+    try:
+        return tokenize(text)
+    except ParseError as exc:
+        return str(exc), exc.position
+
+
+# the grammar's alphabet, whitespace of several kinds (str.isspace counts
+# \x1c and \x85), non-ASCII digits (\d matches them) and stray symbols
+_TOKEN_ALPHABET = ("0123456789tsxT_2" "-+*/^()"
+                   " \t\n\r\x1c\x85\xa0\u2003" "\u0663\u0967\uff17"
+                   "%$.,;[]=!\u00e9\u00b2")
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet=_TOKEN_ALPHABET, max_size=30))
+def test_tokenizer_matches_the_oracle(text):
+    assert _tokens_or_error(laurent._tokenize, text) == \
+        _tokens_or_error(_oracle_tokenize, text)
+
+
+def test_tokenizer_digit_limit_matches_the_oracle():
+    digits = laurent._MAX_DIGITS
+    for text in ("9" * digits, "t + " + "9" * (digits + 1),
+                 "\u0663" * (digits + 1) + "*t", " \x1c" + "1" * (digits + 1)):
+        outcome = _tokens_or_error(laurent._tokenize, text)
+        assert outcome == _tokens_or_error(_oracle_tokenize, text)
+    assert outcome == (f"integer literal has more than {digits} digits "
+                       f"(at position 2)", 2)
+    with pytest.raises(ParseError, match="more than 4300 digits"):
+        parse_poly("9" * 4301, T)
+    assert parse_poly("9" * 4300, T) == T.constant(int("9" * 4300))
+
+
 # -- order-free term maps, Q products, shared rings ---------------------------
 
 
@@ -410,6 +475,35 @@ def test_rational_products_match_a_fraction_oracle():
     assert TQ.constant(Fraction(7, 12)) * f == parse_poly("7/24*t - 7/36", TQ)
     h = parse_poly("1/12*t^-1 + 1/6 + 1/4*t", TQ)
     assert (h * h).terms == _oracle_product(h, h)
+
+
+def test_one_term_products_match_the_convolution_oracle():
+    # an operand of at most one term moves the other's exponents and
+    # scales its coefficients: coefficients 1, -1, a general c, constants
+    # and zero, over Z and Q, univariate and surface rings, both orders
+    rng = random.Random(31)
+    rings = (T, TQ, L3, surface_ring(3, "Q"))
+    for _ in range(400):
+        ring = rng.choice(rings)
+        f = LaurentPoly(ring, {
+            tuple(rng.randint(-3, 3) for _ in range(ring.nvars)):
+            Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            if ring.domain == "Q" else rng.randint(-9, 9)
+            for _ in range(rng.randint(0, 6))})
+        c = rng.choice((1, -1, 3, -2) if ring.domain == "Z"
+                       else (1, -1, Fraction(-3, 4), Fraction(7, 2)))
+        exps = (0,) * ring.nvars if rng.random() < 0.3 else \
+            tuple(rng.randint(-3, 3) for _ in range(ring.nvars))
+        term = ring.zero() if rng.random() < 0.1 else ring.monomial(exps, c)
+        coeff_type = int if ring.domain == "Z" else Fraction
+        for product in (f * term, term * f):
+            assert product.terms == _oracle_product(f, term)
+            assert product.ring is ring
+            assert all(type(v) is coeff_type for v in product.terms.values())
+    f = parse_poly("2*s2*t2^-1 - s3^2", L3)
+    assert f * L3.one() is f and L3.one() * f is f
+    assert f * L3.zero() == L3.zero() and L3.zero() * f == L3.zero()
+    assert -L3.one() * f == -f
 
 
 def test_rings_are_shared_objects():

@@ -283,16 +283,9 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
             s, lead = level, 0
         side, letter, rest = _peel(rest, s, lead)
         letters.append((side, letter))
-    rest_in_a, rest_in_b = _sides(rest)
-    if not letters:
-        out = [AmalgamLetter("A" if rest_in_a else "B", rest)]
-    elif rest_in_a and rest_in_b:
-        last_side, last = letters[-1]
-        out = [AmalgamLetter(side, matrix) for side, matrix in letters[:-1]]
-        out.append(AmalgamLetter(last_side, last @ rest))
-    else:
-        out = [AmalgamLetter(side, matrix) for side, matrix in letters]
-        out.append(AmalgamLetter("A" if rest_in_a else "B", rest))
+    # rest is outside U after a letter, else letter rest fixed the letter's end
+    out = [AmalgamLetter(side, matrix) for side, matrix in letters]
+    out.append(AmalgamLetter("A" if _sides(rest)[0] else "B", rest))
     product = multiply([letter.matrix for letter in out])
     if product != original:
         raise RuntimeError(

@@ -34,6 +34,7 @@ from .homology import MAX_GENUS, EpsilonTable, LiftClass, canonical_lift
 from .laurent import (
     LaurentRing,
     ParseError,
+    _MAX_DIGITS,
     parse_poly,
     single_variable_ring,
     surface_ring,
@@ -92,10 +93,15 @@ def _read_source(source: str) -> str:
 
 
 def _decode_json(text: str, what: str):
-    """json.loads for every JSON input: text nested deeper than the
-    decoder can follow is a ValueError, not a RecursionError."""
+    """json.loads for every JSON input: text nested too deep for the
+    decoder, or an integer too long to convert, is a ValueError."""
+    def parse_int(literal: str) -> int:
+        if len(literal.lstrip("-")) > _MAX_DIGITS:
+            raise ValueError(f"{what} JSON has an integer of more than "
+                             f"{_MAX_DIGITS} digits")
+        return int(literal)
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=parse_int)
     except RecursionError:
         raise ValueError(f"{what} JSON nests too deeply") from None
 

@@ -29,7 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .laurent import (
+    MAX_EXPONENT,
     MAX_TERMS,
+    _MAX_DIGITS,
     ExponentVector,
     LaurentPoly,
     LaurentRing,
@@ -514,11 +516,18 @@ class LiftClass:
             for key, c in obj.items():
                 if not _EXPONENT_KEY.fullmatch(str(key)):
                     raise ValueError(f"bad exponent key {key!r} in {name}")
-                exps = tuple(int(p) for p in str(key).split(","))
+                parts = str(key).split(",")
+                if any(len(p.lstrip("-")) > _MAX_DIGITS for p in parts):
+                    raise ValueError(f"exponent key in {name} has a number "
+                                     f"of more than {_MAX_DIGITS} digits")
+                exps = tuple(map(int, parts))
                 if len(exps) != ring.nvars:
                     raise ValueError(
                         f"exponent key {key!r} has the wrong arity for genus {genus}"
                     )
+                if any(abs(e) > MAX_EXPONENT for e in exps):
+                    raise ValueError(f"exponent key {key!r} in {name} exceeds "
+                                     f"the limit of {MAX_EXPONENT}")
                 if exps in out:
                     raise ValueError(f"exponent key {key!r} repeats in {name}")
                 out[exps] = _json_int(c, f"coefficient {name}[{key!r}]")

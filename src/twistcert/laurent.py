@@ -12,8 +12,9 @@ There is one ring object per signature (single_variable_ring,
 surface_ring and as_domain hand out the same object for the same names
 and domain), so ring checks are identity checks in the common case.
 A product by a single term moves and scales the other operand's terms;
-other products over Q clear each operand's denominators once and
-convolve integer numerators, building one Fraction per surviving term.
+every other product is one integer convolution, _convolve: over Q, of
+the numerators left once each operand's denominators are cleared, with
+one Fraction built per surviving term.
 
 The text format round-trips: parse_poly(str(f), f.ring) == f.  Terms are
 printed in ascending lexicographic exponent order, e.g.
@@ -154,6 +155,21 @@ def surface_ring(genus: int, domain: str = "Z") -> LaurentRing:
     return _ring(s_names + t_names, domain)
 
 
+def _convolve(f, g) -> dict:
+    """The product of two term sequences of (exponents, integer) pairs,
+    as its nonzero sums by exponent vector."""
+    out: dict = {}
+    for e1, c1 in f:
+        for e2, c2 in g:
+            key = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(key, 0) + c1 * c2
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
 def _numerators(terms: dict) -> tuple[int, list[tuple[ExponentVector, int]]]:
     """The lcm d of the Fraction coefficients' denominators, and the
     terms as (exponents, integer numerator over d) pairs."""
@@ -207,9 +223,8 @@ class LaurentPoly:
         return not self.terms
 
     def coeff(self, exponents: Sequence[int]) -> Coeff:
-        key = _exponent_vector(exponents)
-        zero = 0 if self.ring.domain == "Z" else Fraction(0)
-        return self.terms.get(key, zero)
+        return self.terms.get(_exponent_vector(exponents),
+                              self.ring.coerce_coeff(0))
 
     def support(self) -> Iterator[ExponentVector]:
         return iter(self.terms)
@@ -265,18 +280,14 @@ class LaurentPoly:
             return self._times_term(other)
         if len(self.terms) <= 1:
             return other._times_term(self)
-        if self.ring.domain == "Q":
-            return self._mul_q(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                key = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(key, 0) + c1 * c2
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return LaurentPoly._make(self.ring, out)
+        if self.ring.domain == "Z":
+            return LaurentPoly._make(
+                self.ring, _convolve(self.terms.items(), other.terms.items()))
+        # over Q each operand is integers n_e over the lcm d of its
+        # denominators, and one Fraction is built per surviving sum
+        (d1, n1), (d2, n2) = _numerators(self.terms), _numerators(other.terms)
+        return LaurentPoly._make(self.ring, {
+            e: Fraction(s, d1 * d2) for e, s in _convolve(n1, n2).items()})
 
     def _times_term(self, term: "LaurentPoly") -> "LaurentPoly":
         if not term.terms:
@@ -292,25 +303,6 @@ class LaurentPoly:
         if c == -1:
             return LaurentPoly._make(self.ring, {e: -v for e, v in items})
         return LaurentPoly._make(self.ring, {e: c * v for e, v in items})
-
-    def _mul_q(self, other: "LaurentPoly") -> "LaurentPoly":
-        # Content and primitive part: with d the lcm of an operand's
-        # denominators, its terms are n_e / d for integers n_e, so the
-        # product is a convolution of integers over d1 * d2, and only the
-        # surviving sums become Fractions.
-        d1, n1 = _numerators(self.terms)
-        d2, n2 = _numerators(other.terms)
-        out: dict = {}
-        for e1, c1 in n1:
-            for e2, c2 in n2:
-                key = tuple(a + b for a, b in zip(e1, e2))
-                out[key] = out.get(key, 0) + c1 * c2
-        den = d1 * d2
-        if den == 1:
-            return LaurentPoly._make(
-                self.ring, {k: Fraction(s) for k, s in out.items() if s})
-        return LaurentPoly._make(
-            self.ring, {k: Fraction(s, den) for k, s in out.items() if s})
 
     def __rmul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -360,10 +352,7 @@ class LaurentPoly:
 
     def evaluate_at_one(self) -> Coeff:
         """The coefficient sum, i.e. the value at (1, ..., 1)."""
-        total = 0 if self.ring.domain == "Z" else Fraction(0)
-        for c in self.terms.values():
-            total += c
-        return total
+        return sum(self.terms.values(), self.ring.coerce_coeff(0))
 
     def is_balanced(self) -> bool:
         """Zero coefficient sum and symmetric under exponent negation."""
@@ -460,6 +449,15 @@ class RingHom:
 
 
 @cache
+def _keep_one(ring: LaurentRing, index: int, name: str) -> RingHom:
+    """The map sending every variable but the index-th (0-based) to 1
+    and that one to the variable name; built once per ring and slot."""
+    target = single_variable_ring(name, ring.domain)
+    images = [target.one()] * ring.nvars
+    images[index] = target.variable(0)
+    return RingHom(ring, target, tuple(images))
+
+
 def phi_hom(ring: LaurentRing) -> RingHom:
     """The specialization s_i -> 1, t_2 -> t, t_i -> 1 (i >= 3).
 
@@ -469,14 +467,9 @@ def phi_hom(ring: LaurentRing) -> RingHom:
     """
     n = ring.nvars
     if n < 2 or n % 2 != 0:
-        raise RingMismatchError(
-            f"specialization needs a 2g-2 variable ring, got {n} variables"
-        )
-    g = n // 2 + 1
-    target = single_variable_ring("t", ring.domain)
-    images = [target.one()] * n
-    images[g - 1] = target.variable("t")
-    return RingHom(ring, target, tuple(images))
+        raise RingMismatchError(f"specialization needs a 2g-2 variable "
+                                f"ring, got {n} variables")
+    return _keep_one(ring, n // 2, "t")
 
 
 def specialize_phi(f: LaurentPoly) -> LaurentPoly:
@@ -488,10 +481,7 @@ def specialize_single(f: LaurentPoly, keep: int) -> LaurentPoly:
     ring = f.ring
     if not 1 <= keep <= ring.nvars:
         raise ValueError(f"variable index {keep} out of range 1..{ring.nvars}")
-    target = single_variable_ring(ring.names[keep - 1], ring.domain)
-    images = [target.one()] * ring.nvars
-    images[keep - 1] = target.variable(0)
-    return RingHom(ring, target, tuple(images)).apply(f)
+    return _keep_one(ring, keep - 1, ring.names[keep - 1]).apply(f)
 
 
 # -- parsing ------------------------------------------------------------
@@ -688,7 +678,8 @@ class _Parser:
             self.depth -= 1
             self.expect_op(")")
             return self.power(inner)
-        raise ParseError(f"expected a value, found {val!r}", pos)
+        found = "the end of the input" if kind == "end" else repr(val)
+        raise ParseError(f"expected a value, found {found}", pos)
 
     def power(self, base: LaurentPoly) -> LaurentPoly:
         kind, val, pos = self.peek()

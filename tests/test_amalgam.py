@@ -436,6 +436,25 @@ def test_normal_form_checks_the_determinant_once_per_letter(monkeypatch):
 
 
 
+def test_no_letter_after_the_first_lies_in_U():
+    # a remainder in U after a letter would have to merge into that
+    # letter; the tree argument rules it out, here on words that end in
+    # or start with U, where a merge would show first
+    rng = random.Random(83)
+    shapes = ("ABU", "UBAU", "BABU", "UAB", "BU", "AU")
+    make = {"A": random_a_element, "B": random_b_element,
+            "U": random_u_element}
+    for i in range(240):
+        if i % 4 == 3:
+            word = random_laurent_sl2(rng, factors=6)
+        else:
+            word = multiply([make[c](rng) for c in rng.choice(shapes)], QT)
+        letters = amalgam_normal_form(word)
+        assert multiply([l.matrix for l in letters], QT) == word
+        assert not any(in_U(l.matrix) for l in letters[1:])
+        assert all(l.side != m.side for l, m in zip(letters, letters[1:]))
+
+
 @pytest.mark.parametrize("s, lead, side", [
     (0, Fraction(3, 2), "A"), (0, Fraction(-1), "A"), (2, Fraction(5), "A"),
     (-1, Fraction(-2, 3), "B"), (-1, Fraction(1), "B"),

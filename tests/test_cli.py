@@ -619,6 +619,10 @@ def test_eval_expression_limits(capsys, expression, message):
     ["tree", "distance", "[[t^1000, t^-1000], [0, %s]]" % " + ".join(
         f"t^{e}" for e in range(-1000, 0)), "base"],
     ["tree", "fixes", "[[1, 1], [0, 1]]", "(10000000; 0)"],
+    # lift exponents past laurent.MAX_EXPONENT: 20 terms of m with
+    # 4,000-digit exponents, each a square and multiply per bit under Phi
+    ["verify", "--genus", "2", "--kmax", "2", "--lift", json.dumps({
+        "genus": 2, "m": {f"0,{i}{'7' * 3999}": 1 for i in range(1, 21)}})],
 ])
 def test_unbounded_requests_fail_fast(argv):
     started = time.perf_counter()
@@ -643,7 +647,29 @@ def test_tree_ball_radius_limit(capsys, monkeypatch):
     assert err == "error: ball radius must be at most 10, got 11\n"
 
 
+def test_negative_ball_radius_is_one_line(capsys):
+    code, out, err = run(capsys, "tree", "ball", "--ball-radius", "-1")
+    assert (code, out, err) == (2, "", "error: radius must be nonnegative\n")
+
+
+def test_malformed_lift_on_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"genus": 2,'))
+    code, out, err = run(capsys, "verify", "--lift", "-")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad lift JSON: Expecting property name")
+    assert len(err.splitlines()) == 1
+
+
+def test_rho_names_the_unbalanced_entries(capsys):
+    # m = 1, n = 0 passes the lift check; b = -1 after Phi is unbalanced
+    code, out, err = run(capsys, "rho", '{"genus":2,"m":{"0,0":1}}')
+    assert (code, err) == (0, "")
+    assert out == ("[[1, -1], [0, 1]]\n"
+                   "balanced: a - 1 yes, b no, c yes, 1 - d yes\n")
+
+
 _DEEP = "[" * 5000 + "]" * 5000
+_LONG = "9" * 4301  # one digit more than Python converts to an int
 _BAD_JSON_INPUTS = (
     ["verify", "--eps-table", _DEEP],
     ["verify", "--lift", _DEEP],
@@ -653,12 +679,18 @@ _BAD_JSON_INPUTS = (
     ["tree", "distance", '{"a": %s}' % _DEEP, "base"],
     ["normal-form", '{"a": 1, "b": "0", "c": "0", "d": "1"}'],
     ["normal-form", '{"a": "1", "b": "0", "c": "0", "d": "1", "e": [1]}'],
+    ["verify", "--lift", '{"genus": 2, "m": {"0,0": %s}}' % _LONG],
+    ["verify", "--lift", '{"genus": 2, "m": {"0,%s": 1}}' % _LONG],
+    ["verify", "--eps-table", '[{"x": [1, 2], "y": [3, 4], "value": -%s}]'
+     % _LONG],
+    ["normal-form", '{"a": %s, "b": "0", "c": "0", "d": "1"}' % _LONG],
 )
 
 
 @pytest.mark.parametrize("argv", _BAD_JSON_INPUTS, ids=[
     "eps-table", "lift", "rho", "normal-form", "tree-translation",
-    "tree-distance", "integer-entry", "unknown-key"])
+    "tree-distance", "integer-entry", "unknown-key", "long-lift-coefficient",
+    "long-lift-exponent", "long-eps-table-value", "long-matrix-entry"])
 def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
     # nested deeper than the decoder can follow, a matrix entry that is
     # not a string, or a key other than a to d: exit 2 with one line, in
@@ -671,6 +703,34 @@ def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
         code, out, err = run(capsys, *variant)
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_BAD_JSON_INPUTS[8], "lift JSON has an integer of more than 4300 digits"),
+    (_BAD_JSON_INPUTS[9],
+     "exponent key in m has a number of more than 4300 digits"),
+    (_BAD_JSON_INPUTS[10],
+     "pairing table JSON has an integer of more than 4300 digits"),
+    (_BAD_JSON_INPUTS[11],
+     "matrix JSON has an integer of more than 4300 digits"),
+    (["rho", '{"genus": -%s}' % _LONG],
+     "lift JSON has an integer of more than 4300 digits"),
+    (["eval", ""],
+     "expected a value, found the end of the input (at position 0)"),
+])
+def test_input_errors_name_the_input(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_json_integers_up_to_the_digit_limit_are_read(capsys):
+    genus = "9" * 4300
+    code, out, err = run(capsys, "rho", '{"genus": %s}' % genus)
+    assert (code, out) == (2, "")
+    assert err == f"error: the lift's genus {genus} exceeds the limit of 40\n"
+    code, out, err = run(capsys, "rho", '{"genus": -%s}' % genus)
+    assert (code, out) == (2, "")
+    assert err == f"error: genus must be at least 2, got -{genus}\n"
 
 
 def test_json_inputs_fail_on_one_line_under_optimize(tmp_path):

@@ -497,10 +497,19 @@ def test_lift_as_cycle_class():
     assert total.coeff(Generator.comm(1, 2)) == ring.one()
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_lift_json_round_trip(seed):
+@pytest.mark.parametrize("seed, genus", [
+    *(pytest.param(seed, None, id=str(seed)) for seed in range(6)),
+    # seeds whose random lift has a nonempty w-part
+    pytest.param(6, 3, id="genus3-w"),
+    pytest.param(3, 4, id="genus4-w"),
+])
+def test_lift_json_round_trip(seed, genus):
     rng = random.Random(seed)
-    lift = random_valid_lift(rng, rng.choice((2, 3)))
+    if genus is None:
+        lift = random_valid_lift(rng, rng.choice((2, 3)))
+    else:
+        lift = random_valid_lift(rng, genus)
+        assert len(lift.to_json()["w"]) == 2
     assert LiftClass.from_json(lift.to_json()) == lift
 
 
@@ -511,6 +520,32 @@ def test_lift_json_rejects_bad_records():
         LiftClass.from_json({"genus": 2, "m": {"0": 1}, "n": {}})
     with pytest.raises(ValueError):
         LiftClass.from_json({"genus": 3, "w": [["a1", "1"]], "m": {}, "n": {}})
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"genus": 3, "w": [["c:1:2", "s2"], ["c:1:2", "t3"]]},
+     "w-part names c:1:2 twice"),
+    ({"genus": 2, "m": {"0,1,": 1}}, "bad exponent key '0,1,' in m"),
+    ({"genus": 2, "n": {"0;1": 1}}, "bad exponent key '0;1' in n"),
+    ({"genus": 2, "m": {"0,1001": 1}},
+     "exponent key '0,1001' in m exceeds the limit of 1000"),
+    ({"genus": 2, "n": {"-1001,0": 1}},
+     "exponent key '-1001,0' in n exceeds the limit of 1000"),
+    ({"genus": 2, "m": {"0," + "0" * 4300 + "1": 1}},
+     "exponent key in m has a number of more than 4300 digits"),
+])
+def test_lift_json_names_the_bad_part(record, message):
+    with pytest.raises(ValueError) as exc:
+        LiftClass.from_json(record)
+    assert str(exc.value) == message
+
+
+def test_lift_json_exponent_limit_is_inclusive():
+    record = {"genus": 2, "m": {"0,1000": 1, "-1000,0": -1},
+              "n": {"0," + "0" * 4299 + "1": 2}}
+    lift = LiftClass.from_json(record)
+    assert lift.m.terms == {(0, 1000): 1, (-1000, 0): -1}
+    assert lift.n.terms == {(0, 1): 2}
 
 
 # -- pairing against a lift ----------------------------------------------

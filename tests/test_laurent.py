@@ -302,6 +302,27 @@ def test_parse_error_positions():
         parse_poly("(1+t)^-1", T)  # not a unit
 
 
+@pytest.mark.parametrize("text, ring, message", [
+    ("", T, "expected a value, found the end of the input (at position 0)"),
+    ("t +", T, "expected a value, found the end of the input (at position 3)"),
+    ("t * )", T, "expected a value, found ')' (at position 4)"),
+    ("1/", TQ, "expected a denominator (at position 2)"),
+    ("t + 1/*t", TQ, "expected a denominator (at position 6)"),
+    ("1/0", TQ, "zero denominator (at position 2)"),
+    ("2*t^2 - 3/0", TQ, "zero denominator (at position 10)"),
+])
+def test_parse_error_messages(text, ring, message):
+    with pytest.raises(ParseError) as e:
+        parse_poly(text, ring)
+    assert str(e.value) == message
+
+
+def test_parse_sums_cancel_terms():
+    assert parse_poly("t - t + 1", T) == T.one()
+    assert parse_poly("t - t", T) == T.zero()
+    assert parse_poly("1/2*t + 1 - 1/2*t + t^2 - t^2", TQ) == TQ.one()
+    assert str(parse_poly("s2 - t2 + t2 - s2 + t3", surface_ring(3))) == "t3"
+
 
 def test_parse_nesting_limit():
     assert parse_poly("(" * 200 + "t" + ")" * 200, T) == T.variable(0)

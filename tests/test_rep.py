@@ -1,9 +1,12 @@
+import json
 import random
 
 import pytest
 
 from conftest import random_epsilon, random_poly, random_valid_lift
 from twistcert import rep
+from twistcert.amalgam import build_certificate
+from twistcert.cli import main
 from twistcert.homology import (
     CycleClass,
     Generator,
@@ -276,6 +279,31 @@ def test_rho_rejects_invalid_lift():
     with pytest.raises(ValueError):
         rho(bad)
     assert rho_pre_phi(bad).det() != surface_ring(2).one()
+
+
+def test_determinant_check_decides_the_verdict(monkeypatch, capsys):
+    # with the lift check off, m = t2 and n = 1 reach rho, whose
+    # determinant after Phi is 1 - t^-1 + t: the explicit determinant
+    # check alone must turn it into a failure, also under python -O
+    monkeypatch.setattr(rep, "_require_valid", lambda lift: None)
+    record = {"genus": 2, "m": {"0,1": 1}, "n": {"0,0": 1}}
+    lift = LiftClass.from_json(record)
+    with pytest.raises(ValueError) as exc:
+        rho_in_k(lift)
+    message = str(exc.value)
+    assert message.startswith("represented matrix [[1 + t, -1], "
+                              "[1, -t^-1 + 1]] + ")
+    assert message.endswith("has determinant (-t^-1 + 1 + t) k^0, not 1")
+    cert = build_certificate(3, 2, base_lift=lift)
+    assert cert.records == tuple({"k": k, "error": message} for k in (1, 2, 3))
+    assert not cert.verdict
+    code = main(["verify", "--genus", "2", "--kmax", "3",
+                 "--lift", json.dumps(record)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert out.splitlines()[-2] == "verdict: FAIL"
+    assert json.loads(out.splitlines()[-1].removeprefix("failing record: ")) \
+        == {"k": 1, "error": message}
 
 
 @pytest.mark.parametrize("seed", range(6))

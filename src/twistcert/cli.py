@@ -289,12 +289,7 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="twistcert",
-        description="Exact certificates for separating twist subgroups.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
+def _add_verify(sub):
     verify = sub.add_parser(
         "verify", help="build and check the full certificate")
     verify.add_argument("--genus", type=int, default=2)
@@ -313,6 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="recheck with a seeded random pairing table")
     verify.set_defaults(handler=cmd_verify)
 
+
+def _add_eval(sub):
     ev = sub.add_parser("eval", help="evaluate a Laurent expression")
     ev.add_argument("expression", help="expression text, or - for stdin")
     ev.add_argument("--genus", type=int, default=2,
@@ -320,6 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--domain", choices=("Z", "Q"), default="Z")
     ev.set_defaults(handler=cmd_eval)
 
+
+def _add_rho(sub):
     rh = sub.add_parser(
         "rho", help="representation matrix of a lift, with balance report")
     rh.add_argument("lift",
@@ -328,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     rh.add_argument("--format", choices=("text", "json"), default="text")
     rh.set_defaults(handler=cmd_rho)
 
+
+def _add_tree(sub):
     tree = sub.add_parser("tree", help="queries against the lattice tree")
     tree_sub = tree.add_subparsers(dest="query", required=True)
     dist = tree_sub.add_parser(
@@ -350,11 +351,30 @@ def build_parser() -> argparse.ArgumentParser:
     for query in (dist, fixes, trans, ball):
         query.set_defaults(handler=cmd_tree)
 
+
+def _add_normal_form(sub):
     nf = sub.add_parser(
         "normal-form", help="alternating letter decomposition")
     nf.add_argument("matrix", help="matrix literal, path, or - for stdin")
     nf.add_argument("--format", choices=("text", "json"), default="text")
     nf.set_defaults(handler=cmd_normal_form)
+
+
+_SUBCOMMANDS = {"verify": _add_verify, "eval": _add_eval, "rho": _add_rho,
+                "tree": _add_tree, "normal-form": _add_normal_form}
+
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of the subcommand argv[0] names; of all five when it
+    names none (no arguments, -h, --, an unknown name), so that the help
+    and the "invalid choice" error list every subcommand."""
+    parser = _ArgumentParser(
+        prog="twistcert",
+        description="Exact certificates for separating twist subgroups.")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    named = _SUBCOMMANDS.get(argv[0]) if argv else None
+    for add in (named,) if named else _SUBCOMMANDS.values():
+        add(sub)
     return parser
 
 
@@ -365,8 +385,9 @@ _ESCAPED_LINE_BREAKS = str.maketrans(
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         code = args.handler(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code

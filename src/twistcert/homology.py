@@ -47,6 +47,13 @@ IndexPair = tuple[int, int]
 MAX_GENUS = 40
 
 _EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*")
+# a commutator key as Generator.key writes it; an index has at most 9 digits
+_COMMUTATOR_KEY = re.compile(r"c:([1-9]\d{0,8}):([1-9]\d{0,8})")
+# each coefficient printed by rho or a per-k record (k <= 1000) sums at most
+# (1 + k)^2 MAX_TERMS^2 < 10^13 products of two lift coefficients, so it has
+# at most 2 * 2143 + 13 = 4299 digits, within _MAX_DIGITS
+MAX_LIFT_DIGITS = 2143
+_LIFT_COEFF_LIMIT = 10 ** MAX_LIFT_DIGITS
 
 
 def _json_int(value, what: str) -> int:
@@ -138,10 +145,10 @@ class Generator:
             return cls.a1()
         if text == "b1":
             return cls.b1()
-        parts = text.split(":")
-        if len(parts) == 3 and parts[0] == "c":
+        match = _COMMUTATOR_KEY.fullmatch(text)
+        if match:
             try:
-                return cls.comm(int(parts[1]), int(parts[2]))
+                return cls.comm(*map(int, match.groups()))
             except ValueError as exc:
                 raise ValueError(f"bad generator key {text!r}: {exc}") from None
         raise ValueError(f"bad generator key {text!r}")
@@ -531,6 +538,9 @@ class LiftClass:
                 if exps in out:
                     raise ValueError(f"exponent key {key!r} repeats in {name}")
                 out[exps] = _json_int(c, f"coefficient {name}[{key!r}]")
+                if abs(c) >= _LIFT_COEFF_LIMIT:
+                    raise ValueError(f"coefficient {name}[{key!r}] has more "
+                                     f"than {MAX_LIFT_DIGITS} digits")
             return out
 
         items = data.get("w", [])

@@ -268,7 +268,15 @@ class LaurentPoly:
         return LaurentPoly._make(self.ring, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        self._check_ring(other)
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = out.get(exps, 0) - c
+            if s:
+                out[exps] = s
+            else:
+                out.pop(exps, None)
+        return LaurentPoly._make(self.ring, out)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -540,6 +548,7 @@ class _Parser:
     def __init__(self, text: str, ring: LaurentRing):
         self.tokens = _tokenize(text)
         self.ring = ring
+        self.unit = ring.coerce_coeff(1)  # the coefficient of a monomial
         self.i = 0
         self.depth = 0
 
@@ -668,7 +677,11 @@ class _Parser:
                     pos,
                 )
             self.advance()
-            return self.power(self.ring.variable(val))
+            # a variable and its power are one monomial: n is its exponent
+            n, _ = self.exponent()
+            exps = [0] * self.ring.nvars
+            exps[self.ring.names.index(val)] = 1 if n is None else n
+            return LaurentPoly._make(self.ring, {tuple(exps): self.unit})
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
@@ -681,14 +694,21 @@ class _Parser:
         found = "the end of the input" if kind == "end" else repr(val)
         raise ParseError(f"expected a value, found {found}", pos)
 
-    def power(self, base: LaurentPoly) -> LaurentPoly:
+    def exponent(self) -> tuple[int | None, int]:
+        """The checked n of a following ^n (None without ^), and its place."""
         kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.advance()
-            exponent = self.integer()
-            if abs(exponent) > MAX_EXPONENT:
-                raise ParseError(f"exponent {exponent} exceeds the limit of "
-                                 f"{MAX_EXPONENT} in absolute value", pos)
+        if not (kind == "op" and val == "^"):
+            return None, pos
+        self.advance()
+        exponent = self.integer()
+        if abs(exponent) > MAX_EXPONENT:
+            raise ParseError(f"exponent {exponent} exceeds the limit of "
+                             f"{MAX_EXPONENT} in absolute value", pos)
+        return exponent, pos
+
+    def power(self, base: LaurentPoly) -> LaurentPoly:
+        exponent, pos = self.exponent()
+        if exponent is not None:
             if exponent < 0:
                 try:
                     base = base.unit_inverse()

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -223,6 +224,76 @@ def test_help_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: twistcert")
+
+
+_QUERIES = ("distance", "fixes", "translation", "ball")
+_PARSER_PROBES = [
+    ["--help"], *([name, "--help"] for name in cli._SUBCOMMANDS),
+    *(["tree", query, "--help"] for query in _QUERIES),
+    [], ["nosuch"], ["--", "eval", "t"], ["tree", "nosuch"], ["normal-form"],
+    ["tree", "fixes", "[[1, 0], [0, 1]]"], ["verify", "--format", "yaml"],
+    ["verify", "--kmax", "x"], ["verify", "--bogus"], ["eval", "t", "--he"],
+]
+
+
+class _NoSubcommandNamed(dict):
+    """A subcommand table whose lookup always misses."""
+
+    def get(self, key, default=None):
+        return default
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = f"SystemExit {exc.code}"
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", _PARSER_PROBES,
+                         ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_one_subcommand_parser_prints_what_the_full_parser_does(
+        capsys, monkeypatch, argv):
+    # the parser of the named subcommand alone, against the parser of all
+    # five: the same output bytes and exit code
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the width
+    narrowed = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_SUBCOMMANDS",
+                        _NoSubcommandNamed(cli._SUBCOMMANDS))
+    assert _outcome(capsys, argv) == narrowed
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["eval", "t"], ["eval"]),
+    (["tree", "translation", "[[1, t], [0, 1]]"], ["tree"]),
+    (["normal-form", "[[1, t], [0, 1]]"], ["normal-form"]),
+    (["--help"], list(cli._SUBCOMMANDS)),
+    (["nosuch"], list(cli._SUBCOMMANDS)),
+])
+def test_a_call_builds_the_parser_of_the_subcommand_it_names(
+        capsys, monkeypatch, argv, built):
+    calls = []
+
+    def counted(name, add):
+        return lambda sub: calls.append(name) or add(sub)
+
+    monkeypatch.setattr(cli, "_SUBCOMMANDS", {
+        name: counted(name, add) for name, add in cli._SUBCOMMANDS.items()})
+    _outcome(capsys, argv)
+    assert calls == built
+
+
+def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["twistcert", "eval", "t*t^-1"])
+    assert main() == 0
+    assert capsys.readouterr() == ("1\n", "")
+    monkeypatch.setattr(sys, "argv", ["twistcert", "nosuch"])
+    assert main() == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: argument subcommand: "
+                                        "invalid choice: 'nosuch'")
 
 
 def test_verify_writes_artifact(capsys, tmp_path):
@@ -623,6 +694,10 @@ def test_eval_expression_limits(capsys, expression, message):
     # 4,000-digit exponents, each a square and multiply per bit under Phi
     ["verify", "--genus", "2", "--kmax", "2", "--lift", json.dumps({
         "genus": 2, "m": {f"0,{i}{'7' * 3999}": 1 for i in range(1, 21)}})],
+    # a lift coefficient one digit past homology.MAX_LIFT_DIGITS, whose
+    # products would print more digits than Python converts to text
+    ["verify", "--genus", "2", "--kmax", "2", "--lift", json.dumps({
+        "genus": 2, "m": {"0,0": int("9" * 2144)}})],
 ])
 def test_unbounded_requests_fail_fast(argv):
     started = time.perf_counter()
@@ -717,6 +792,13 @@ def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
      "lift JSON has an integer of more than 4300 digits"),
     (["eval", ""],
      "expected a value, found the end of the input (at position 0)"),
+    # a w-part key is read only in the form Generator.key writes
+    (["verify", "--genus", "3", "--kmax", "2", "--lift",
+      '{"genus": 3, "w": [["c: 1:2", "s2 - 1"]]}'],
+     "bad generator key 'c: 1:2'"),
+    (["verify", "--genus", "3", "--kmax", "2", "--lift",
+      '{"genus": 3, "w": [["c:+1:2", "s2 - 1"]]}'],
+     "bad generator key 'c:+1:2'"),
 ])
 def test_input_errors_name_the_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)
@@ -766,6 +848,31 @@ def test_lift_family_size_limit(capsys, monkeypatch):
         assert err == (f"error: lift family {name} has {MAX_TERMS + 1} "
                        f"terms, more than the limit of {MAX_TERMS}\n")
     assert built == [(MAX_TERMS, 0), (0, MAX_TERMS)]
+
+
+def test_lift_coefficient_digit_limit(capsys):
+    from twistcert.homology import MAX_LIFT_DIGITS
+    assert MAX_LIFT_DIGITS == 2143
+    big = int("9" * MAX_LIFT_DIGITS)
+    # m = big (t2 - 1) and n = m: a valid lift whose rho entries and
+    # per-k records are products of two coefficients at the limit
+    family = {"0,0": -big, "0,1": big}
+    lift = json.dumps({"genus": 2, "m": family, "n": family})
+    for argv in (["rho", lift], ["rho", lift, "--format", "json"],
+                 ["verify", "--kmax", "3", "--lift", lift, "--format", "json"],
+                 ["verify", "--kmax", "100", "--lift", lift]):
+        code, out, err = run(capsys, *argv)
+        # verify fails on this lift (it is not the built-in curve's), and
+        # prints its records and failing record in full
+        assert (code, err) == (0 if argv[0] == "rho" else 1, ""), argv[:3]
+        assert max(map(len, re.findall(r"\d+", out))) > 2 * MAX_LIFT_DIGITS
+    # the smallest and the largest coefficient of one digit more
+    for name, c in (("m", 10 ** MAX_LIFT_DIGITS), ("n", -10 * big - 9)):
+        record = {"genus": 2, name: {"0,0": c, "0,1": 1}}
+        code, out, err = run(capsys, "rho", json.dumps(record))
+        assert (code, out) == (2, "")
+        assert err == (f"error: coefficient {name}['0,0'] has more than "
+                       f"{MAX_LIFT_DIGITS} digits\n")
 
 
 # -- serialisation -----------------------------------------------------------

@@ -66,9 +66,14 @@ def test_generator_keys_round_trip():
         assert Generator.from_key(gen.key()) == gen
 
 
-@pytest.mark.parametrize("text", ["a2", "c:1", "c:3:2", "c:x:2", ""])
+@pytest.mark.parametrize("text", [
+    "a2", "c:1", "c:3:2", "c:x:2", "",
+    # only the form Generator.key writes: no sign, space, underscore or
+    # leading zero, and no index too long for int() to read
+    "c: 1:2", "c:+1:2", "c:0_1:2", "c:01:2", "c:1:2 ", "c:1:" + "2" * 4301,
+])
 def test_bad_generator_keys_rejected(text):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^bad generator key"):
         Generator.from_key(text)
 
 

@@ -310,6 +310,11 @@ def test_parse_error_positions():
     ("t + 1/*t", TQ, "expected a denominator (at position 6)"),
     ("1/0", TQ, "zero denominator (at position 2)"),
     ("2*t^2 - 3/0", TQ, "zero denominator (at position 10)"),
+    # a variable's power is read as one monomial, with the errors of power
+    ("t^1001", T,
+     "exponent 1001 exceeds the limit of 1000 in absolute value (at position 1)"),
+    ("t^", T, "expected an integer (at position 2)"),
+    ("t^2^3", T, "trailing input '^' (at position 3)"),
 ])
 def test_parse_error_messages(text, ring, message):
     with pytest.raises(ParseError) as e:
@@ -521,6 +526,12 @@ def test_one_term_products_match_the_convolution_oracle():
             assert product.terms == _oracle_product(f, term)
             assert product.ring is ring
             assert all(type(v) is coeff_type for v in product.terms.values())
+        # a difference is one loop: the sum with the negation, including
+        # partial and full cancellation
+        for g in (term, f, -f, LaurentPoly(ring, dict(list(f.terms.items())[:2]))):
+            assert f - g == f + (-g)
+            assert all(type(v) is coeff_type for v in (f - g).terms.values())
+        assert (f - f).terms == {}
     f = parse_poly("2*s2*t2^-1 - s3^2", L3)
     assert f * L3.one() is f and L3.one() * f is f
     assert f * L3.zero() == L3.zero() and L3.zero() * f == L3.zero()
@@ -545,6 +556,18 @@ def test_parser_exponent_limit():
 
     assert parse_poly(f"t^{MAX_EXPONENT}", T) == T.monomial((MAX_EXPONENT,))
     assert parse_poly(f"t^-{MAX_EXPONENT}", T) == T.monomial((-MAX_EXPONENT,))
+    # a variable's power is one monomial, equal to the power of the variable
+    for text, ring, value in (
+            ("t^0", T, T.one()), ("t^-3", T, T.variable("t") ** -3),
+            ("t^1000", T, T.variable("t") ** 1000),
+            ("t^-3", TQ, TQ.variable("t") ** -3), ("t^0", TQ, TQ.one()),
+            ("s2^2*t3^-1", L3, L3.monomial((2, 0, 0, -1))),
+            ("1/2*s2^2*t3^-1", surface_ring(3, "Q"),
+             surface_ring(3, "Q").monomial((2, 0, 0, -1), Fraction(1, 2)))):
+        f = parse_poly(text, ring)
+        assert f == value
+        coeff_type = Fraction if ring.domain == "Q" else int
+        assert all(type(c) is coeff_type for c in f.terms.values())
     for text in (f"t^{MAX_EXPONENT + 1}", f"t^-{MAX_EXPONENT + 1}", "(1+t)^3000"):
         with pytest.raises(ParseError, match="exceeds the limit"):
             parse_poly(text, T)

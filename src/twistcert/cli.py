@@ -330,26 +330,37 @@ def _add_rho(sub):
 
 def _add_tree(sub):
     tree = sub.add_parser("tree", help="queries against the lattice tree")
-    tree_sub = tree.add_subparsers(dest="query", required=True)
-    dist = tree_sub.add_parser(
+    tree.set_defaults(handler=cmd_tree)
+    return tree.add_subparsers(dest="query", required=True), _TREE_QUERIES
+
+
+def _add_distance(queries):
+    dist = queries.add_parser(
         "distance", help="distance between two vertices")
     dist.add_argument("left", help="'base', '(a; r)', or a basis matrix")
     dist.add_argument("right", help="'base', '(a; r)', or a basis matrix")
-    fixes = tree_sub.add_parser(
+
+
+def _add_fixes(queries):
+    fixes = queries.add_parser(
         "fixes", help="whether a matrix fixes a vertex")
     fixes.add_argument("matrix")
     fixes.add_argument("vertex")
-    trans = tree_sub.add_parser(
+
+
+def _add_translation(queries):
+    trans = queries.add_parser(
         "translation", help="minimal displacement of a matrix")
     trans.add_argument("matrix")
     trans.add_argument("--ball-radius", type=int,
                        help="accepted and ignored: the length is read "
                             "from the trace, exactly")
-    ball = tree_sub.add_parser("ball", help="DOT drawing of a metric ball")
+
+
+def _add_ball(queries):
+    ball = queries.add_parser("ball", help="DOT drawing of a metric ball")
     ball.add_argument("center", nargs="?", default="base")
     ball.add_argument("--ball-radius", type=int, default=2)
-    for query in (dist, fixes, trans, ball):
-        query.set_defaults(handler=cmd_tree)
 
 
 def _add_normal_form(sub):
@@ -362,19 +373,30 @@ def _add_normal_form(sub):
 
 _SUBCOMMANDS = {"verify": _add_verify, "eval": _add_eval, "rho": _add_rho,
                 "tree": _add_tree, "normal-form": _add_normal_form}
+_TREE_QUERIES = {"distance": _add_distance, "fixes": _add_fixes,
+                 "translation": _add_translation, "ball": _add_ball}
+
+
+def _add_named(sub, table, argv: list[str]):
+    """Add to sub the parser of the command argv[0] names in table; all of
+    them when it names none (no arguments, -h, --, an option, an unknown
+    name), so that the help and the "invalid choice" error list every
+    command.  An entry with commands of its own returns their subparsers
+    and table, and argv[1:] names one of those the same way."""
+    named = table.get(argv[0]) if argv else None
+    for add in (named,) if named else table.values():
+        nested = add(sub)
+        if nested is not None:
+            _add_named(*nested, argv[1:] if named else [])
 
 
 def build_parser(argv: list[str]) -> argparse.ArgumentParser:
-    """The parser of the subcommand argv[0] names; of all five when it
-    names none (no arguments, -h, --, an unknown name), so that the help
-    and the "invalid choice" error list every subcommand."""
+    """The parser of the subcommand (and tree query) argv names."""
     parser = _ArgumentParser(
         prog="twistcert",
         description="Exact certificates for separating twist subgroups.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    named = _SUBCOMMANDS.get(argv[0]) if argv else None
-    for add in (named,) if named else _SUBCOMMANDS.values():
-        add(sub)
+    _add_named(parser.add_subparsers(dest="subcommand", required=True),
+               _SUBCOMMANDS, argv)
     return parser
 
 

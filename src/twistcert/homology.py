@@ -54,6 +54,11 @@ _COMMUTATOR_KEY = re.compile(r"c:([1-9]\d{0,8}):([1-9]\d{0,8})")
 # at most 2 * 2143 + 13 = 4299 digits, within _MAX_DIGITS
 MAX_LIFT_DIGITS = 2143
 _LIFT_COEFF_LIMIT = 10 ** MAX_LIFT_DIGITS
+# the coefficient digits of each of m and n added up: each product of the
+# families a certificate forms (inv(m) n, inv(m) m, inv(n) n) multiplies
+# at most this squared many digit pairs, as a 1000-term family of 20-digit
+# coefficients does
+MAX_LIFT_FAMILY_DIGITS = 20000
 
 
 def _json_int(value, what: str) -> int:
@@ -519,7 +524,7 @@ class LiftClass:
             if len(obj) > MAX_TERMS:
                 raise ValueError(f"lift family {name} has {len(obj)} terms, "
                                  f"more than the limit of {MAX_TERMS}")
-            out = {}
+            out, digits = {}, 0
             for key, c in obj.items():
                 if not _EXPONENT_KEY.fullmatch(str(key)):
                     raise ValueError(f"bad exponent key {key!r} in {name}")
@@ -541,6 +546,11 @@ class LiftClass:
                 if abs(c) >= _LIFT_COEFF_LIMIT:
                     raise ValueError(f"coefficient {name}[{key!r}] has more "
                                      f"than {MAX_LIFT_DIGITS} digits")
+                digits += len(str(abs(c)))
+                if digits > MAX_LIFT_FAMILY_DIGITS:
+                    raise ValueError(f"lift family {name} has more than "
+                                     f"{MAX_LIFT_FAMILY_DIGITS} coefficient "
+                                     "digits in all")
             return out
 
         items = data.get("w", [])

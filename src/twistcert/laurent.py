@@ -161,7 +161,7 @@ def _convolve(f, g) -> dict:
     out: dict = {}
     for e1, c1 in f:
         for e2, c2 in g:
-            key = tuple(a + b for a, b in zip(e1, e2))
+            key = tuple(map(add, e1, e2))
             s = out.get(key, 0) + c1 * c2
             if s:
                 out[key] = s
@@ -548,7 +548,7 @@ class _Parser:
     def __init__(self, text: str, ring: LaurentRing):
         self.tokens = _tokenize(text)
         self.ring = ring
-        self.unit = ring.coerce_coeff(1)  # the coefficient of a monomial
+        self.origin = (0,) * ring.nvars  # the exponents of a literal
         self.i = 0
         self.depth = 0
 
@@ -576,16 +576,15 @@ class _Parser:
     def expr(self) -> LaurentPoly:
         # one running term map: each + or - checks only the terms it
         # changes, since every term is within limits when it is parsed
-        total = dict(self.term().terms)
+        total = self.term()
         while True:
             kind, val, pos = self.peek()
             if not (kind == "op" and val in "+-"):
                 return LaurentPoly._make(self.ring, total)
             self.advance()
-            sign = 1 if val == "+" else -1
             touched = {}
-            for exps, c in self.term().terms.items():
-                s = total.get(exps, 0) + sign * c
+            for exps, c in self.term(1 if val == "+" else -1).items():
+                s = total[exps] + c if exps in total else c
                 if s:
                     total[exps] = touched[exps] = s
                 else:
@@ -595,15 +594,36 @@ class _Parser:
                     f"expression has more than {MAX_TERMS} terms", pos)
             self.check_size(touched, pos)
 
-    def term(self) -> LaurentPoly:
-        poly = self.factor()
+    def term(self, sign: int = 1) -> dict:
+        """The term map of one term, times sign.  While its factors are
+        literals and variable powers the term is one (coefficient,
+        exponents) monomial, and each * checks it; from its first factor
+        that is a parenthesised expression or a power of a constant on,
+        the term is a polynomial, and each * is a product."""
+        term = self.factor(sign)
         while True:
             kind, val, pos = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                poly = self.product(poly, self.factor(), pos)
+            if not (kind == "op" and val == "*"):
+                return self.as_poly(term).terms
+            self.advance()
+            factor = self.factor()
+            if type(term) is tuple and type(factor) is tuple:
+                c = term[0] if factor[0] == 1 else term[0] * factor[0]
+                term = c, tuple(map(add, term[1], factor[1]))
+                if c:
+                    self.check_size({term[1]: c}, pos)
             else:
-                return poly
+                term = self.product(self.as_poly(term), self.as_poly(factor),
+                                    pos)
+
+    def as_poly(self, term) -> LaurentPoly:
+        """A polynomial, or a (coefficient, exponents) monomial as one,
+        its coefficient coerced into the ring."""
+        if type(term) is not tuple:
+            return term
+        c, exps = term
+        return LaurentPoly._make(
+            self.ring, {exps: self.ring.coerce_coeff(c)} if c else {})
 
     def product(self, f: LaurentPoly, g: LaurentPoly, pos: int) -> LaurentPoly:
         if len(f.terms) * len(g.terms) > MAX_TERMS:
@@ -627,8 +647,7 @@ class _Parser:
                 raise ParseError(f"coefficient has more than {_MAX_DIGITS} "
                                  "digits", pos)
 
-    def factor(self) -> LaurentPoly:
-        sign = 1
+    def factor(self, sign: int = 1):
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
@@ -638,7 +657,9 @@ class _Parser:
             else:
                 break
         atom = self.atom()
-        return atom if sign == 1 else -atom
+        if sign == 1:
+            return atom
+        return (-atom[0], atom[1]) if type(atom) is tuple else -atom
 
     def integer(self) -> int:
         sign = 1
@@ -653,7 +674,10 @@ class _Parser:
         self.advance()
         return sign * val
 
-    def atom(self) -> LaurentPoly:
+    def atom(self):
+        """A literal or a variable power as a (coefficient, exponents)
+        monomial; a power of a constant or a parenthesised expression as a
+        polynomial."""
         kind, val, pos = self.peek()
         if kind == "int":
             self.advance()
@@ -668,7 +692,9 @@ class _Parser:
                     raise ParseError("rational literal in an integer ring", pos)
                 if val2 == 0:
                     raise ParseError("zero denominator", pos2)
-                return self.power(self.ring.constant(Fraction(val, val2)))
+                val = Fraction(val, val2)
+            if self.peek()[1] != "^":
+                return val, self.origin
             return self.power(self.ring.constant(val))
         if kind == "name":
             if val not in self.ring.names:
@@ -681,7 +707,7 @@ class _Parser:
             n, _ = self.exponent()
             exps = [0] * self.ring.nvars
             exps[self.ring.names.index(val)] = 1 if n is None else n
-            return LaurentPoly._make(self.ring, {tuple(exps): self.unit})
+            return 1, tuple(exps)
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)

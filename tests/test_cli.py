@@ -285,6 +285,48 @@ def test_a_call_builds_the_parser_of_the_subcommand_it_names(
     assert calls == built
 
 
+_TREE_PROBES = [
+    ["tree", "-h"], ["tree"], ["tree", "nosuch"],
+    ["tree", "--ball-radius", "3", "translation", "X"],
+    *(["tree", query, "-h"] for query in _QUERIES),
+]
+
+
+@pytest.mark.parametrize("argv", _TREE_PROBES, ids=" ".join)
+def test_one_query_parser_prints_what_the_full_tree_parser_does(
+        capsys, monkeypatch, argv):
+    # the parser of the named tree query alone, against the tree parser
+    # of all four queries: the same output bytes and exit code
+    monkeypatch.setenv("COLUMNS", "80")
+    narrowed = _outcome(capsys, argv)
+    monkeypatch.setattr(cli, "_TREE_QUERIES",
+                        _NoSubcommandNamed(cli._TREE_QUERIES))
+    assert _outcome(capsys, argv) == narrowed
+
+
+@pytest.mark.parametrize("argv, built", [
+    (["tree", "translation", "[[1, t], [0, 1]]"], ["translation"]),
+    (["tree", "ball", "--ball-radius", "1"], ["ball"]),
+    (["tree", "-h"], list(_QUERIES)),
+    (["tree", "--ball-radius", "3", "translation", "X"], list(_QUERIES)),
+    (["tree", "nosuch"], list(_QUERIES)),
+    (["nosuch"], list(_QUERIES)),
+    (["nosuch", "translation"], list(_QUERIES)),
+    (["normal-form", "[[1, t], [0, 1]]"], []),
+])
+def test_a_tree_call_builds_the_parser_of_the_query_it_names(
+        capsys, monkeypatch, argv, built):
+    calls = []
+
+    def counted(name, add):
+        return lambda queries: calls.append(name) or add(queries)
+
+    monkeypatch.setattr(cli, "_TREE_QUERIES", {
+        name: counted(name, add) for name, add in cli._TREE_QUERIES.items()})
+    _outcome(capsys, argv)
+    assert calls == built
+
+
 def test_main_reads_sys_argv_without_an_argument(capsys, monkeypatch):
     monkeypatch.setattr(sys, "argv", ["twistcert", "eval", "t*t^-1"])
     assert main() == 0
@@ -850,6 +892,32 @@ def test_lift_family_size_limit(capsys, monkeypatch):
     assert built == [(MAX_TERMS, 0), (0, MAX_TERMS)]
 
 
+# the lift of the CI step "Lift with a w-part"
+_W_LIFT = ('{"genus":3,"m":{"0,0,1,0":1,"0,0,0,0":-1},"w":[["c:1:2","s2 - 1"],'
+           '["c:2:3","t3^-1 + 2*s3"]]}')
+
+
+def test_a_pass_does_not_check_the_w_part_of_the_self_pairing(capsys):
+    # validate_lift checks Q = inv(Q), the a1/b1 part of the lift's
+    # self-pairing, only: this lift passes verify --seed 7, yet its full
+    # self-pairing under the seed-7 table is nonzero (the README's Claims)
+    from twistcert.homology import LiftClass, pairing_polynomial, validate_lift
+
+    code, out, err = run(capsys, "verify", "--genus", "3", "--kmax", "5",
+                         "--seed", "7", "--lift", _W_LIFT)
+    assert (code, err) == (0, "")
+    assert out.endswith("verdict: PASS\npairing-table recheck: ok\n")
+    lift = LiftClass.from_json(json.loads(_W_LIFT))
+    assert validate_lift(lift).ok
+
+    def self_pairing(eps):
+        return pairing_polynomial(lift.as_cycle_class(), lift, eps)
+
+    assert not self_pairing(EpsilonTable.seeded(3, 7)).is_zero()
+    assert self_pairing(EpsilonTable.zero(3)).is_zero()
+    assert self_pairing(EpsilonTable.seeded(3, 1)).is_zero()
+
+
 def test_lift_coefficient_digit_limit(capsys):
     from twistcert.homology import MAX_LIFT_DIGITS
     assert MAX_LIFT_DIGITS == 2143
@@ -873,6 +941,38 @@ def test_lift_coefficient_digit_limit(capsys):
         assert (code, out) == (2, "")
         assert err == (f"error: coefficient {name}['0,0'] has more than "
                        f"{MAX_LIFT_DIGITS} digits\n")
+
+
+def test_lift_family_digit_budget(tmp_path):
+    from twistcert.homology import MAX_LIFT_FAMILY_DIGITS, LiftClass
+    assert MAX_LIFT_FAMILY_DIGITS == 20000
+    keys = [f"{a},{b}" for a in range(-20, 20) for b in range(-12, 13)]
+    # 1000 terms of 20 digits each in m and n: at the budget, accepted
+    at_budget = {key: 10 ** 19 + i for i, key in enumerate(keys)}
+    lift = LiftClass.from_json({"genus": 2, "m": at_budget, "n": at_budget})
+    assert len(lift.m.terms) == len(lift.n.terms) == 1000
+    over = dict(at_budget, **{keys[0]: -10 ** 20})
+    with pytest.raises(ValueError, match=f"^lift family n has more than "
+                       f"{MAX_LIFT_FAMILY_DIGITS} coefficient digits in all$"):
+        LiftClass.from_json({"genus": 2, "m": at_budget, "n": over})
+    # 1000 terms of 2,143-digit coefficients in each family, every one
+    # within the per-coefficient limit: validate_lift's product of the
+    # two would take tens of seconds, and the record is refused at once
+    big = "9" * 2143
+    family = "{" + ", ".join(f'"{key}": {big}' for key in keys) + "}"
+    path = tmp_path / "large-digits-lift.json"
+    path.write_text(f'{{"genus": 2, "m": {family}, "n": {family}}}')
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcert.cli", "verify", "--genus", "2",
+         "--kmax", "2", "--lift", str(path)],
+        capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - started
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: lift family m has more than "
+                           f"{MAX_LIFT_FAMILY_DIGITS} coefficient digits "
+                           "in all\n")
+    assert elapsed < 5  # an interpreter start included
 
 
 # -- serialisation -----------------------------------------------------------

@@ -436,6 +436,150 @@ def test_tokenizer_digit_limit_matches_the_oracle():
     assert parse_poly("9" * 4300, T) == T.constant(int("9" * 4300))
 
 
+class _OracleParser(laurent._Parser):
+    """The parser's term path as it was before a term of literals and
+    variable powers was read as one monomial: every atom is a polynomial,
+    and every * is a product of two polynomials."""
+
+    def term(self, sign=1):
+        poly = self.factor()
+        while True:
+            kind, val, pos = self.peek()
+            if kind == "op" and val == "*":
+                self.advance()
+                poly = self.product(poly, self.factor(), pos)
+            else:
+                return (poly if sign == 1 else -poly).terms
+
+    def factor(self):
+        sign = 1
+        while True:
+            kind, val, _ = self.peek()
+            if kind == "op" and val in "+-":
+                self.advance()
+                if val == "-":
+                    sign = -sign
+            else:
+                break
+        atom = self.atom()
+        return atom if sign == 1 else -atom
+
+    def atom(self):
+        kind, val, pos = self.peek()
+        if kind == "int":
+            self.advance()
+            nkind, nval, npos = self.peek()
+            if nkind == "op" and nval == "/":
+                self.advance()
+                kind2, val2, pos2 = self.peek()
+                if kind2 != "int":
+                    raise ParseError("expected a denominator", pos2)
+                self.advance()
+                if self.ring.domain != "Q":
+                    raise ParseError("rational literal in an integer ring", pos)
+                if val2 == 0:
+                    raise ParseError("zero denominator", pos2)
+                return self.power(self.ring.constant(Fraction(val, val2)))
+            return self.power(self.ring.constant(val))
+        if kind == "name":
+            if val not in self.ring.names:
+                raise ParseError(
+                    f"unknown variable {val!r} (ring has {', '.join(self.ring.names)})",
+                    pos,
+                )
+            self.advance()
+            n, _ = self.exponent()
+            exps = [0] * self.ring.nvars
+            exps[self.ring.names.index(val)] = 1 if n is None else n
+            return LaurentPoly._make(self.ring, {
+                tuple(exps): self.ring.coerce_coeff(1)})
+        if kind == "op" and val == "(":
+            if self.depth == laurent.MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than "
+                                 f"{laurent.MAX_NESTING}", pos)
+            self.advance()
+            self.depth += 1
+            inner = self.expr()
+            self.depth -= 1
+            self.expect_op(")")
+            return self.power(inner)
+        found = "the end of the input" if kind == "end" else repr(val)
+        raise ParseError(f"expected a value, found {found}", pos)
+
+
+def _parsed_or_error(parser, text: str, ring: LaurentRing):
+    """The parsed terms with their coefficient types, or the error text
+    and position."""
+    try:
+        terms = parser(text, ring).parse().terms
+    except ParseError as exc:
+        return str(exc), exc.position
+    return sorted((e, c, type(c).__name__) for e, c in terms.items())
+
+
+L3Q = surface_ring(3, "Q")
+# tokens of the grammar, run together or spaced: literals (zero, rationals,
+# a zero denominator), names in and outside the rings, exponents at and
+# past the limit, operators and parentheses
+_GRAMMAR_TOKENS = ("t", "t2", "s3", "x", "0", "1", "2", "3/2", "-4/6", "1/0",
+                   "7", "^", "^0", "^-1", "^2", "^1000", "^-1001", "*", "+",
+                   "-", "(", ")", "/", " ")
+
+
+@settings(max_examples=400)
+@given(st.lists(st.sampled_from(_GRAMMAR_TOKENS), max_size=14),
+       st.sampled_from((T, TQ, L3, L3Q)))
+def test_parser_matches_the_per_atom_oracle(tokens, ring):
+    text = "".join(tokens)
+    assert _parsed_or_error(laurent._Parser, text, ring) == \
+        _parsed_or_error(_OracleParser, text, ring)
+
+
+@settings(max_examples=200)
+@given(st.text(alphabet="0123456789ts23/^*+-() ", max_size=24),
+       st.sampled_from((T, TQ, L3)))
+def test_parser_matches_the_oracle_on_the_alphabet(text, ring):
+    assert _parsed_or_error(laurent._Parser, text, ring) == \
+        _parsed_or_error(_OracleParser, text, ring)
+
+
+def test_parser_matches_the_oracle_at_the_limits():
+    big = "9" * laurent._MAX_DIGITS
+    cases = ["0*t", "t*0", "0*t^1000*t", "t^1000*t*0", "t^0", "2*t^0*3",
+             "2^3*t", "t*2^3", "(t-1)*3/2", "3/2*(t-1)", "3/2*t^-1 - 2*t^3",
+             "t^1000*t", "t^-1000*t^-1", "t*t^1000*t^-1", "(1+t)*t^1000",
+             "t^1000*(1+t)", f"{big}*t", f"t*{big}", f"{big}*10",
+             f"{big}*{big}", f"-{big}*t^2 + 1", "2*3/4*t", "1/2*2*t",
+             "t^2^3", "2^-1*t", "0^-1", "3/2^2*t", "--t*-2", "s3*t2^-1*s3",
+             "s3^1000*s3*t2", "(s3 - 1)*2*t2^-1", "t*(", "2*", "*t"]
+    for text in cases:
+        for ring in (T, TQ, L3, L3Q):
+            assert _parsed_or_error(laurent._Parser, text, ring) == \
+                _parsed_or_error(_OracleParser, text, ring), (text, ring)
+    assert _parsed_or_error(laurent._Parser, "t^1000*t", T) == (
+        "exponent 1001 exceeds the limit of 1000 in absolute value "
+        "(at position 6)", 6)
+    assert _parsed_or_error(laurent._Parser, f"{big}*10", T)[0].startswith(
+        "coefficient has more than 4300 digits")
+
+
+def test_a_literal_term_forms_no_product(monkeypatch):
+    calls = []
+    mul = LaurentPoly.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
+    f = parse_poly("3/2*t^-1 - 2*t^3", TQ)
+    assert calls == []
+    assert f.terms == {(-1,): Fraction(3, 2), (3,): Fraction(-2)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    parse_poly("(t - 1)*3/2", TQ)  # a parenthesised factor is a product
+    assert len(calls) == 1
+
+
 # -- order-free term maps, Q products, shared rings ---------------------------
 
 

@@ -53,6 +53,7 @@ from .homology import (
 from .laurent import specialize_phi
 from .rep import (
     Matrix2,
+    _transvection_in_k,
     at_k,
     conjugate_in_k,
     h_form,
@@ -420,22 +421,17 @@ def _handle_pairings(lift: LiftClass, eps: EpsilonTable) -> tuple:
 
 def _twist_in_k(lift: LiftClass, eps: EpsilonTable) -> tuple[Matrix2, ...]:
     """The twist's action on the handle span after Phi, in k: x goes to
-    x + p(x) C, so the action is I + c p^T, with c the lift's (a1, b1)
-    coordinates and p the pairings of a1 and b1.  The pushforward moves
-    c0 = (m, n) by k c1 = k (0, m) and p0 by k p1, so the coefficients
-    are I + c0 p0^T, c0 p1^T + c1 p0^T and c1 p1^T.  Phi is a ring
-    homomorphism, so it is applied to c and p, and the products are
-    taken over L."""
+    x + p(x) C, so the action is the transvection I + c p^T, with c the
+    lift's (a1, b1) coordinates and p the pairings of a1 and b1, here
+    computed from the pairing table (rho_in_k reads the same p off the
+    involution).  The pushforward moves c0 = (m, n) by k c1 = k (0, m)
+    and p0 by k p1, and _transvection_in_k takes the four.  Phi is a
+    ring homomorphism, so it is applied to c and p, and the products
+    are taken over L."""
     p0, p1 = (tuple(map(specialize_phi, p))
               for p in _handle_pairings(lift, eps))
     m, n = specialize_phi(lift.m), specialize_phi(lift.n)
-    c0, c1 = (m, n), (m.ring.zero(), m)
-
-    def outer(c, p) -> Matrix2:
-        return Matrix2(c[0] * p[0], c[0] * p[1], c[1] * p[0], c[1] * p[1])
-
-    return (Matrix2.identity(m.ring) + outer(c0, p0),
-            outer(c0, p1) + outer(c1, p0), outer(c1, p1))
+    return _transvection_in_k((m, n), (m.ring.zero(), m), p0, p1)
 
 
 def pairing_table_recheck(base_lift: LiftClass, eps: EpsilonTable,

@@ -155,10 +155,17 @@ def _ring_for_expression(expr: str, genus: int, domain: str) -> LaurentRing:
     if not names:
         return single_variable_ring("t", domain)
     ring = surface_ring(genus, domain)
-    unknown = names - set(ring.names)
+    unknown = sorted(names - set(ring.names))
+    indices = {str(g) for g in range(2, MAX_GENUS + 1)}
+    for name in unknown:
+        if name[1:] not in indices:  # no genus has it: --genus cannot help
+            raise UsageError(
+                f"variable {name} is in no surface ring: the variables are "
+                f"s2..sg and t2..tg, g at most {MAX_GENUS}, with no leading "
+                "zeros")
     if unknown:
         raise UsageError(
-            f"variable {sorted(unknown)[0]} is outside the genus-{genus} "
+            f"variable {unknown[0]} is outside the genus-{genus} "
             "ring; raise --genus")
     return ring
 

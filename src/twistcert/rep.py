@@ -1,11 +1,11 @@
 """The matrix representation carried by twists about lifted curves.
 
-The twist about a lifted curve acts L_g-linearly on the span of the two
-handle classes a1, b1 (everything else it adds dies under the collapse
-map Phi).  Writing the action in the (a1, b1) basis, with matrices
-acting on coordinate columns, gives a 2x2 matrix over L_g whose entries
-are convolution sums in the lift's m and n families; those sums are
-exactly involution products, so the matrix is
+The twist about a lifted curve C acts L_g-linearly on the span of the
+two handle classes a1, b1 (everything else it adds dies under the
+collapse map Phi), as x -> x + p(x) C.  In the (a1, b1) basis, with
+matrices acting on coordinate columns, that is the transvection
+I + c p^T, with c = (m, n) the coordinates of C and p = (inv(n), -inv(m))
+the pairings of a1 and b1 with it:
 
     [ 1 + inv(n) m   -inv(m) m ]
     [   inv(n) n    1 - inv(m) n ]
@@ -15,12 +15,12 @@ built-in bounding-curve lift maps to N = [[1, t - 2 + t^-1], [0, 1]],
 and pushing it forward under k-th powers of the handle twist conjugates
 N by M_k = [[1, 0], [k, 1]].
 
-Pushing a lift forward by the k-th power moves n to n + k m, so the
-matrix of the pushed lift, and the conjugate M_k N M_k^-1, are
-quadratic in k.  rho_in_k and conjugate_in_k give their three
-coefficient matrices; the determinant check runs once, on the identity
-in k, and the matrix for one power is an evaluation of it (at_k), by
-scaling and adding entries.
+Pushing a lift forward by the k-th power moves n to n + k m, so c and p
+are linear in k, and rho_k and the conjugate M_k N M_k^-1 are quadratic
+in k.  rho_in_k and conjugate_in_k give their three coefficient
+matrices, rho_in_k from the one transvection builder; rho_k - I has
+rank one, so its determinant check reads tr(rho_k) - 1, once, in k.
+The matrix for one power is an evaluation (at_k), by scaling and adding.
 """
 
 from __future__ import annotations
@@ -173,30 +173,36 @@ def multiply(matrices: Iterable[Matrix2],
 def rho_pre_phi(lift: LiftClass) -> Matrix2:
     """The twist's matrix on the handle span, before specialization.
 
-    Entries are over the full ring L_g.  The determinant is
-    1 + inv(n) m - inv(m) n, which is 1 exactly when the lift passes
-    validation; the commutator part of the lift never reaches the
-    handle span and does not enter.
+    Entries are over the full ring L_g: with P = inv(m) m, Q = inv(m) n
+    and R = inv(n) n, it is [[1 + inv(Q), -P], [R, 1 - Q]], of
+    determinant 1 + inv(Q) - Q, which is 1 exactly when the lift passes
+    validation; the commutator part of the lift does not enter.  This
+    formula is the reference rho, a transvection, is tested against.
     """
-    return _handle_matrix(lift.m, lift.n)
-
-
-def _handle_matrix(m: LaurentPoly, n: LaurentPoly) -> Matrix2:
-    """The handle matrix of the families m and n, over their ring: with
-    Q = inv(m) n, the diagonal is 1 + inv(Q), 1 - Q, since inv(n) m is
-    the involution of Q."""
+    m, n = lift.m, lift.n
     q = m.involution() * n
     one = m.ring.one()
     return Matrix2(one + q.involution(), -(m.involution() * m),
                    n.involution() * n, one - q)
 
 
+def _transvection_in_k(c0, c1, p0, p1) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """The coefficients in k of I + c_k p_k^T, for the columns c_k = c0
+    + k c1 and rows p_k = p0 + k p1, each given as a pair of entries:
+    I + c0 p0^T, c0 p1^T + c1 p0^T and c1 p1^T."""
+    def outer(c, p) -> Matrix2:
+        return Matrix2(c[0] * p[0], c[0] * p[1], c[1] * p[0], c[1] * p[1])
+
+    return (Matrix2.identity(c0[0].ring) + outer(c0, p0),
+            outer(c0, p1) + outer(c1, p0), outer(c1, p1))
+
+
 def rho(lift: LiftClass) -> Matrix2:
     """The represented matrix over L, Phi applied to rho_pre_phi.
 
     Phi is a ring homomorphism that commutes with the involution, so
-    the matrix is the handle matrix of Phi(m) and Phi(n): each family
-    is specialised once, and the products are taken over L.
+    the matrix is built from Phi(m) and Phi(n): each family is
+    specialised once, and the products are taken over L.
     """
     return rho_in_k(lift)[0]
 
@@ -205,37 +211,25 @@ def rho_in_k(lift: LiftClass) -> tuple[Matrix2, Matrix2, Matrix2]:
     """The coefficients C0, C1, C2 of the matrix of every pushforward:
     rho(pushforward_b1_twist(lift, k)) = C0 + k C1 + k^2 C2.
 
-    With P = inv(m) m, Q = inv(m) n and R = inv(n) n after Phi, n + k m
-    keeps P, moves Q to Q + k P and R to R + k (Q + inv(Q)) + k^2 P, so
-
-        rho_k = [[1 + inv(Q) + k P, -P], [R + k (Q + inv(Q)) + k^2 P, 1 - Q - k P]].
-
-    The pushforwards share the lift's validity (Q_k - inv(Q_k) = Q -
-    inv(Q), since P is fixed by the involution), so the lift is checked
-    once, and the determinant once, as a polynomial in k.
+    rho_k is the transvection I + c_k p_k^T with, after Phi, c_k = (m,
+    n + k m) and p_k = (inv(n + k m), -inv(m)), the pairings read off
+    the involution.  rho_k - I has rank one, so det(rho_k) = tr(rho_k)
+    - 1.  The pushforwards share the lift's validity (Q_k - inv(Q_k) =
+    Q - inv(Q) for Q = inv(m) n, since inv(m) m is fixed by the
+    involution), so the lift is checked once, and the determinant once,
+    from the traces of C0, C1 and C2.
     """
     _require_valid(lift)
-    c0 = _handle_matrix(specialize_phi(lift.m), specialize_phi(lift.n))
-    one, zero = c0.ring.one(), c0.ring.zero()
-    p, q = -c0.b, one - c0.d  # P and Q, read off C0
-    coeffs = (c0, Matrix2(p, zero, q + q.involution(), -p),
-              Matrix2(zero, zero, p, zero))
-    det = det_in_k(coeffs)
-    if det != [one] + [zero] * (len(det) - 1):
+    m, n = specialize_phi(lift.m), specialize_phi(lift.n)
+    one, zero, inv_m = m.ring.one(), m.ring.zero(), m.involution()
+    coeffs = _transvection_in_k((m, n), (zero, m),
+                                (n.involution(), -inv_m), (inv_m, zero))
+    det = [coeffs[0].trace() - one] + [c.trace() for c in coeffs[1:]]
+    if det != [one, zero, zero]:
         in_k = " + ".join(f"({d}) k^{i}" for i, d in enumerate(det) if d)
-        raise ValueError(f"represented matrix {c0} + ({coeffs[1]}) k + "
+        raise ValueError(f"represented matrix {coeffs[0]} + ({coeffs[1]}) k + "
                          f"({coeffs[2]}) k^2 has determinant {in_k}, not 1")
     return coeffs
-
-
-def det_in_k(coeffs: Sequence[Matrix2]) -> list[LaurentPoly]:
-    """The coefficients in k of det(sum_i k^i C_i), lowest first."""
-    ring = coeffs[0].ring
-    out = [ring.zero()] * (2 * len(coeffs) - 1)
-    for i, x in enumerate(coeffs):
-        for j, y in enumerate(coeffs):
-            out[i + j] = out[i + j] + (x.a * y.d - x.b * y.c)
-    return out
 
 
 def at_k(coeffs: Sequence[Matrix2], k: int) -> Matrix2:

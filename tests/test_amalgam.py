@@ -1,6 +1,9 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -15,7 +18,7 @@ from conftest import (
     random_u_element,
     random_valid_lift,
 )
-from twistcert import amalgam, cli, homology, rep, tree
+from twistcert import amalgam, cli, homology, laurent, rep, tree
 from twistcert.amalgam import (
     AmalgamLetter,
     Certificate,
@@ -1005,6 +1008,52 @@ def test_certificate_forms_one_product_of_the_families(monkeypatch):
     # so conjugation fails
     records = build_certificate(4, 3, base_lift=lift).records
     assert all(r["twist_consistency_ok"] for r in records)
+
+
+def _spread_lift_record() -> dict:
+    """A genus-2 lift whose m has 100 one-digit terms (0, e), e drawn
+    from -1000..1000, and n = 2m: inside every limit, and the record
+    the CI's "Lift with spread exponents" step builds."""
+    rng = random.Random(44)
+    m = {f"0,{e}": rng.choice((-3, -2, -1, 1, 2, 3))
+         for e in rng.sample(range(-1000, 1001), 100)}
+    return {"genus": 2, "m": m, "n": {key: 2 * c for key, c in m.items()}}
+
+
+def test_no_certificate_product_exceeds_the_families_product(monkeypatch):
+    # after Phi the spread lift's P, Q and R have thousands of terms; a
+    # product of two of them (as in a determinant of rho_k) would cost
+    # millions of term pairs, while each product the certificate forms
+    # multiplies two lift families, at most |m| |n| pairs
+    lift = LiftClass.from_json(_spread_lift_record())
+    pairs = []
+    real = laurent._convolve
+
+    def counting(f, g):
+        pairs.append(len(f) * len(g))
+        return real(f, g)
+
+    monkeypatch.setattr(laurent, "_convolve", counting)
+    cert = build_certificate(2, 2, base_lift=lift)
+    monkeypatch.undo()
+    assert 0 < max(pairs) <= len(lift.m.terms) * len(lift.n.terms) == 10000
+    # valid and twist-consistent, but no bounding curve's lift
+    assert all(r["twist_consistency_ok"] and not r["conjugation_ok"]
+               for r in cert.records)
+
+
+def test_verify_on_spread_exponents_is_fast(tmp_path):
+    path = tmp_path / "spread-lift.json"
+    path.write_text(json.dumps(_spread_lift_record()))
+    started = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistcert.cli", "verify", "--genus", "2",
+         "--kmax", "2", "--lift", str(path)],
+        capture_output=True, text=True, timeout=120)
+    elapsed = time.perf_counter() - started
+    assert proc.returncode == 1
+    assert proc.stdout.splitlines()[-2] == "verdict: FAIL"
+    assert elapsed < 5  # an interpreter start included
 
 
 def test_seed_recheck_products_do_not_grow_with_kmax(monkeypatch):

@@ -60,6 +60,18 @@ def test_eval_variable_outside_ring(capsys):
     assert code == 2
     assert "raise --genus" in err
     assert run(capsys, "eval", "t3 - 1", "--genus", "3")[0] == 0
+    # variables run s2..sg and t2..tg for g up to MAX_GENUS, without
+    # leading zeros: no genus has these, so raising it is no hint
+    for name, argv in (("s1", ["s1"]), ("s0", ["s0"]),
+                       ("t1", ["t1", "--genus", "3"]),
+                       ("t01", ["t01", "--genus", "3"]), ("t41", ["t41"]),
+                       ("t1", ["t3 + t1"]), ("t41", ["s3*t41"])):
+        code, out, err = run(capsys, "eval", *argv)
+        assert (code, out) == (2, "")
+        assert err == (f"error: variable {name} is in no surface ring: the "
+                       "variables are s2..sg and t2..tg, g at most 40, "
+                       "with no leading zeros\n")
+    assert run(capsys, "eval", "t40", "--genus", "40")[0] == 0
 
 
 def test_eval_parse_error_names_position(capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_epsilon, random_poly, random_valid_lift
-from twistcert import rep
+from twistcert import amalgam, rep
 from twistcert.amalgam import build_certificate
 from twistcert.cli import main
 from twistcert.homology import (
@@ -27,7 +27,6 @@ from twistcert.rep import (
     Matrix2,
     at_k,
     conjugate_in_k,
-    det_in_k,
     h_form,
     matrix_Mk,
     matrix_N,
@@ -166,16 +165,75 @@ def test_conjugate_in_k_evaluates_to_the_product():
             assert at_k(coeffs, k) == mk @ mat @ mk.inverse()
 
 
-def test_det_in_k_is_the_determinant_at_each_k():
-    rng = random.Random(19)
-    coeffs = [Matrix2(*(random_poly(rng, L, max_terms=2, max_exp=1)
-                        for _ in range(4)))
-              for _ in range(3)]
-    det = det_in_k(coeffs)
-    assert len(det) == 5
-    for k in (-1, 0, 2, 5):
-        assert at_k(coeffs, k).det() == sum(
-            (d.scale(k ** i) for i, d in enumerate(det)), L.zero())
+def _traces_and_coeffs(monkeypatch, lift):
+    """rho_in_k's closed-form determinant [tr C0 - 1, tr C1, tr C2] and
+    the coefficients it was read from, the last the builder returned;
+    rho_in_k raises when the determinant is not 1."""
+    built = []
+    real = rep._transvection_in_k
+    monkeypatch.setattr(rep, "_transvection_in_k",
+                        lambda *args: built.append(real(*args)) or built[-1])
+    try:
+        rho_in_k(lift)
+        raised = False
+    except ValueError:
+        raised = True
+    monkeypatch.undo()
+    coeffs = built[-1]
+    one = coeffs[0].ring.one()
+    return [coeffs[0].trace() - one] + [c.trace() for c in coeffs[1:]], \
+        coeffs, raised
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_determinant_is_read_from_the_trace(monkeypatch, genus):
+    # rho_k - I = c_k p_k^T has rank one, so det(rho_k) = tr(rho_k) - 1:
+    # the closed form must be the determinant at every k, on valid lifts
+    # and, with the lift check off, on invalid ones
+    rng = random.Random(60 + genus)
+    ring = surface_ring(genus)
+    with_w = failed = 0
+    for valid in (True,) * 15 + (False,) * 15:
+        if valid:
+            lift = random_valid_lift(rng, genus)
+            with_w += not lift.w.is_zero()
+        else:
+            lift = LiftClass(genus, None, random_poly(rng, ring),
+                             random_poly(rng, ring))
+            monkeypatch.setattr(rep, "_require_valid", lambda lift: None)
+        det, coeffs, raised = _traces_and_coeffs(monkeypatch, lift)
+        for k in (-2, 0, 1, 3, 11):
+            assert at_k(coeffs, k).det() == sum(
+                (d.scale(k ** i) for i, d in enumerate(det)), L.zero())
+        assert raised == (det != [L.one(), L.zero(), L.zero()])
+        assert not (valid and raised)
+        failed += raised
+    assert failed >= 5
+    assert with_w or genus == 2
+
+
+@pytest.mark.parametrize("entry", range(4), ids=["a", "b", "c", "d"])
+def test_a_sign_flip_in_the_builder_fails_the_certificate(monkeypatch, entry):
+    # rho_k and the twist's action share the builder, so twist
+    # consistency cannot see a fault in it: conjugation or the
+    # determinant must
+    real = rep._transvection_in_k
+
+    def flip(mat):
+        entries = list(mat.entries())
+        entries[entry] = -entries[entry]
+        return Matrix2(*entries)
+
+    def flipped(*args):  # one sign of every outer product c p^T flipped
+        c0, c1, c2 = real(*args)
+        eye = Matrix2.identity(c0.ring)
+        return eye + flip(c0 - eye), flip(c1), flip(c2)
+
+    monkeypatch.setattr(rep, "_transvection_in_k", flipped)
+    monkeypatch.setattr(amalgam, "_transvection_in_k", flipped)
+    cert = build_certificate(5, 3)
+    assert not cert.verdict
+    assert all("error" in r or not r["conjugation_ok"] for r in cert.records)
 
 
 def test_conjugated_matrix_frozen_value():

@@ -20,11 +20,13 @@ each of degree at most 2 in k: the conjugation identity rho_k =
 M_k N M_k^-1 and the twist-consistency identity are compared
 coefficient by coefficient, and the lift check (the certificate's only
 product of two families over L_g) and the determinant check run once.
-The per-k records, for k = 1..kmax, are evaluations: the pushed-forward
-lift, rho_k, each identity's verdict at k (an identity that fails is
-decided at each k from its residual), the membership facts M_k in A
-minus U and N in B minus U, and the balance of rho_k, itself checked
-once in k (balance is linear) and at each k only when that fails.
+Each power k keeps only its verdict flags: each identity's verdict (one
+that fails is decided at each k from its residual), M_k in A minus U
+(read from the closed form of the separation), N in B minus U, and the
+balance of rho_k (checked once in k, and at each k only when that
+fails).  The per-k records, the pushed-forward lift and rho_k with the
+flags, are derived when asked, and the JSON writes them from one
+template.
 
 The pairwise records separate the double cosets of every pair of powers
 k < l.  Separation goes through M_l^-1 M_k = M_{k-l}, so it depends on
@@ -50,7 +52,7 @@ from .homology import (
     pairing_polynomial,
     pushforward_b1_twist,
 )
-from .laurent import specialize_phi
+from .laurent import LaurentPoly, specialize_phi
 from .rep import (
     Matrix2,
     _transvection_in_k,
@@ -295,17 +297,55 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     return out
 
 
-@dataclass(frozen=True)
+# the summary's text for each per-k verdict flag, when it holds and when not
+_FLAG_TEXTS = (("conjugation ok", "conjugation FAILED"),
+               ("twist consistent", "twist INCONSISTENT"),
+               ("M_k in A\\U", "M_k membership FAILED"),
+               ("N in B\\U", "N membership FAILED"),
+               ("balanced", "balance FAILED"))
+_MEMBERSHIPS = ("Mk_in_A_not_U", "N_in_B_not_U", "conjugate_balanced")
+
+
 class Certificate:
     """A machine-checkable record that the twist powers are independent.
 
-    The verdict is true exactly when first_failure finds nothing.  The
-    pairwise records are derived from kmax, not stored.
+    The verdict is true exactly when first_failure finds nothing.  Built
+    in k, it keeps the lift, rho's coefficients in k and each power's
+    verdict flags (in _FLAG_TEXTS order), and derives a per-k record
+    when asked; made from records, it reads the flags from them (an
+    error record has none).  The pairwise records are derived from kmax.
     """
 
-    kmax: int
-    genus: int
-    records: tuple[dict, ...]
+    def __init__(self, kmax: int, genus: int,
+                 records: Optional[Sequence[dict]] = None, *,
+                 lift: Optional[LiftClass] = None, rho_k: tuple = (),
+                 flags: Sequence[tuple] = ()):
+        self.kmax, self.genus = kmax, genus
+        self._lift, self._rho_k = lift, rho_k
+        if records is not None:
+            flags = [None if "error" in r else
+                     (r["conjugation_ok"], r["twist_consistency_ok"],
+                      *map(r["memberships"].get, _MEMBERSHIPS))
+                     for r in records]
+        self._flags = tuple(flags)
+        self._records = [None] * kmax if records is None else list(records)
+
+    def _record(self, k: int) -> dict:
+        """The record of power k, derived on first use and then kept."""
+        record = self._records[k - 1]
+        if record is None:
+            conjugation, twist, *member = self._flags[k - 1]
+            record = self._records[k - 1] = {
+                "k": k, "lift": pushforward_b1_twist(self._lift, k).to_json(),
+                "rho": at_k(self._rho_k, k).to_json(),
+                "conjugation_ok": conjugation, "twist_consistency_ok": twist,
+                "memberships": dict(zip(_MEMBERSHIPS, member))}
+        return record
+
+    @property
+    def records(self) -> tuple[dict, ...]:
+        """The per-k records, for k = 1..kmax."""
+        return tuple(map(self._record, range(1, len(self._records) + 1)))
 
     def _pairs(self):
         """Every pair k < l of powers, by k and then by l."""
@@ -324,11 +364,9 @@ class Certificate:
 
     def first_failure(self) -> Optional[dict]:
         """The first per-k record or pairwise separation that failed."""
-        for record in self.records:
-            if "error" in record or not (
-                    record["conjugation_ok"] and record["twist_consistency_ok"]
-                    and all(record["memberships"].values())):
-                return record
+        for k, flags in enumerate(self._flags, 1):
+            if flags is None or not all(flags):
+                return self._record(k)
         failed = self._failed_differences()
         # every difference first appears at k = 1, so the smallest
         # failing one names the first failing pair
@@ -349,49 +387,79 @@ class Certificate:
 
     def json_text(self) -> str:
         """json.dumps(self.to_json(), sort_keys=True, indent=2), byte for
-        byte.  The pairwise records are written from one template at
-        their fixed indent; the other fields are dumped alone and
-        indented one level (JSON escapes every newline in a string)."""
+        byte.  The pairwise records, and derived per-k records, are
+        written from one template each at their fixed indent; the other
+        fields are dumped alone and indented one level (JSON escapes
+        every newline in a string)."""
         fields = {"genus": self.genus, "kmax": self.kmax,
-                  "records": self.records, "verdict": self.verdict}
+                  "verdict": self.verdict}
+        if self._lift is None:
+            fields["records"] = self._records
         texts = {key: json.dumps(value, sort_keys=True, indent=2)
                  .replace("\n", "\n  ") for key, value in fields.items()}
         texts["pairwise"] = self._pairwise_text()
+        if self._lift is not None:
+            texts["records"] = self._records_text()
         return "{\n  " + ",\n  ".join(
             f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) \
             + "\n}"
 
+    def _records_text(self) -> str:
+        """The derived per-k records as json_text writes them, one level
+        deep: a record with a marker in each per-k place is dumped once,
+        and each power fills in its flags, k, the pushed n family n + k m
+        (base lift's key order, zero sums dropped) and rho_k's entries,
+        each one polynomial c0 + k c1 + k^2 c2 written by __str__."""
+        base = self._lift.to_json()
+        marks = [f"\x00{i}" for i in range(11)]
+        template = "    " + json.dumps(
+            {"conjugation_ok": marks[0], "twist_consistency_ok": marks[1],
+             "memberships": dict(zip(_MEMBERSHIPS, marks[2:5])),
+             "k": marks[5], "lift": {**base, "n": marks[6]},
+             "rho": dict(zip("abcd", marks[7:]))}, sort_keys=True, indent=2,
+        ).replace("\n", "\n    ").replace("{", "{{").replace("}", "}}")
+        for i, mark in enumerate(marks):
+            template = template.replace(json.dumps(mark), f"{{{i}}}")
+        m, n = base["m"], base["n"]
+        family = [(key, n.get(key, 0), m.get(key, 0)) for key in sorted({*m, *n})]
+        ring = self._rho_k[0].ring
+        entries = [[(e, *(p.terms.get(e, 0) for p in coeffs))
+                    for e in set().union(*(p.terms for p in coeffs))]
+                   for coeffs in zip(*(c.entries() for c in self._rho_k))]
+
+        def record(k: int) -> str:
+            pushed = ",\n".join(f'          "{key}": {c}' for key, n0, m0
+                                in family if (c := n0 + k * m0))
+            rho = (LaurentPoly._make(ring, {
+                e: v for e, c0, c1, c2 in terms
+                if (v := c0 + k * (c1 + k * c2))}) for terms in entries)
+            return template.format(
+                *("true" if flag else "false" for flag in self._flags[k - 1]),
+                k, f"{{\n{pushed}\n        }}" if pushed else "{}",
+                *(f'"{poly}"' for poly in rho))
+
+        return "[\n" + ",\n".join(map(record, range(1, self.kmax + 1))) \
+            + "\n  ]"
+
     def _pairwise_text(self) -> str:
-        """The pairwise list as json_text writes it, one level deep."""
+        """The pairwise list as json_text writes it, one level deep: a
+        witness is ASCII with nothing to escape."""
         if self.kmax < 2:
             return "[]"
         distinct = [json.dumps(_separated(-d)) for d in range(self.kmax)]
         return "[\n" + ",\n".join(
             f'    {{\n      "distinct": {distinct[l - k]},\n'
             f'      "k": {k},\n      "l": {l},\n'
-            f'      "witness": {json.dumps(_witness(k, l))}\n    }}'
+            f'      "witness": "{_witness(k, l)}"\n    }}'
             for k, l in self._pairs()) + "\n  ]"
 
     def summary_lines(self) -> list[str]:
         lines = [f"certificate: genus {self.genus}, twist powers 1..{self.kmax}"]
-        for record in self.records:
-            if "error" in record:
-                lines.append(f"  k={record['k']}: ERROR {record['error']}")
-                continue
-            member = record["memberships"]
-            bits = [
-                "conjugation ok" if record["conjugation_ok"]
-                else "conjugation FAILED",
-                "twist consistent" if record["twist_consistency_ok"]
-                else "twist INCONSISTENT",
-                "M_k in A\\U" if member["Mk_in_A_not_U"]
-                else "M_k membership FAILED",
-                "N in B\\U" if member["N_in_B_not_U"]
-                else "N membership FAILED",
-                "balanced" if member["conjugate_balanced"]
-                else "balance FAILED",
-            ]
-            lines.append(f"  k={record['k']}: " + ", ".join(bits))
+        for k, flags in enumerate(self._flags, 1):
+            lines.append(f"  k={k}: " + (
+                f"ERROR {self._records[k - 1]['error']}" if flags is None
+                else ", ".join(text[not flag]
+                               for flag, text in zip(flags, _FLAG_TEXTS))))
         failed = self._failed_differences()
         pairs = self.kmax * (self.kmax - 1) // 2
         # difference d has kmax - d pairs, (k, k + d) for k = 1..kmax - d
@@ -457,9 +525,9 @@ def build_certificate(kmax: int, genus: int,
     action on the handle span are computed once, as polynomials in k of
     degree at most 2, the conjugation and twist-consistency identities
     are compared coefficient by coefficient, and the balance of rho_k is
-    checked on its coefficients; each per-k record evaluates them at k
-    by scaling and adding, with no product.  No pairwise record is
-    built: the certificate derives them from kmax.
+    checked on its coefficients; each power keeps its verdict flags
+    only.  No per-k or pairwise record is built: the certificate
+    derives them when asked.
     The epsilon table reaches only _handle_pairings, inside the
     twist-consistency check, where the sign choices provably never
     matter; pairing_table_recheck re-runs that stage under another
@@ -497,25 +565,10 @@ def build_certificate(kmax: int, genus: int,
     # h_form(C0) and every entry of C1 and C2 are
     balance_identity = h_form(rho_k[0]).all_balanced and all(
         entry.is_balanced() for coeff in rho_k[1:] for entry in coeff.entries())
-    records = []
-    for k in powers:
-        mat = at_k(rho_k, k)
-        # M_k = [[1, 0], [k, 1]] has determinant 1 by its shape, so its
-        # sides are read from exponent signs alone
-        mk_in_a, mk_in_b = _sides(matrix_Mk(k))
-        records.append({
-            "k": k,
-            "lift": pushforward_b1_twist(star, k).to_json(),
-            "rho": mat.to_json(),
-            "conjugation_ok":
-                conj_identity or _vanishes([at_k(conj_residual, k)]),
-            "twist_consistency_ok":
-                twist_identity or _vanishes([at_k(twist_residual, k)]),
-            "memberships": {
-                "Mk_in_A_not_U": mk_in_a and not mk_in_b,
-                "N_in_B_not_U": n_in_b_not_u,
-                "conjugate_balanced":
-                    balance_identity or h_form(mat).all_balanced,
-            },
-        })
-    return Certificate(kmax, genus, tuple(records))
+    flags = tuple(
+        (conj_identity or _vanishes([at_k(conj_residual, k)]),
+         twist_identity or _vanishes([at_k(twist_residual, k)]),
+         _separated(k), n_in_b_not_u,  # M_k is in A, and in U iff t | k
+         balance_identity or h_form(at_k(rho_k, k)).all_balanced)
+        for k in powers)
+    return Certificate(kmax, genus, lift=star, rho_k=rho_k, flags=flags)

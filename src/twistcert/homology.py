@@ -567,7 +567,7 @@ class LiftClass:
                 raise ValueError("w-part entries must be commutator generators")
             if gen in w_coeffs:
                 raise ValueError(f"w-part names {item[0]} twice")
-            w_coeffs[gen] = parse_poly(item[1], ring)
+            w_coeffs[gen] = parse_poly(item[1], ring, f"w-part {item[0]}")
         return cls(genus, CycleClass(genus, w_coeffs),
                    family("m"), family("n"))
 

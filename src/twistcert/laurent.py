@@ -756,6 +756,12 @@ class _Parser:
         return base
 
 
-def parse_poly(text: str, ring: LaurentRing) -> LaurentPoly:
-    """Parse the documented text format into a polynomial of the ring."""
-    return _Parser(text, ring).parse()
+def parse_poly(text: str, ring: LaurentRing, part: str = "") -> LaurentPoly:
+    """Parse the documented text format into a polynomial of the ring; a
+    parse error names the part of a larger input that text is, if any."""
+    try:
+        return _Parser(text, ring).parse()
+    except ParseError as exc:
+        if part:
+            exc.args = (f"{part}: {exc}",)
+        raise

@@ -64,17 +64,17 @@ class Matrix2:
 
     @classmethod
     def from_rows(cls, ring: LaurentRing, rows: Sequence[Sequence]) -> "Matrix2":
-        def entry(x) -> LaurentPoly:
+        def entry(name, x) -> LaurentPoly:
             if isinstance(x, LaurentPoly):
                 if x.ring != ring:
                     raise ValueError("entry lives in the wrong ring")
                 return x
             if isinstance(x, str):
-                return parse_poly(x, ring)
+                return parse_poly(x, ring, f"matrix entry {name}")
             return ring.constant(x)
 
         (a, b), (c, d) = rows
-        return cls(entry(a), entry(b), entry(c), entry(d))
+        return cls(*map(entry, "abcd", (a, b, c, d)))
 
     def entries(self) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly, LaurentPoly]:
         return (self.a, self.b, self.c, self.d)
@@ -151,7 +151,8 @@ class Matrix2:
             if not isinstance(entry, str):
                 raise ValueError(f"matrix entry {name} must be a string, "
                                  f"got {type(entry).__name__}")
-        return cls(*(parse_poly(entry, ring) for entry in entries))
+        return cls(*(parse_poly(entry, ring, f"matrix entry {name}")
+                     for name, entry in zip("abcd", entries)))
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

@@ -626,7 +626,7 @@ def test_certificate_json_frozen_digests(genus, kmax, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_certificate_builds_one_matrix_per_power(monkeypatch):
+def test_certificate_builds_no_matrix_per_power(monkeypatch):
     built = []
     real = amalgam.matrix_Mk
 
@@ -638,9 +638,24 @@ def test_certificate_builds_one_matrix_per_power(monkeypatch):
     kmax = 30
     cert = build_certificate(kmax, 2)
     assert len(cert.pairwise) == kmax * (kmax - 1) // 2
-    # one M_k per record; the pairwise witnesses write M_{k-l} in
-    # closed form
-    assert sorted(built) == list(range(1, kmax + 1))
+    assert cert.records[-1]["memberships"]["Mk_in_A_not_U"]
+    # M_k's membership is read from the closed form of _separated, and
+    # the pairwise witnesses write M_{k-l} in closed form
+    assert built == []
+
+
+def test_mk_membership_is_the_closed_form_of_the_separation():
+    # M_k = [[1, 0], [k, 1]] lies in A, and in U exactly when t divides k
+    for k in range(-50, 51):
+        mk = matrix_Mk(k)
+        assert amalgam._separated(k) == (in_A(mk) and not in_U(mk)), k
+
+
+def test_witnesses_need_no_json_escaping():
+    for k in range(1, 121):
+        for l in range(k + 1, 121):
+            witness = amalgam._witness(k, l)
+            assert json.dumps(witness) == f'"{witness}"'
 
 
 def test_certificate_validates_the_base_lift_once(monkeypatch):
@@ -769,6 +784,19 @@ def _sweep_inputs(genus):
     ]
 
 
+@pytest.mark.parametrize("genus", [2, 3])
+def test_derived_records_match_the_per_power_reference(genus):
+    # every record a certificate derives, for every k, on passing,
+    # failing and invalid lifts; first_failure derives the record it
+    # returns, and records then keeps it
+    for name, eps, lift, largest in _sweep_inputs(genus):
+        reference = _per_k_certificate(largest, genus, eps, lift)
+        cert = build_certificate(largest, genus, eps=eps, base_lift=lift)
+        first = cert.first_failure()
+        assert cert.records == reference.records, name
+        assert first is None or first is cert.records[first["k"] - 1]
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4, 5])
 def test_certificate_matches_the_per_power_reference(genus):
     outcomes = set()
@@ -816,6 +844,25 @@ def _oracle_certificates():
     yield build_certificate(12, 3, eps=homology.EpsilonTable.seeded(3, 7))
     # made directly, with no pair of powers: the pairwise list is empty
     yield Certificate(1, 2, build_certificate(2, 2).records[:1])
+    yield build_certificate(6, 3, base_lift=_cancelling_lift())
+
+
+def _cancelling_lift() -> LiftClass:
+    """m = t2 - 1 with a w-part and n = -2m: the second pushforward's n
+    family n + 2m is empty."""
+    return LiftClass.from_json({
+        "genus": 3, "m": {"0,0,1,0": 1, "0,0,0,0": -1},
+        "n": {"0,0,1,0": -2, "0,0,0,0": 2}, "w": [["c:1:2", "s2 - 1"]]})
+
+
+def test_a_cancelled_n_family_is_written_as_the_generic_encoder_writes_it():
+    cert = build_certificate(6, 3, base_lift=_cancelling_lift())
+    assert cert.json_text() == json.dumps(cert.to_json(), sort_keys=True,
+                                          indent=2)
+    record = json.loads(cert.json_text())["records"][1]
+    assert record["k"] == 2 and record["lift"]["n"] == {}
+    assert record["rho"]["c"] == "0"
+    assert cert.verdict is False
 
 
 def test_json_text_is_the_generic_encoders_bytes():
@@ -986,6 +1033,46 @@ def test_witnesses_are_formatted_only_for_json(capsys, monkeypatch):
         assert len(calls) == counts[-1]
     capsys.readouterr()
     assert counts == [0, kmax * (kmax - 1) // 2]
+
+
+def _counted_verify(monkeypatch, capsys, argv) -> dict:
+    """The calls that cli.main(argv) makes to each per-k record builder."""
+    calls = dict.fromkeys(("str", "at_k", "pushforward_b1_twist",
+                           "matrix_Mk"), 0)
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(LaurentPoly, "__str__",
+                        counting("str", LaurentPoly.__str__))
+    for name in ("at_k", "pushforward_b1_twist", "matrix_Mk"):
+        monkeypatch.setattr(amalgam, name,
+                            counting(name, getattr(amalgam, name)))
+    code = cli.main(argv)
+    monkeypatch.undo()
+    capsys.readouterr()
+    return {"code": code, **calls}
+
+
+def test_verify_builds_only_the_records_it_prints(monkeypatch, capsys):
+    # a passing certificate prints no per-k record in text mode, and its
+    # JSON writes every record from the certificate's own coefficients
+    argv = ["verify", "--genus", "3", "--kmax", "100"]
+    assert _counted_verify(monkeypatch, capsys, argv) == {
+        "code": 0, "str": 0, "at_k": 0, "pushforward_b1_twist": 0,
+        "matrix_Mk": 0}
+    counts = _counted_verify(monkeypatch, capsys, argv + ["--format", "json"])
+    assert counts["code"] == 0 and counts["str"] > 0
+    assert counts["at_k"] == counts["pushforward_b1_twist"] == 0
+    # a failing one derives the one record it prints
+    mutated = canonical_lift(3).to_json()
+    mutated["m"]["0,0,1,0"] = 2
+    counts = _counted_verify(monkeypatch, capsys,
+                             argv + ["--lift", json.dumps(mutated)])
+    assert counts["code"] == 1 and counts["pushforward_b1_twist"] == 1
 
 
 def test_certificate_forms_one_product_of_the_families(monkeypatch):

@@ -853,6 +853,21 @@ def test_json_inputs_fail_on_one_line(capsys, tmp_path, argv):
     (["verify", "--genus", "3", "--kmax", "2", "--lift",
       '{"genus": 3, "w": [["c:+1:2", "s2 - 1"]]}'],
      "bad generator key 'c:+1:2'"),
+    # a parse error inside a matrix entry or a w-part names it, and its
+    # position counts within that text
+    (["normal-form", "[[1, 0], [0, t^]]"],
+     "matrix entry d: expected an integer (at position 3)"),
+    (["normal-form", '{"a": "1", "b": "t^", "c": "0", "d": "1"}'],
+     "matrix entry b: expected an integer (at position 2)"),
+    (["tree", "fixes", "[[1, 0], [t +, 1]]", "base"],
+     "matrix entry c: expected a value, found the end of the input "
+     "(at position 3)"),
+    (["tree", "translation", "[[1, 0], [0, t^]]"],
+     "matrix entry d: expected an integer (at position 3)"),
+    (["verify", "--genus", "3", "--kmax", "2", "--lift",
+      '{"genus":3,"w":[["c:1:2","s2 -"]]}'],
+     "w-part c:1:2: expected a value, found the end of the input "
+     "(at position 4)"),
 ])
 def test_input_errors_name_the_input(capsys, argv, message):
     code, out, err = run(capsys, *argv)

@@ -14,11 +14,10 @@ land in distinct double cosets.
 
 The certificate checks each identity once, as an identity in the twist
 power k.  Pushing the bounding-curve lift forward by the k-th power
-moves its n family to n + k m, so the represented matrix rho_k, the
-conjugate M_k N M_k^-1 and the twist's action on the handle span are
-each of degree at most 2 in k: the conjugation identity rho_k =
-M_k N M_k^-1 and the twist-consistency identity are compared
-coefficient by coefficient, and the lift check (the certificate's only
+moves its n family to n + k m, so rho_k and M_k N M_k^-1 are of degree
+at most 2 in k and the pairings of a1 and b1 with the lift of degree 1:
+conjugation is compared coefficient by coefficient, twist consistency
+on the pairings alone, and the lift check (the certificate's only
 product of two families over L_g) and the determinant check run once.
 Each power k keeps only its verdict flags: each identity's verdict (one
 that fails is decided at each k from its residual), M_k in A minus U
@@ -55,7 +54,6 @@ from .homology import (
 from .laurent import LaurentPoly, specialize_phi
 from .rep import (
     Matrix2,
-    _transvection_in_k,
     at_k,
     conjugate_in_k,
     h_form,
@@ -487,19 +485,15 @@ def _handle_pairings(lift: LiftClass, eps: EpsilonTable) -> tuple:
                  for target in (lift, delta))
 
 
-def _twist_in_k(lift: LiftClass, eps: EpsilonTable) -> tuple[Matrix2, ...]:
-    """The twist's action on the handle span after Phi, in k: x goes to
-    x + p(x) C, so the action is the transvection I + c p^T, with c the
-    lift's (a1, b1) coordinates and p the pairings of a1 and b1, here
-    computed from the pairing table (rho_in_k reads the same p off the
-    involution).  The pushforward moves c0 = (m, n) by k c1 = k (0, m)
-    and p0 by k p1, and _transvection_in_k takes the four.  Phi is a
-    ring homomorphism, so it is applied to c and p, and the products
-    are taken over L."""
-    p0, p1 = (tuple(map(specialize_phi, p))
-              for p in _handle_pairings(lift, eps))
-    m, n = specialize_phi(lift.m), specialize_phi(lift.n)
-    return _transvection_in_k((m, n), (m.ring.zero(), m), p0, p1)
+def _pairing_residual(lift: LiftClass, eps: EpsilonTable) -> tuple:
+    """The residual (r0, r1): Phi of rho's pairings p0 = (inv(n), -inv(m))
+    and p1 = (inv(m), 0) minus _handle_pairings', taken over L_g, with
+    no product.  After Phi, rho_k minus the twist's action I + c_k p'_k^T
+    is c_k (r0 + k r1)^T, for rho_k's column c_k = (m, n + k m)."""
+    (a0, b0), (a1, b1) = _handle_pairings(lift, eps)
+    inv_m = lift.m.involution()
+    return tuple(tuple(map(specialize_phi, p)) for p in (
+        (lift.n.involution() - a0, -inv_m - b0), (inv_m - a1, -b1)))
 
 
 def pairing_table_recheck(base_lift: LiftClass, eps: EpsilonTable,
@@ -521,17 +515,22 @@ def build_certificate(kmax: int, genus: int,
                       base_lift: Optional[LiftClass] = None) -> Certificate:
     """Run the full pipeline for twist powers 1..kmax at the given genus.
 
-    The lift check, rho, the conjugate M_k N M_k^-1 and the twist's
-    action on the handle span are computed once, as polynomials in k of
-    degree at most 2, the conjugation and twist-consistency identities
-    are compared coefficient by coefficient, and the balance of rho_k is
-    checked on its coefficients; each power keeps its verdict flags
-    only.  No per-k or pairwise record is built: the certificate
-    derives them when asked.
-    The epsilon table reaches only _handle_pairings, inside the
-    twist-consistency check, where the sign choices provably never
-    matter; pairing_table_recheck re-runs that stage under another
-    table.
+    The lift check, rho_k and M_k N M_k^-1 are computed once, in k, and
+    each identity is compared on its coefficients (at each k only when
+    that fails); each power keeps only its verdict flags.  The epsilon
+    table reaches only _handle_pairings, where the sign choices provably
+    never matter; pairing_table_recheck re-runs it under another table.
+
+    What a PASS certifies: after Phi, with P = inv(m) m, Q = inv(m) n,
+    R = inv(n) n and b = t - 2 + t^-1, conjugation at any one power k
+    reads P = -b from the upper-right entries, then Q = 0 from the
+    diagonal and R = 0 from the lower-left.  L is a domain, so R = 0 is
+    Phi(n) = 0 (which gives Q = 0), and a UFD with units +-t^j, so
+    P = (1 - t)(1 - t^-1) is Phi(m) = +-t^j (1 - t).  The determinant
+    follows from the lift check, balance from conjugation (b is
+    balanced), twist consistency from the table's pairings being rho's,
+    and nothing else reads the lift: a PASS holds exactly when the lift
+    is valid, Phi(n) = 0 and Phi(m) = +-t^j (1 - t).
     """
     if kmax < 2:
         raise ValueError("need kmax >= 2 to separate at least two cosets")
@@ -545,7 +544,7 @@ def build_certificate(kmax: int, genus: int,
     elif eps.genus != genus:
         raise ValueError(f"epsilon table has genus {eps.genus}, expected {genus}")
     n_mat = matrix_N()
-    n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
+    n_in_a, n_in_b = _sides(as_sl2(n_mat))
     powers = range(1, kmax + 1)
     try:
         rho_k = rho_in_k(star)
@@ -558,17 +557,20 @@ def build_certificate(kmax: int, genus: int,
     # the residuals' coefficients in k: an identity that holds for every
     # k needs no evaluation, and one that fails is evaluated at each k
     conj_residual = [r - c for r, c in zip(rho_k, conjugate_in_k(n_mat))]
-    twist_residual = [r - t for r, t in zip(rho_k, _twist_in_k(star, eps))]
     conj_identity = _vanishes(conj_residual)
-    twist_identity = _vanishes(twist_residual)
+    # rho_k minus the twist's action is c_k (r0 + k r1)^T over a domain,
+    # and c_k = (m, n + k m) is 0 exactly when P = C2.c and R = C0.c are
+    r0, r1 = _pairing_residual(star, eps)
+    no_c = not (rho_k[2].c or rho_k[0].c)
+    twist_identity = no_c or not any(r0 + r1)
     # balance is linear, so h_form(rho_k) is balanced for every k when
     # h_form(C0) and every entry of C1 and C2 are
     balance_identity = h_form(rho_k[0]).all_balanced and all(
         entry.is_balanced() for coeff in rho_k[1:] for entry in coeff.entries())
     flags = tuple(
         (conj_identity or _vanishes([at_k(conj_residual, k)]),
-         twist_identity or _vanishes([at_k(twist_residual, k)]),
-         _separated(k), n_in_b_not_u,  # M_k is in A, and in U iff t | k
+         twist_identity or not any(x + y.scale(k) for x, y in zip(r0, r1)),
+         _separated(k), n_in_b and not n_in_a,  # M_k is in A, in U iff t | k
          balance_identity or h_form(at_k(rho_k, k)).all_balanced)
         for k in powers)
     return Certificate(kmax, genus, lift=star, rho_k=rho_k, flags=flags)

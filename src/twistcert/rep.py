@@ -5,10 +5,8 @@ two handle classes a1, b1 (everything else it adds dies under the
 collapse map Phi), as x -> x + p(x) C.  In the (a1, b1) basis, with
 matrices acting on coordinate columns, that is the transvection
 I + c p^T, with c = (m, n) the coordinates of C and p = (inv(n), -inv(m))
-the pairings of a1 and b1 with it:
-
-    [ 1 + inv(n) m   -inv(m) m ]
-    [   inv(n) n    1 - inv(m) n ]
+the pairings of a1 and b1 with it: with P = inv(m) m, Q = inv(m) n and
+R = inv(n) n, it is [[1 + inv(Q), -P], [R, 1 - Q]].
 
 Applying Phi entrywise lands in SL_2 of the one-variable ring L.  The
 built-in bounding-curve lift maps to N = [[1, t - 2 + t^-1], [0, 1]],
@@ -18,9 +16,9 @@ N by M_k = [[1, 0], [k, 1]].
 Pushing a lift forward by the k-th power moves n to n + k m, so c and p
 are linear in k, and rho_k and the conjugate M_k N M_k^-1 are quadratic
 in k.  rho_in_k and conjugate_in_k give their three coefficient
-matrices, rho_in_k from the one transvection builder; rho_k - I has
-rank one, so its determinant check reads tr(rho_k) - 1, once, in k.
-The matrix for one power is an evaluation (at_k), by scaling and adding.
+matrices, rho_in_k from P, Q and R; rho_k - I has rank one, so its
+determinant check reads tr(rho_k) - 1, once, in k.  The matrix for one
+power is an evaluation (at_k), by scaling and adding.
 """
 
 from __future__ import annotations
@@ -177,25 +175,26 @@ def rho_pre_phi(lift: LiftClass) -> Matrix2:
     Entries are over the full ring L_g: with P = inv(m) m, Q = inv(m) n
     and R = inv(n) n, it is [[1 + inv(Q), -P], [R, 1 - Q]], of
     determinant 1 + inv(Q) - Q, which is 1 exactly when the lift passes
-    validation; the commutator part of the lift does not enter.  This
-    formula is the reference rho, a transvection, is tested against.
+    validation; the commutator part of the lift does not enter.
     """
-    m, n = lift.m, lift.n
-    q = m.involution() * n
-    one = m.ring.one()
-    return Matrix2(one + q.involution(), -(m.involution() * m),
-                   n.involution() * n, one - q)
+    return _rho_coefficients(lift.m, lift.n)[0]
 
 
-def _transvection_in_k(c0, c1, p0, p1) -> tuple[Matrix2, Matrix2, Matrix2]:
-    """The coefficients in k of I + c_k p_k^T, for the columns c_k = c0
-    + k c1 and rows p_k = p0 + k p1, each given as a pair of entries:
-    I + c0 p0^T, c0 p1^T + c1 p0^T and c1 p1^T."""
-    def outer(c, p) -> Matrix2:
-        return Matrix2(c[0] * p[0], c[0] * p[1], c[1] * p[0], c[1] * p[1])
+def _rho_coefficients(m, n) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """The coefficients in k of rho_k = I + c_k p_k^T, for c_k = (m, n +
+    k m) and p_k = (inv(n) + k inv(m), -inv(m)), from the three products
+    P = inv(m) m, Q = inv(m) n and R = inv(n) n (P and R are fixed by
+    the involution):
 
-    return (Matrix2.identity(c0[0].ring) + outer(c0, p0),
-            outer(c0, p1) + outer(c1, p0), outer(c1, p1))
+        C0 = [[1 + inv(Q), -P], [R, 1 - Q]]
+        C1 = [[P, 0], [Q + inv(Q), -P]]
+        C2 = [[0, 0], [P, 0]]
+    """
+    inv_m = m.involution()
+    p, q, r = inv_m * m, inv_m * n, n.involution() * n
+    inv_q, one, zero = q.involution(), m.ring.one(), m.ring.zero()
+    return (Matrix2(one + inv_q, -p, r, one - q),
+            Matrix2(p, zero, q + inv_q, -p), Matrix2(zero, zero, p, zero))
 
 
 def rho(lift: LiftClass) -> Matrix2:
@@ -214,17 +213,15 @@ def rho_in_k(lift: LiftClass) -> tuple[Matrix2, Matrix2, Matrix2]:
 
     rho_k is the transvection I + c_k p_k^T with, after Phi, c_k = (m,
     n + k m) and p_k = (inv(n + k m), -inv(m)), the pairings read off
-    the involution.  rho_k - I has rank one, so det(rho_k) = tr(rho_k)
-    - 1.  The pushforwards share the lift's validity (Q_k - inv(Q_k) =
-    Q - inv(Q) for Q = inv(m) n, since inv(m) m is fixed by the
-    involution), so the lift is checked once, and the determinant once,
-    from the traces of C0, C1 and C2.
+    the involution (_rho_coefficients).  rho_k - I has rank one, so
+    det(rho_k) = tr(rho_k) - 1.  The pushforwards share the lift's
+    validity (Q_k - inv(Q_k) = Q - inv(Q) for Q = inv(m) n, since
+    inv(m) m is fixed by the involution), so the lift is checked once,
+    and the determinant once, from the traces of C0, C1 and C2.
     """
     _require_valid(lift)
-    m, n = specialize_phi(lift.m), specialize_phi(lift.n)
-    one, zero, inv_m = m.ring.one(), m.ring.zero(), m.involution()
-    coeffs = _transvection_in_k((m, n), (zero, m),
-                                (n.involution(), -inv_m), (inv_m, zero))
+    coeffs = _rho_coefficients(specialize_phi(lift.m), specialize_phi(lift.n))
+    one, zero = coeffs[0].ring.one(), coeffs[0].ring.zero()
     det = [coeffs[0].trace() - one] + [c.trace() for c in coeffs[1:]]
     if det != [one, zero, zero]:
         in_k = " + ".join(f"({d}) k^{i}" for i, d in enumerate(det) if d)

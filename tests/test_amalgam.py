@@ -7,6 +7,8 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     _random_q_polynomial,
@@ -604,6 +606,68 @@ def test_certificate_consistency_for_random_lifts():
             assert record["twist_consistency_ok"]
 
 
+@st.composite
+def _lifts_near_the_three_facts(draw) -> LiftClass:
+    """A lift at genus 2-5, with or without a w-part: half built to meet
+    the three facts of _meets_the_three_facts, the rest with one fact
+    broken or drawn at random, valid or not."""
+    genus = draw(st.integers(2, 5))
+    ring = surface_ring(genus)
+    one, t2, s2 = ring.one(), ring.variable("t2"), ring.variable("s2")
+
+    def monomial(coeffs=(-2, -1, 1, 2)) -> LaurentPoly:
+        exps = draw(st.lists(st.integers(-2, 2), min_size=ring.nvars,
+                             max_size=ring.nvars))
+        return ring.monomial(exps, draw(st.sampled_from(coeffs)))
+
+    def poly(most: int) -> LaurentPoly:
+        return sum((monomial() for _ in range(draw(st.integers(0, most)))),
+                   ring.zero())
+
+    # Phi sends s2 to 1: m = +-u (1 - t2) with u a monomial, plus a
+    # multiple of s2 - 1, has Phi(m) = +-t^j (1 - t); n = q m with q
+    # fixed by the involution keeps the lift valid
+    m = monomial((1, -1)) * (one - t2) + (s2 - one) * poly(1)
+    q = (s2 + s2.involution() - one.scale(2)).scale(draw(st.integers(-2, 2)))
+    kind = "meets" if draw(st.booleans()) else draw(st.sampled_from((
+        "scaled m", "squared m", "n = q m, Phi(q) != 0", "n killed, invalid",
+        "random")))
+    if kind == "scaled m":
+        m = m.scale(draw(st.sampled_from((-3, -2, 2, 3))))
+    elif kind == "squared m":
+        m = m * (one - t2)
+    elif kind == "n = q m, Phi(q) != 0":
+        q = q + t2 + t2.involution() + one.scale(draw(st.integers(-2, 2)))
+    n = q * m
+    if kind == "n killed, invalid":
+        n = (s2 - one) * monomial()
+    elif kind == "random":
+        m, n = poly(3), poly(3)
+    w = None
+    if homology.comm_pairs(genus) and draw(st.booleans()):
+        pair = draw(st.sampled_from(homology.comm_pairs(genus)))
+        w = homology.CycleClass(genus, {homology.Generator.comm(*pair):
+                                        monomial() + monomial()})
+    return LiftClass(genus, w, m, n)
+
+
+def _meets_the_three_facts(lift: LiftClass) -> bool:
+    """Whether the lift is valid, Phi(n) = 0 and Phi(m) = +-t^j (1 - t)."""
+    phi_m = sorted(specialize_phi(lift.m).terms.items())
+    return (homology.validate_lift(lift).ok and not specialize_phi(lift.n)
+            and len(phi_m) == 2 and phi_m[1][0][0] == phi_m[0][0][0] + 1
+            and phi_m[0][1] in (1, -1) and phi_m[1][1] == -phi_m[0][1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_lifts_near_the_three_facts())
+def test_a_pass_is_the_three_facts(lift):
+    # the closed form of build_certificate's docstring: a PASS says the
+    # lift is valid, Phi(n) = 0 and Phi(m) = +-t^j (1 - t), and no more
+    assert build_certificate(4, lift.genus, base_lift=lift).verdict == \
+        _meets_the_three_facts(lift)
+
+
 def test_pairwise_records_match_the_per_pair_oracle():
     for genus in range(2, 6):
         for kmax in range(2, 26):
@@ -913,15 +977,15 @@ def test_failed_separations_are_read_per_difference(monkeypatch):
 def test_balance_is_evaluated_per_power_when_it_fails(monkeypatch, shift):
     # rho_k's upper-right entry, and so the h-form's q1, off by a
     # multiple of q = t - 1 that depends on k (q vanishes at 1 but is not
-    # fixed by the involution); the conjugate and the twist's action move
-    # with it, so only balance fails, in k and at every power where the
-    # multiple is nonzero
+    # fixed by the involution); the conjugate moves with it, and twist
+    # consistency reads the pairings, not rho_k, so only balance fails,
+    # in k and at every power where the multiple is nonzero
     def shifted(coeffs):
         zero = coeffs[0].ring.zero()
         q = Matrix2(zero, parse_poly("t - 1", zero.ring), zero, zero)
         return tuple(c + q.scale(s) for c, s in zip(coeffs, shift))
 
-    for name in ("rho_in_k", "conjugate_in_k", "_twist_in_k"):
+    for name in ("rho_in_k", "conjugate_in_k"):
         real = getattr(amalgam, name)
         monkeypatch.setattr(amalgam, name, lambda *args, real=real:
                             shifted(real(*args)))
@@ -936,10 +1000,21 @@ def test_balance_is_evaluated_per_power_when_it_fails(monkeypatch, shift):
     assert cert.summary_lines()[1].endswith("balance FAILED")
 
 
-def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
+@pytest.mark.parametrize("lift, expected", [
+    (None, [False, True, False, False, False]),
+    (LiftClass(3, None, parse_poly("s2 - 1", surface_ring(3)),
+               surface_ring(3).zero()), [True] * 5),
+    (LiftClass(3, None, surface_ring(3).zero(),
+               parse_poly("t2 - 1", surface_ring(3))),
+     [False, True, False, False, False]),
+], ids=["canonical", "c = 0", "m = 0"])
+def test_twist_consistency_is_evaluated_per_power_when_it_fails(
+        monkeypatch, lift, expected):
     # a1's pairing with the k-th pushforward off by (k - 2) q: the
     # identity in k fails, and the records say so for every power but
-    # k = 2
+    # k = 2; unless Phi sends m and n to 0: then c_k = 0, and rho_k and
+    # the twist's action are both I, whatever the pairings (Phi(m) = 0
+    # alone is not enough)
     real = amalgam._handle_pairings
 
     def shifted(lift, eps):
@@ -948,10 +1023,9 @@ def test_twist_consistency_is_evaluated_per_power_when_it_fails(monkeypatch):
         return (a1_0 - q - q, b1_0), (a1_1 + q, b1_1)
 
     monkeypatch.setattr(amalgam, "_handle_pairings", shifted)
-    cert = build_certificate(5, 3)
-    assert [r["twist_consistency_ok"] for r in cert.records] == \
-        [False, True, False, False, False]
-    assert all(r["conjugation_ok"] for r in cert.records)
+    cert = build_certificate(5, 3, base_lift=lift)
+    assert [r["twist_consistency_ok"] for r in cert.records] == expected
+    assert all(r["conjugation_ok"] == (lift is None) for r in cert.records)
     assert cert.first_failure() is cert.records[0]
 
 
@@ -988,7 +1062,8 @@ def test_certificate_products_do_not_grow_with_kmax(monkeypatch, lift):
             kmax, 3, base_lift=lift))
         for kmax in (5, 60))
     assert small == large
-    assert 0 < small["phi"] <= 14
+    # Phi(m) and Phi(n) for rho, and the four pairing residuals
+    assert small["phi"] == 6
 
 
 @pytest.mark.parametrize("lift", [None, _lift_with_commutator_terms()],
@@ -1111,7 +1186,8 @@ def test_no_certificate_product_exceeds_the_families_product(monkeypatch):
     # after Phi the spread lift's P, Q and R have thousands of terms; a
     # product of two of them (as in a determinant of rho_k) would cost
     # millions of term pairs, while each product the certificate forms
-    # multiplies two lift families, at most |m| |n| pairs
+    # multiplies two lift families, at most |m| |n| pairs: the lift
+    # check's inv(m) n, and P, Q and R after Phi
     lift = LiftClass.from_json(_spread_lift_record())
     pairs = []
     real = laurent._convolve
@@ -1124,6 +1200,7 @@ def test_no_certificate_product_exceeds_the_families_product(monkeypatch):
     cert = build_certificate(2, 2, base_lift=lift)
     monkeypatch.undo()
     assert 0 < max(pairs) <= len(lift.m.terms) * len(lift.n.terms) == 10000
+    assert len(pairs) == 4
     # valid and twist-consistent, but no bounding curve's lift
     assert all(r["twist_consistency_ok"] and not r["conjugation_ok"]
                for r in cert.records)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from conftest import random_epsilon, random_poly, random_valid_lift
-from twistcert import amalgam, rep
+from twistcert import rep
 from twistcert.amalgam import build_certificate
 from twistcert.cli import main
 from twistcert.homology import (
@@ -14,6 +14,7 @@ from twistcert.homology import (
     canonical_lift,
     pushforward_b1_twist,
     twist_apply,
+    validate_lift,
 )
 from twistcert.laurent import (
     LaurentPoly,
@@ -170,8 +171,8 @@ def _traces_and_coeffs(monkeypatch, lift):
     the coefficients it was read from, the last the builder returned;
     rho_in_k raises when the determinant is not 1."""
     built = []
-    real = rep._transvection_in_k
-    monkeypatch.setattr(rep, "_transvection_in_k",
+    real = rep._rho_coefficients
+    monkeypatch.setattr(rep, "_rho_coefficients",
                         lambda *args: built.append(real(*args)) or built[-1])
     try:
         rho_in_k(lift)
@@ -212,12 +213,57 @@ def test_determinant_is_read_from_the_trace(monkeypatch, genus):
     assert with_w or genus == 2
 
 
+def _outer_product_rho(m, n) -> tuple[Matrix2, Matrix2, Matrix2]:
+    """The reference for rho's coefficients in k: the twist's action
+    x -> x + p(x) C on the handle span, I + c_k p_k^T with the lift's
+    coordinates c_k = c0 + k c1 = (m, n) + k (0, m) and the pairings of
+    a1 and b1 with it, p_k = p0 + k p1 = (inv(n), -inv(m)) + k (inv(m),
+    0), multiplied out as I + c0 p0^T, c0 p1^T + c1 p0^T and c1 p1^T."""
+    def outer(c, p) -> Matrix2:
+        return Matrix2(c[0] * p[0], c[0] * p[1], c[1] * p[0], c[1] * p[1])
+
+    zero, inv_m = m.ring.zero(), m.involution()
+    c0, c1, p0, p1 = (m, n), (zero, m), (n.involution(), -inv_m), (inv_m, zero)
+    return (Matrix2.identity(m.ring) + outer(c0, p0),
+            outer(c0, p1) + outer(c1, p0), outer(c1, p1))
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4, 5])
+def test_rho_is_the_outer_product_transvection(monkeypatch, genus):
+    # the closed form in P, Q and R is I + c_k p_k^T multiplied out:
+    # after Phi (rho_in_k) and over L_g (rho_pre_phi), on valid lifts
+    # and, with the lift check off, on invalid ones
+    rng = random.Random(80 + genus)
+    ring = surface_ring(genus)
+    invalid = 0
+    for valid in (True,) * 10 + (False,) * 10:
+        if valid:
+            lift = random_valid_lift(rng, genus)
+        else:
+            lift = LiftClass(genus, None, random_poly(rng, ring),
+                             random_poly(rng, ring))
+            invalid += not validate_lift(lift).ok
+            monkeypatch.setattr(rep, "_require_valid", lambda lift: None)
+        _, coeffs, raised = _traces_and_coeffs(monkeypatch, lift)
+        after = _outer_product_rho(specialize_phi(lift.m),
+                                   specialize_phi(lift.n))
+        before = _outer_product_rho(lift.m, lift.n)
+        assert coeffs == after
+        assert not (valid and raised)
+        if valid:
+            assert rho_in_k(lift) == after
+        for k in (-2, 0, 1, 3, 11):
+            assert at_k(coeffs, k) == at_k(after, k)
+            assert rho_pre_phi(pushforward_b1_twist(lift, k)) == \
+                at_k(before, k)
+    assert invalid >= 5
+
+
 @pytest.mark.parametrize("entry", range(4), ids=["a", "b", "c", "d"])
 def test_a_sign_flip_in_the_builder_fails_the_certificate(monkeypatch, entry):
-    # rho_k and the twist's action share the builder, so twist
-    # consistency cannot see a fault in it: conjugation or the
-    # determinant must
-    real = rep._transvection_in_k
+    # twist consistency reads the pairings, not rho_k, so it cannot see
+    # a fault in the builder: conjugation or the determinant must
+    real = rep._rho_coefficients
 
     def flip(mat):
         entries = list(mat.entries())
@@ -229,8 +275,7 @@ def test_a_sign_flip_in_the_builder_fails_the_certificate(monkeypatch, entry):
         eye = Matrix2.identity(c0.ring)
         return eye + flip(c0 - eye), flip(c1), flip(c2)
 
-    monkeypatch.setattr(rep, "_transvection_in_k", flipped)
-    monkeypatch.setattr(amalgam, "_transvection_in_k", flipped)
+    monkeypatch.setattr(rep, "_rho_coefficients", flipped)
     cert = build_certificate(5, 3)
     assert not cert.verdict
     assert all("error" in r or not r["conjugation_ok"] for r in cert.records)

@@ -25,20 +25,21 @@ that fails is decided at each k from its residual), M_k in A minus U
 balance of rho_k (checked once in k, and at each k only when that
 fails).  The per-k records, the pushed-forward lift and rho_k with the
 flags, are derived when asked, and the JSON writes them from one
-template.
+template, each rho entry from a table of its terms named once.
 
 The pairwise records separate the double cosets of every pair of powers
 k < l.  Separation goes through M_l^-1 M_k = M_{k-l}, so it depends on
 k - l alone: the verdict checks each of the kmax - 1 differences once.
 The records themselves are a closed form in (k, l), never stored: the
-certificate derives them from kmax when asked, and its JSON writes them
-from one template.
+certificate derives them from kmax when asked, and its JSON joins them
+from fragments formatted once per difference and once per l.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Sequence
 
 from .homology import (
@@ -51,7 +52,7 @@ from .homology import (
     pairing_polynomial,
     pushforward_b1_twist,
 )
-from .laurent import LaurentPoly, specialize_phi
+from .laurent import monomial_text, signed_terms, specialize_phi
 from .rep import (
     Matrix2,
     at_k,
@@ -223,8 +224,15 @@ def _witness(k: int, l: int) -> str:
     """The separation witness for M_k and M_l, with M_{k-l} written out."""
     if k == l:
         return "k = l, the cosets coincide"
-    return (f"equality would put M_{l}^-1 M_{k} = [[1, 0], [{k - l}, 1]] in U, "
-            f"but its lower-left entry is {k - l} at t = 0, not divisible by t")
+    return str(k).join(_witness_halves(l, k - l))
+
+
+def _witness_halves(l: int, d: int) -> tuple[str, str]:
+    """The witness for powers k and l with k - l = d != 0, as its text
+    before k and after k."""
+    return (f"equality would put M_{l}^-1 M_",
+            f" = [[1, 0], [{d}, 1]] in U, but its lower-left entry is {d} "
+            f"at t = 0, not divisible by t")
 
 
 def _peel(rest: Matrix2, s: int, lead) -> tuple[str, Matrix2, Matrix2]:
@@ -345,15 +353,12 @@ class Certificate:
         """The per-k records, for k = 1..kmax."""
         return tuple(map(self._record, range(1, len(self._records) + 1)))
 
-    def _pairs(self):
-        """Every pair k < l of powers, by k and then by l."""
-        return ((k, l) for k in range(1, self.kmax + 1)
-                for l in range(k + 1, self.kmax + 1))
-
     @property
     def pairwise(self) -> tuple[dict, ...]:
-        """The separation record of every pair of powers, in _pairs order."""
-        return tuple(_pair_record(k, l) for k, l in self._pairs())
+        """The separation record of every pair k < l of powers, by k and
+        then by l."""
+        return tuple(_pair_record(k, l) for k in range(1, self.kmax + 1)
+                     for l in range(k + 1, self.kmax + 1))
 
     def _failed_differences(self) -> list[int]:
         """The differences l - k, from 1 to kmax - 1, whose pairs are not
@@ -386,7 +391,7 @@ class Certificate:
     def json_text(self) -> str:
         """json.dumps(self.to_json(), sort_keys=True, indent=2), byte for
         byte.  The pairwise records, and derived per-k records, are
-        written from one template each at their fixed indent; the other
+        written from fragments at their fixed indent; the other
         fields are dumped alone and indented one level (JSON escapes
         every newline in a string)."""
         fields = {"genus": self.genus, "kmax": self.kmax,
@@ -407,7 +412,8 @@ class Certificate:
         deep: a record with a marker in each per-k place is dumped once,
         and each power fills in its flags, k, the pushed n family n + k m
         (base lift's key order, zero sums dropped) and rho_k's entries,
-        each one polynomial c0 + k c1 + k^2 c2 written by __str__."""
+        each the nonzero terms of c0 + k c1 + k^2 c2 over a table of the
+        entry's exponents, sorted and named once."""
         base = self._lift.to_json()
         marks = [f"\x00{i}" for i in range(11)]
         template = "    " + json.dumps(
@@ -420,36 +426,44 @@ class Certificate:
             template = template.replace(json.dumps(mark), f"{{{i}}}")
         m, n = base["m"], base["n"]
         family = [(key, n.get(key, 0), m.get(key, 0)) for key in sorted({*m, *n})]
-        ring = self._rho_k[0].ring
-        entries = [[(e, *(p.terms.get(e, 0) for p in coeffs))
-                    for e in set().union(*(p.terms for p in coeffs))]
-                   for coeffs in zip(*(c.entries() for c in self._rho_k))]
+        names = self._rho_k[0].ring.names
+        tables = [[(monomial_text(names, e), *(p.terms.get(e, 0) for p in coeffs))
+                   for e in sorted(set().union(*(p.terms for p in coeffs)))]
+                  for coeffs in zip(*(c.entries() for c in self._rho_k))]
 
         def record(k: int) -> str:
             pushed = ",\n".join(f'          "{key}": {c}' for key, n0, m0
                                 in family if (c := n0 + k * m0))
-            rho = (LaurentPoly._make(ring, {
-                e: v for e, c0, c1, c2 in terms
-                if (v := c0 + k * (c1 + k * c2))}) for terms in entries)
+            rho = [signed_terms([(var, v) for var, c0, c1, c2 in table
+                                 if (v := c0 + k * (c1 + k * c2))])
+                   for table in tables]
             return template.format(
                 *("true" if flag else "false" for flag in self._flags[k - 1]),
                 k, f"{{\n{pushed}\n        }}" if pushed else "{}",
-                *(f'"{poly}"' for poly in rho))
+                *map('"{}"'.format, rho))
 
         return "[\n" + ",\n".join(map(record, range(1, self.kmax + 1))) \
             + "\n  ]"
 
     def _pairwise_text(self) -> str:
         """The pairwise list as json_text writes it, one level deep: a
-        witness is ASCII with nothing to escape."""
-        if self.kmax < 2:
+        witness is ASCII with nothing to escape, and each record is the
+        fragments of its difference d and of l around k, joined in C."""
+        kmax = self.kmax
+        if kmax < 2:
             return "[]"
-        distinct = [json.dumps(_separated(-d)) for d in range(self.kmax)]
+        # the pair (k, l) is head[d] k mid[l] k tail[d], d = l - k, each
+        # list indexed from d = 1 or l = 2
+        halves = [_witness_halves(d + 1, -d) for d in range(1, kmax)]
+        head = [f'    {{\n      "distinct": {json.dumps(_separated(-d))},\n'
+                '      "k": ' for d in range(1, kmax)]
+        mid = [f',\n      "l": {l},\n      "witness": "{before}'
+               for l, (before, _) in enumerate(halves, 2)]
+        tail = [f'{after}"\n    }}' for _, after in halves]
         return "[\n" + ",\n".join(
-            f'    {{\n      "distinct": {distinct[l - k]},\n'
-            f'      "k": {k},\n      "l": {l},\n'
-            f'      "witness": "{_witness(k, l)}"\n    }}'
-            for k, l in self._pairs()) + "\n  ]"
+            ",\n".join(map("".join, zip(head, repeat(str(k)), mid[k - 1:],
+                                         repeat(str(k)), tail)))
+            for k in range(1, kmax)) + "\n  ]"
 
     def summary_lines(self) -> list[str]:
         lines = [f"certificate: genus {self.genus}, twist powers 1..{self.kmax}"]

@@ -396,34 +396,37 @@ class LaurentPoly:
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks: list[str] = []
-        for exps in sorted(self.terms):
-            c = self.terms[exps]
-            body = self._term_body(exps, c)
-            if not chunks:
-                chunks.append(body if c > 0 else f"-{body}")
-            else:
-                chunks.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(chunks)
-
-    def _term_body(self, exps: ExponentVector, c: Coeff) -> str:
-        mag = -c if c < 0 else c
-        parts = []
-        for name, e in zip(self.ring.names, exps):
-            if e == 1:
-                parts.append(name)
-            elif e != 0:
-                parts.append(f"{name}^{e}")
-        if not parts:
-            return str(mag)
-        if mag != 1:
-            parts.insert(0, str(mag))
-        return "*".join(parts)
+        names, terms = self.ring.names, self.terms
+        return signed_terms([(monomial_text(names, exps), terms[exps])
+                             for exps in sorted(terms)])
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self} over {'/'.join(self.ring.names)};{self.ring.domain}>"
+
+
+def monomial_text(names: Sequence[str], exps: ExponentVector) -> str:
+    """The printed variable part of a term, "" for the constant term."""
+    parts = []
+    for name, e in zip(names, exps):
+        if e:
+            parts.append(name if e == 1 else f"{name}^{e}")
+    return "*".join(parts)
+
+
+def signed_terms(terms) -> str:
+    """The printed sum of terms (monomial_text, nonzero coefficient) in
+    the given order: "0" for no terms, signs spaced apart, and a unit
+    coefficient written only on the constant term."""
+    chunks = []
+    for var, c in terms:
+        if c < 0:
+            sign, c = " - ", -c
+        else:
+            sign = " + "
+        chunks.append(f"{sign}{c}" if not var else f"{sign}{var}" if c == 1
+                      else f"{sign}{c}*{var}")
+    text = "".join(chunks)
+    return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
 
 
 @dataclass(frozen=True)

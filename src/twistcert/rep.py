@@ -243,7 +243,8 @@ def matrix_N(ring: Optional[LaurentRing] = None) -> Matrix2:
     """The image of the bounding-curve twist: [[1, t - 2 + t^-1], [0, 1]]."""
     if ring is None:
         ring = single_variable_ring()
-    return Matrix2.from_rows(ring, [[1, "t - 2 + t^-1"], [0, 1]])
+    return Matrix2(ring.one(), ring.monomial((1,)) + ring.constant(-2)
+                   + ring.monomial((-1,)), ring.zero(), ring.one())
 
 
 def matrix_Mk(k: int, ring: Optional[LaurentRing] = None) -> Matrix2:

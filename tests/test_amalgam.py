@@ -942,6 +942,51 @@ def test_json_text_is_the_generic_encoders_bytes():
     assert seen == {"pass", "error", "fail"}
 
 
+@st.composite
+def _lifts_with_many_term_entries(draw) -> LiftClass:
+    """A lift at genus 2-4 whose rho entries have many terms: m is a
+    constant plus one to four monomials, each coefficient +-1 or of one
+    to nine digits; n is q m with q fixed by the involution (valid), or
+    -j m, whose rho_j has lower-left entry 0 (valid), or two monomials
+    (invalid, so error records); a w-part or none."""
+    genus = draw(st.integers(2, 4))
+    ring = surface_ring(genus)
+    coeffs = st.sampled_from((1, -1, 2, -3, 47, -608, 123456789))
+
+    def monomial() -> LaurentPoly:
+        exps = draw(st.lists(st.integers(-2, 2), min_size=ring.nvars,
+                             max_size=ring.nvars))
+        return ring.monomial(exps, draw(coeffs))
+
+    m = sum((monomial() for _ in range(draw(st.integers(1, 4)))),
+            ring.constant(draw(coeffs)))
+    kind = draw(st.sampled_from(("q = inv(q)", "q = -j", "invalid")))
+    if kind == "q = inv(q)":
+        u = monomial()
+        n = (u + u.involution() + ring.constant(draw(coeffs))) * m
+    elif kind == "q = -j":
+        n = m.scale(-draw(st.integers(1, 12)))
+    else:
+        n = monomial() + monomial()
+    w = None
+    if homology.comm_pairs(genus) and draw(st.booleans()):
+        pair = draw(st.sampled_from(homology.comm_pairs(genus)))
+        w = homology.CycleClass(genus, {homology.Generator.comm(*pair):
+                                        monomial() + monomial()})
+    return LiftClass(genus, w, m, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lifts_with_many_term_entries(), st.integers(2, 12))
+def test_json_text_is_the_generic_encoders_bytes_on_random_lifts(lift, kmax):
+    # to_json prints each rho entry through LaurentPoly.__str__ and each
+    # pair through _pair_record, so it is an oracle independent of the
+    # writer's term tables and fragments
+    cert = build_certificate(kmax, lift.genus, base_lift=lift)
+    assert cert.json_text() == json.dumps(cert.to_json(), sort_keys=True,
+                                          indent=2)
+
+
 def test_failed_separations_are_read_per_difference(monkeypatch):
     # separation depends on k - l alone: with differences 2 and 6 made to
     # fail, every pair at those distances fails, the first failure is the
@@ -1089,15 +1134,17 @@ def test_balance_checks_do_not_grow_with_kmax(monkeypatch, lift):
 
 def test_witnesses_are_formatted_only_for_json(capsys, monkeypatch):
     # the text summary checks each difference once and formats no
-    # witness; the JSON formats each of the K(K-1)/2 witnesses once
+    # witness; the JSON formats the halves around k once for each of
+    # the kmax - 1 differences, and no whole witness
     calls = []
-    real = amalgam._witness
+    real = amalgam._witness_halves
 
-    def counting(k, l):
-        calls.append((k, l))
-        return real(k, l)
+    def counting(l, d):
+        calls.append((l, d))
+        return real(l, d)
 
-    monkeypatch.setattr(amalgam, "_witness", counting)
+    monkeypatch.setattr(amalgam, "_witness_halves", counting)
+    monkeypatch.setattr(amalgam, "_witness", None)
     kmax = 100
     counts = []
     for extra in ([], ["--format", "json"]):
@@ -1107,13 +1154,13 @@ def test_witnesses_are_formatted_only_for_json(capsys, monkeypatch):
         counts.append(len(set(calls)))
         assert len(calls) == counts[-1]
     capsys.readouterr()
-    assert counts == [0, kmax * (kmax - 1) // 2]
+    assert counts == [0, kmax - 1]
 
 
 def _counted_verify(monkeypatch, capsys, argv) -> dict:
     """The calls that cli.main(argv) makes to each per-k record builder."""
     calls = dict.fromkeys(("str", "at_k", "pushforward_b1_twist",
-                           "matrix_Mk"), 0)
+                           "matrix_Mk", "signed_terms"), 0)
 
     def counting(name, real):
         def wrapper(*args):
@@ -1123,7 +1170,7 @@ def _counted_verify(monkeypatch, capsys, argv) -> dict:
 
     monkeypatch.setattr(LaurentPoly, "__str__",
                         counting("str", LaurentPoly.__str__))
-    for name in ("at_k", "pushforward_b1_twist", "matrix_Mk"):
+    for name in ("at_k", "pushforward_b1_twist", "matrix_Mk", "signed_terms"):
         monkeypatch.setattr(amalgam, name,
                             counting(name, getattr(amalgam, name)))
     code = cli.main(argv)
@@ -1134,13 +1181,16 @@ def _counted_verify(monkeypatch, capsys, argv) -> dict:
 
 def test_verify_builds_only_the_records_it_prints(monkeypatch, capsys):
     # a passing certificate prints no per-k record in text mode, and its
-    # JSON writes every record from the certificate's own coefficients
+    # JSON writes every record from the certificate's own coefficients:
+    # each rho entry at each k is one signed_terms over the entry's term
+    # table, with no polynomial built or printed
     argv = ["verify", "--genus", "3", "--kmax", "100"]
     assert _counted_verify(monkeypatch, capsys, argv) == {
         "code": 0, "str": 0, "at_k": 0, "pushforward_b1_twist": 0,
-        "matrix_Mk": 0}
+        "matrix_Mk": 0, "signed_terms": 0}
     counts = _counted_verify(monkeypatch, capsys, argv + ["--format", "json"])
-    assert counts["code"] == 0 and counts["str"] > 0
+    assert counts["code"] == 0 and counts["str"] == 0
+    assert counts["signed_terms"] == 4 * 100
     assert counts["at_k"] == counts["pushforward_b1_twist"] == 0
     # a failing one derives the one record it prints
     mutated = canonical_lift(3).to_json()

@@ -38,7 +38,6 @@ from fragments formatted once per difference and once per l.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional, Sequence
 
@@ -52,7 +51,7 @@ from .homology import (
     pairing_polynomial,
     pushforward_b1_twist,
 )
-from .laurent import monomial_text, signed_terms, specialize_phi
+from .laurent import _Value, monomial_text, signed_terms, specialize_phi
 from .rep import (
     Matrix2,
     at_k,
@@ -97,33 +96,35 @@ def in_U(mat: Matrix2) -> bool:
     return all(_sides(as_sl2(mat)))
 
 
-@dataclass(frozen=True)
-class AmalgamLetter:
+class AmalgamLetter(_Value):
     """One factor of a normal form: a side label and a matrix in it."""
 
-    side: str
-    matrix: Matrix2
+    __slots__ = ("side", "matrix")
 
-    def __post_init__(self):
-        if self.side not in ("A", "B"):
-            raise ValueError(f"unknown side {self.side!r}")
-        matrix = as_sl2(self.matrix)
-        in_a, in_b = _sides(matrix)
-        if not (in_a if self.side == "A" else in_b):
-            raise ValueError(f"matrix {self.matrix} is not in side {self.side}")
-        object.__setattr__(self, "matrix", matrix)
+    def __init__(self, side: str, matrix: Matrix2):
+        if side not in ("A", "B"):
+            raise ValueError(f"unknown side {side!r}")
+        sl2 = as_sl2(matrix)
+        in_a, in_b = _sides(sl2)
+        if not (in_a if side == "A" else in_b):
+            raise ValueError(f"matrix {matrix} is not in side {side}")
+        object.__setattr__(self, "side", side)
+        object.__setattr__(self, "matrix", sl2)
 
     def __str__(self):
         return f"({self.side}) {self.matrix}"
 
 
-@dataclass(frozen=True)
-class IdentityForcingReport:
+class IdentityForcingReport(_Value):
     """Trace of the argument that a balanced matrix in A is the identity."""
 
-    status: str  # "ok" | "precondition_failed" | "counterexample"
-    steps: tuple[str, ...]
-    matrix: Matrix2
+    __slots__ = ("status", "steps", "matrix")
+
+    def __init__(self, status: str, steps: tuple[str, ...], matrix: Matrix2):
+        # status: "ok" | "precondition_failed" | "counterexample"
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "matrix", matrix)
 
     def __bool__(self):
         return self.status == "ok"
@@ -171,15 +172,18 @@ def h_cap_a_forces_identity(mat: Matrix2) -> IdentityForcingReport:
     return IdentityForcingReport("ok", tuple(steps), mat)
 
 
-@dataclass(frozen=True)
-class DoubleCosetReport:
+class DoubleCosetReport(_Value):
     """Outcome of the double-coset separation between two twist powers."""
 
-    k: int
-    l: int
-    distinct: bool
-    witness: str
-    connecting: Matrix2
+    __slots__ = ("k", "l", "distinct", "witness", "connecting")
+
+    def __init__(self, k: int, l: int, distinct: bool, witness: str,
+                 connecting: Matrix2):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "distinct", distinct)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "connecting", connecting)
 
     def __bool__(self):
         return self.distinct

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .laurent import (
@@ -36,6 +35,7 @@ from .laurent import (
     LaurentPoly,
     LaurentRing,
     _exponent_vector,
+    _Value,
     parse_poly,
     surface_ring,
 )
@@ -86,24 +86,26 @@ def comm_pairs(genus: int) -> list[IndexPair]:
             if (i, j) != skip]
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(_Value):
     """A module generator: a1, b1, or a commutator class [c_i, c_j]."""
 
-    kind: str
-    i: int = 0
-    j: int = 0
-
+    __slots__ = ("kind", "i", "j")
     _KINDS = ("a1", "b1", "comm")
 
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
-        if self.kind == "comm":
-            if not 1 <= self.i < self.j:
-                raise ValueError(f"bad commutator indices ({self.i}, {self.j})")
-        elif self.i or self.j:
-            raise ValueError(f"{self.kind} takes no indices")
+    def __init__(self, kind: str, i: int = 0, j: int = 0):
+        if kind not in self._KINDS:
+            raise ValueError(f"unknown generator kind {kind!r}")
+        for index in (i, j):
+            if type(index) is not int:
+                raise TypeError(f"generator index {index!r} is not an integer")
+        if kind == "comm":
+            if not 1 <= i < j:
+                raise ValueError(f"bad commutator indices ({i}, {j})")
+        elif i or j:
+            raise ValueError(f"{kind} takes no indices")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     @classmethod
     def a1(cls) -> "Generator":
@@ -421,13 +423,16 @@ class CycleClass:
         return f"<CycleClass genus {self.genus} {{{body}}}>"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Value):
     """The verdict of validate_lift: ok, or the first mismatching shift."""
 
-    ok: bool
-    shift: Optional[ExponentVector] = None
-    detail: str = ""
+    __slots__ = ("ok", "shift", "detail")
+
+    def __init__(self, ok: bool, shift: Optional[ExponentVector] = None,
+                 detail: str = ""):
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "detail", detail)
 
     def __bool__(self):
         return self.ok

@@ -27,11 +27,10 @@ printed in ascending lexicographic exponent order, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from operator import add
+from operator import add, attrgetter
 from typing import Iterator, Mapping, Sequence, Union
 
 Coeff = Union[int, Fraction]
@@ -64,18 +63,57 @@ def _exponent_vector(exponents: Sequence[int]) -> ExponentVector:
     return exps
 
 
-@dataclass(frozen=True)
-class LaurentRing:
+class _Value:
+    """Base of the immutable value classes.  A subclass names its fields
+    in __slots__, in the order of its __init__ parameters, and sets each
+    once in __init__ through object.__setattr__; two instances of one
+    class are equal when their fields are, and hash, print and copy by
+    their fields."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, *name_and_value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class LaurentRing(_Value):
     """A Laurent polynomial ring signature: variable names and domain."""
 
-    names: tuple[str, ...]
-    domain: str = "Z"
+    __slots__ = ("names", "domain")
 
-    def __post_init__(self):
-        if self.domain not in ("Z", "Q"):
-            raise ValueError(f"unknown coefficient domain {self.domain!r}")
-        if not self.names or len(set(self.names)) != len(self.names):
+    def __init__(self, names: Sequence[str], domain: str = "Z"):
+        if domain not in ("Z", "Q"):
+            raise ValueError(f"unknown coefficient domain {domain!r}")
+        names = tuple(names)
+        for name in names:
+            if not isinstance(name, str):
+                raise TypeError(f"variable name {name!r} is not a string")
+        if not names or len(set(names)) != len(names):
             raise ValueError("variable names must be nonempty and distinct")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "domain", domain)
 
     @property
     def nvars(self) -> int:
@@ -429,22 +467,23 @@ def signed_terms(terms) -> str:
     return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
 
 
-@dataclass(frozen=True)
-class RingHom:
+class RingHom(_Value):
     """A ring homomorphism fixed by per-variable image polynomials."""
 
-    source: LaurentRing
-    target: LaurentRing
-    images: tuple[LaurentPoly, ...]
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.source.nvars:
+    def __init__(self, source: LaurentRing, target: LaurentRing,
+                 images: tuple[LaurentPoly, ...]):
+        if len(images) != source.nvars:
             raise RingMismatchError(
-                f"{len(self.images)} images for {self.source.nvars} variables"
+                f"{len(images)} images for {source.nvars} variables"
             )
-        for im in self.images:
-            if not _same_ring(im.ring, self.target):
+        for im in images:
+            if not _same_ring(im.ring, target):
                 raise RingMismatchError("image polynomial outside the target ring")
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not _same_ring(f.ring, self.source):

@@ -23,33 +23,34 @@ power is an evaluation (at_k), by scaling and adding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .homology import LiftClass, _require_valid
 from .laurent import (
     LaurentPoly,
     LaurentRing,
+    _Value,
     parse_poly,
     single_variable_ring,
     specialize_phi,
 )
 
 
-@dataclass(frozen=True)
-class Matrix2:
+class Matrix2(_Value):
     """An immutable 2x2 matrix with Laurent polynomial entries."""
 
-    a: LaurentPoly
-    b: LaurentPoly
-    c: LaurentPoly
-    d: LaurentPoly
+    __slots__ = ("a", "b", "c", "d")
 
-    def __post_init__(self):
-        ring = self.a.ring
-        for entry in (self.b, self.c, self.d):
+    def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly,
+                 d: LaurentPoly):
+        ring = a.ring
+        for entry in (b, c, d):
             if entry.ring is not ring and entry.ring != ring:
                 raise ValueError("matrix entries live in different rings")
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
 
     @property
     def ring(self) -> LaurentRing:
@@ -269,8 +270,7 @@ def conjugate_in_k(mat: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:
     return (mat, Matrix2(-b, zero, a - d, b), Matrix2(zero, zero, -b, zero))
 
 
-@dataclass(frozen=True)
-class HFormReport:
+class HFormReport(_Value):
     """Balancedness of the four polynomials attached to a matrix.
 
     For M = [[a, b], [c, d]] the relevant polynomials are a - 1, b, c
@@ -279,10 +279,14 @@ class HFormReport:
     fixed by the bar involution).
     """
 
-    p1: LaurentPoly
-    q1: LaurentPoly
-    q2: LaurentPoly
-    p2: LaurentPoly
+    __slots__ = ("p1", "q1", "q2", "p2")
+
+    def __init__(self, p1: LaurentPoly, q1: LaurentPoly, q2: LaurentPoly,
+                 p2: LaurentPoly):
+        object.__setattr__(self, "p1", p1)
+        object.__setattr__(self, "q1", q1)
+        object.__setattr__(self, "q2", q2)
+        object.__setattr__(self, "p2", p2)
 
     @property
     def flags(self) -> tuple[bool, bool, bool, bool]:

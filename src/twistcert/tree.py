@@ -27,11 +27,11 @@ need no walk at all: they are read off the trace.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .laurent import LaurentPoly, ParseError, parse_poly, single_variable_ring
+from .laurent import (LaurentPoly, ParseError, _Value, parse_poly,
+                      single_variable_ring)
 from .rep import Matrix2
 
 _QT = single_variable_ring("t", "Q")
@@ -208,19 +208,21 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-@dataclass(frozen=True)
-class TreeVertex:
+class TreeVertex(_Value):
     """A vertex (a, r): the lattice class of [[t^a, r], [0, 1]]."""
 
-    a: int
-    r: LaurentPoly
+    __slots__ = ("a", "r")
 
-    def __post_init__(self):
-        object.__setattr__(self, "r", _in_qt(self.r, "vertex tails are"))
-        if self.r and self.r.degree() >= self.a:
+    def __init__(self, a: int, r: LaurentPoly):
+        if type(a) is not int:
+            raise TypeError(f"vertex level {a!r} is not an integer")
+        r = _in_qt(r, "vertex tails are")
+        if r and r.degree() >= a:
             raise ValueError(
-                f"vertex tail {self.r} has exponents at or above level {self.a}"
+                f"vertex tail {r} has exponents at or above level {a}"
             )
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "r", r)
 
     @classmethod
     def base(cls) -> "TreeVertex":

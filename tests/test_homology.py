@@ -91,6 +91,25 @@ def test_generator_index_rules():
     Generator.comm(1, 4).validate(3)
 
 
+@pytest.mark.parametrize("kind, i, j, bad", [
+    ("comm", 1.0, 2.0, "1.0"), ("comm", True, 2, "True"),
+    ("comm", 1, "2", "'2'"), ("a1", 0.0, 0, "0.0"),
+])
+def test_generator_refuses_a_non_integer_index(kind, i, j, bad):
+    # a float or bool index would print a key, c:1.0:2.0 or c:True:2,
+    # that from_key cannot read back
+    with pytest.raises(TypeError) as exc:
+        Generator(kind, i, j)
+    assert str(exc.value) == f"generator index {bad} is not an integer"
+
+
+def test_lift_with_a_w_part_round_trips_through_json():
+    lift = LiftClass(3, CycleClass.basis(3, Generator.comm(1, 2)))
+    record = lift.to_json()
+    assert record["w"] == [["c:1:2", "1"]]
+    assert LiftClass.from_json(record) == lift
+
+
 # -- epsilon tables ------------------------------------------------------
 
 

@@ -695,6 +695,24 @@ def test_rings_are_shared_objects():
         parse_poly("t + 1", TQ)
 
 
+def test_ring_names_are_a_tuple_of_strings():
+    # a ring built from a list is hashable, so the cached maps accept it
+    ring = LaurentRing(["t"])
+    assert ring.names == ("t",) and ring == T and hash(ring) == hash(T)
+    f = LaurentPoly(ring, {(1,): 1})
+    assert specialize_single(f, 1) == f
+    assert specialize_phi(LaurentPoly(LaurentRing(list(L2.names)),
+                                      {(1, 1): 1})) == parse_poly("t", T)
+    with pytest.raises(TypeError, match="^variable name 1 is not a string$"):
+        LaurentRing(["t", 1])
+    with pytest.raises(TypeError, match="^variable name"):
+        LaurentRing([["t"]])
+    for names in ([], ["t", "t"]):
+        with pytest.raises(ValueError,
+                           match="^variable names must be nonempty and distinct$"):
+            LaurentRing(names)
+
+
 def test_parser_exponent_limit():
     from twistcert.laurent import MAX_EXPONENT
 

@@ -142,6 +142,14 @@ def test_vertex_tail_must_sit_below_level():
         TreeVertex(0, _q("1"))
 
 
+@pytest.mark.parametrize("level", [1.5, 1.0, True, "1", Fraction(1)])
+def test_vertex_refuses_a_non_integer_level(level):
+    # a level is an integer valuation: (1.5; 0) is no vertex
+    with pytest.raises(TypeError) as exc:
+        TreeVertex(level, 0)
+    assert str(exc.value) == f"vertex level {level!r} is not an integer"
+
+
 def test_parent_and_child_are_inverse_moves():
     rng = random.Random(2)
     for _ in range(20):

@@ -1,0 +1,151 @@
+"""The value contract of the immutable value classes: equality and hash by
+field, no assignment, usable as dict keys and cache arguments, a shallow
+copy that is equal, and a repr that names the class.  Each instance
+comes from a real call."""
+
+import copy
+import pickle
+import subprocess
+import sys
+from functools import cache
+from pathlib import Path
+
+import pytest
+
+from twistcert import (
+    AmalgamLetter,
+    DoubleCosetReport,
+    Generator,
+    HFormReport,
+    IdentityForcingReport,
+    LaurentRing,
+    LiftClass,
+    Matrix2,
+    RingHom,
+    TreeVertex,
+    ValidationReport,
+    amalgam_normal_form,
+    base_vertex,
+    canonical_lift,
+    canonical_vertex,
+    double_cosets_distinct,
+    h_cap_a_forces_identity,
+    h_form,
+    matrix_Mk,
+    matrix_N,
+    phi_hom,
+    series_ring,
+    surface_ring,
+    validate_lift,
+)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _letter(rows) -> AmalgamLetter:
+    letter, = amalgam_normal_form(Matrix2.from_rows(series_ring(), rows))
+    return letter
+
+
+# (class, its fields in positional order, an instance, an instance that
+# differs from it in at least one field)
+CASES = [
+    (LaurentRing, ("names", "domain"),
+     lambda: surface_ring(2), lambda: surface_ring(2, "Q")),
+    (RingHom, ("source", "target", "images"),
+     lambda: phi_hom(surface_ring(2)), lambda: phi_hom(surface_ring(3))),
+    (Generator, ("kind", "i", "j"),
+     lambda: Generator.comm(1, 2), lambda: Generator.comm(1, 3)),
+    (ValidationReport, ("ok", "shift", "detail"),
+     lambda: validate_lift(canonical_lift(2)),
+     lambda: validate_lift(LiftClass(2, m={(0, 0): 1, (0, 1): -1},
+                                     n={(1, 0): 1}))),
+    (Matrix2, ("a", "b", "c", "d"), matrix_N, lambda: matrix_Mk(2)),
+    (HFormReport, ("p1", "q1", "q2", "p2"),
+     lambda: h_form(matrix_N()), lambda: h_form(matrix_Mk(2))),
+    (TreeVertex, ("a", "r"),
+     lambda: canonical_vertex(1, series_ring().variable(0) ** -1, 0, 1),
+     base_vertex),
+    (AmalgamLetter, ("side", "matrix"),
+     lambda: _letter([["1", "0"], ["t", "1"]]),
+     lambda: _letter([["1", "0"], ["2*t", "1"]])),
+    (IdentityForcingReport, ("status", "steps", "matrix"),
+     lambda: h_cap_a_forces_identity(Matrix2.identity(series_ring())),
+     lambda: h_cap_a_forces_identity(matrix_N())),
+    (DoubleCosetReport, ("k", "l", "distinct", "witness", "connecting"),
+     lambda: double_cosets_distinct(1, 2),
+     lambda: double_cosets_distinct(1, 3)),
+]
+
+
+@pytest.fixture(params=CASES, ids=[case[0].__name__ for case in CASES])
+def case(request):
+    cls, fields, make, make_other = request.param
+    value = make()
+    assert type(value) is cls
+    return cls, fields, value, make_other()
+
+
+def test_equal_fields_give_equal_values_and_hashes(case):
+    cls, fields, value, other = case
+    values = [getattr(value, name) for name in fields]
+    for twin in (cls(*values), cls(**dict(zip(fields, values)))):
+        assert twin is not value
+        assert twin == value and not twin != value
+        assert hash(twin) == hash(value)
+    assert value != other and not value == other
+    assert value != tuple(values)
+
+
+def test_fields_cannot_be_assigned_or_deleted(case):
+    cls, fields, value, other = case
+    before = [getattr(value, name) for name in fields]
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(other, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert [getattr(value, name) for name in fields] == before
+
+
+def test_values_are_dict_keys_and_cache_arguments(case):
+    cls, fields, value, other = case
+    twin = cls(*(getattr(value, name) for name in fields))
+    table = {value: "value", other: "other"}
+    assert table[twin] == "value"
+    calls = []
+
+    @cache
+    def seen(v):
+        calls.append(v)
+        return len(calls)
+
+    assert seen(value) == seen(twin) == 1
+    assert seen(other) == 2
+
+
+def test_copies_are_equal(case):
+    cls, fields, value, _ = case
+    assert copy.copy(value) == value
+    if cls in (LaurentRing, Generator, ValidationReport):  # no polynomials
+        assert pickle.loads(pickle.dumps(value)) == value
+
+
+def test_repr_names_the_class(case):
+    cls, fields, value, _ = case
+    text = repr(value)
+    assert text.startswith(f"{cls.__name__}({fields[0]}=")
+    assert all(f"{name}=" in text for name in fields)
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    # pytest itself imports dataclasses, so the check needs a fresh
+    # interpreter, without site packages
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); "
+             "import twistcert.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe, str(SRC)],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

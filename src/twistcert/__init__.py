@@ -77,7 +77,6 @@ from .tree import (
 from .amalgam import (
     AmalgamLetter,
     Certificate,
-    DoubleCosetReport,
     IdentityForcingReport,
     amalgam_normal_form,
     build_certificate,

@@ -38,8 +38,8 @@ from fragments formatted once per difference and once per l.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from itertools import repeat
-from typing import Optional, Sequence
 
 from .homology import (
     CycleClass,
@@ -57,7 +57,6 @@ from .rep import (
     at_k,
     conjugate_in_k,
     h_form,
-    matrix_Mk,
     matrix_N,
     multiply,
     rho_in_k,
@@ -172,29 +171,9 @@ def h_cap_a_forces_identity(mat: Matrix2) -> IdentityForcingReport:
     return IdentityForcingReport("ok", tuple(steps), mat)
 
 
-class DoubleCosetReport(_Value):
-    """Outcome of the double-coset separation between two twist powers."""
-
-    __slots__ = ("k", "l", "distinct", "witness", "connecting")
-
-    def __init__(self, k: int, l: int, distinct: bool, witness: str,
-                 connecting: Matrix2):
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "distinct", distinct)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "connecting", connecting)
-
-    def __bool__(self):
-        return self.distinct
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "l": self.l, "distinct": self.distinct,
-                "witness": self.witness}
-
-
-def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
-    """Separate the double cosets of M_k and M_l modulo U on the right.
+def double_cosets_distinct(k: int, l: int) -> dict:
+    """The pairwise record of powers k and l: whether M_k and M_l lie in
+    distinct double cosets modulo U on the right, with its witness.
 
     Coset equality would force M_k = h M_l u with h balanced and u in U.
     Then h = M_k u^-1 M_l^-1 is a product of elements of A (U lies in
@@ -208,7 +187,7 @@ def double_cosets_distinct(k: int, l: int) -> DoubleCosetReport:
     """
     if k < 1 or l < 1:
         raise ValueError("twist powers must be at least 1")
-    return DoubleCosetReport(k, l, k != l, _witness(k, l), matrix_Mk(k - l))
+    return _pair_record(k, l)
 
 
 def _separated(d: int) -> bool:
@@ -319,43 +298,43 @@ _MEMBERSHIPS = ("Mk_in_A_not_U", "N_in_B_not_U", "conjugate_balanced")
 class Certificate:
     """A machine-checkable record that the twist powers are independent.
 
-    The verdict is true exactly when first_failure finds nothing.  Built
-    in k, it keeps the lift, rho's coefficients in k and each power's
-    verdict flags (in _FLAG_TEXTS order), and derives a per-k record
-    when asked; made from records, it reads the flags from them (an
-    error record has none).  The pairwise records are derived from kmax.
+    The verdict is true exactly when first_failure finds nothing.  It
+    keeps the lift, rho's coefficients in k and, for each power, its
+    verdict flags (in _FLAG_TEXTS order), or its error text when rho_k
+    could not be built (then rho_k is empty); a per-k record is derived
+    when asked, and the pairwise records are derived from kmax.
     """
 
-    def __init__(self, kmax: int, genus: int,
-                 records: Optional[Sequence[dict]] = None, *,
-                 lift: Optional[LiftClass] = None, rho_k: tuple = (),
-                 flags: Sequence[tuple] = ()):
+    def __init__(self, kmax: int, genus: int, lift: LiftClass, rho_k: tuple,
+                 flags: Sequence[tuple | str]):
         self.kmax, self.genus = kmax, genus
         self._lift, self._rho_k = lift, rho_k
-        if records is not None:
-            flags = [None if "error" in r else
-                     (r["conjugation_ok"], r["twist_consistency_ok"],
-                      *map(r["memberships"].get, _MEMBERSHIPS))
-                     for r in records]
         self._flags = tuple(flags)
-        self._records = [None] * kmax if records is None else list(records)
+        self._records = [None] * kmax
 
     def _record(self, k: int) -> dict:
         """The record of power k, derived on first use and then kept."""
         record = self._records[k - 1]
         if record is None:
-            conjugation, twist, *member = self._flags[k - 1]
-            record = self._records[k - 1] = {
-                "k": k, "lift": pushforward_b1_twist(self._lift, k).to_json(),
-                "rho": at_k(self._rho_k, k).to_json(),
-                "conjugation_ok": conjugation, "twist_consistency_ok": twist,
-                "memberships": dict(zip(_MEMBERSHIPS, member))}
+            flags = self._flags[k - 1]
+            if isinstance(flags, str):
+                record = {"k": k, "error": flags}
+            else:
+                conjugation, twist, *member = flags
+                record = {
+                    "k": k,
+                    "lift": pushforward_b1_twist(self._lift, k).to_json(),
+                    "rho": at_k(self._rho_k, k).to_json(),
+                    "conjugation_ok": conjugation,
+                    "twist_consistency_ok": twist,
+                    "memberships": dict(zip(_MEMBERSHIPS, member))}
+            self._records[k - 1] = record
         return record
 
     @property
     def records(self) -> tuple[dict, ...]:
         """The per-k records, for k = 1..kmax."""
-        return tuple(map(self._record, range(1, len(self._records) + 1)))
+        return tuple(map(self._record, range(1, self.kmax + 1)))
 
     @property
     def pairwise(self) -> tuple[dict, ...]:
@@ -369,10 +348,10 @@ class Certificate:
         separated: each difference is checked once."""
         return [d for d in range(1, self.kmax) if not _separated(-d)]
 
-    def first_failure(self) -> Optional[dict]:
+    def first_failure(self) -> dict | None:
         """The first per-k record or pairwise separation that failed."""
         for k, flags in enumerate(self._flags, 1):
-            if flags is None or not all(flags):
+            if isinstance(flags, str) or not all(flags):
                 return self._record(k)
         failed = self._failed_differences()
         # every difference first appears at k = 1, so the smallest
@@ -400,24 +379,22 @@ class Certificate:
         every newline in a string)."""
         fields = {"genus": self.genus, "kmax": self.kmax,
                   "verdict": self.verdict}
-        if self._lift is None:
-            fields["records"] = self._records
         texts = {key: json.dumps(value, sort_keys=True, indent=2)
                  .replace("\n", "\n  ") for key, value in fields.items()}
         texts["pairwise"] = self._pairwise_text()
-        if self._lift is not None:
-            texts["records"] = self._records_text()
+        texts["records"] = self._records_text()
         return "{\n  " + ",\n  ".join(
             f"{json.dumps(key)}: {texts[key]}" for key in sorted(texts)) \
             + "\n}"
 
     def _records_text(self) -> str:
         """The derived per-k records as json_text writes them, one level
-        deep: a record with a marker in each per-k place is dumped once,
-        and each power fills in its flags, k, the pushed n family n + k m
-        (base lift's key order, zero sums dropped) and rho_k's entries,
-        each the nonzero terms of c0 + k c1 + k^2 c2 over a table of the
-        entry's exponents, sorted and named once."""
+        deep: an error record is dumped alone; otherwise a record with a
+        marker in each per-k place is dumped once, and each power fills
+        in its flags, k, the pushed n family n + k m (base lift's key
+        order, zero sums dropped) and rho_k's entries, each the nonzero
+        terms of c0 + k c1 + k^2 c2 over a table of the entry's
+        exponents, sorted and named once."""
         base = self._lift.to_json()
         marks = [f"\x00{i}" for i in range(11)]
         template = "    " + json.dumps(
@@ -430,12 +407,15 @@ class Certificate:
             template = template.replace(json.dumps(mark), f"{{{i}}}")
         m, n = base["m"], base["n"]
         family = [(key, n.get(key, 0), m.get(key, 0)) for key in sorted({*m, *n})]
-        names = self._rho_k[0].ring.names
-        tables = [[(monomial_text(names, e), *(p.terms.get(e, 0) for p in coeffs))
+        tables = [[(monomial_text(coeffs[0].ring.names, e),
+                    *(p.terms.get(e, 0) for p in coeffs))
                    for e in sorted(set().union(*(p.terms for p in coeffs)))]
                   for coeffs in zip(*(c.entries() for c in self._rho_k))]
 
         def record(k: int) -> str:
+            if isinstance(self._flags[k - 1], str):  # an error record
+                return "    " + json.dumps(self._record(k), sort_keys=True,
+                                           indent=2).replace("\n", "\n    ")
             pushed = ",\n".join(f'          "{key}": {c}' for key, n0, m0
                                 in family if (c := n0 + k * m0))
             rho = [signed_terms([(var, v) for var, c0, c1, c2 in table
@@ -473,7 +453,7 @@ class Certificate:
         lines = [f"certificate: genus {self.genus}, twist powers 1..{self.kmax}"]
         for k, flags in enumerate(self._flags, 1):
             lines.append(f"  k={k}: " + (
-                f"ERROR {self._records[k - 1]['error']}" if flags is None
+                f"ERROR {flags}" if isinstance(flags, str)
                 else ", ".join(text[not flag]
                                for flag, text in zip(flags, _FLAG_TEXTS))))
         failed = self._failed_differences()
@@ -529,8 +509,8 @@ def _vanishes(residual: Sequence[Matrix2]) -> bool:
 
 
 def build_certificate(kmax: int, genus: int,
-                      eps: Optional[EpsilonTable] = None,
-                      base_lift: Optional[LiftClass] = None) -> Certificate:
+                      eps: EpsilonTable | None = None,
+                      base_lift: LiftClass | None = None) -> Certificate:
     """Run the full pipeline for twist powers 1..kmax at the given genus.
 
     The lift check, rho_k and M_k N M_k^-1 are computed once, in k, and
@@ -569,9 +549,7 @@ def build_certificate(kmax: int, genus: int,
     except ValueError as exc:  # the lift check or the determinant check
         errors = (exc.pushed_forward(powers) if isinstance(exc, InvalidLift)
                   else [str(exc)] * kmax)
-        records = tuple({"k": k, "error": error}
-                        for k, error in zip(powers, errors))
-        return Certificate(kmax, genus, records)
+        return Certificate(kmax, genus, star, (), errors)
     # the residuals' coefficients in k: an identity that holds for every
     # k needs no evaluation, and one that fails is evaluated at each k
     conj_residual = [r - c for r, c in zip(rho_k, conjugate_in_k(n_mat))]
@@ -591,4 +569,4 @@ def build_certificate(kmax: int, genus: int,
          _separated(k), n_in_b and not n_in_a,  # M_k is in A, in U iff t | k
          balance_identity or h_form(at_k(rho_k, k)).all_balanced)
         for k in powers)
-    return Certificate(kmax, genus, lift=star, rho_k=rho_k, flags=flags)
+    return Certificate(kmax, genus, star, rho_k, flags)

@@ -23,7 +23,6 @@ import json
 import os
 import re
 import sys
-from pathlib import Path
 
 from .amalgam import (
     amalgam_normal_form,
@@ -82,13 +81,9 @@ def _read_source(source: str) -> str:
     """Resolve an argument that may be '-', a file path, or a literal."""
     if source == "-":
         return sys.stdin.read()
-    path = Path(source)
-    try:
-        is_file = path.is_file()
-    except OSError:  # e.g. a literal longer than any file name
-        is_file = False
-    if is_file:
-        return path.read_text()
+    if os.path.isfile(source):  # false for a literal too long for a name
+        with open(source) as file:
+            return file.read()
     return source
 
 
@@ -199,7 +194,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     if args.output is not None:
         try:
-            Path(args.output).write_text(text + "\n")
+            with open(args.output, "w") as out:
+                out.write(text + "\n")
         except OSError as exc:
             reason = exc.strerror or str(exc)
             raise UsageError(f"cannot write {args.output}: {reason}") from None
@@ -229,8 +225,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_rho(args: argparse.Namespace) -> int:
-    _check_genus(args.genus)
-    lift = _lift_from_spec(args.lift, args.genus)
+    genus = 2 if args.genus is None else args.genus
+    _check_genus(genus)
+    lift = _lift_from_spec(args.lift, genus)
+    if args.genus is not None and lift.genus != genus:
+        raise UsageError(f"lift has genus {lift.genus}, expected {genus}")
     mat = rho(lift)
     report = h_form(mat)
     if args.format == "json":
@@ -330,7 +329,8 @@ def _add_rho(sub):
         "rho", help="representation matrix of a lift, with balance report")
     rh.add_argument("lift",
                     help="lift JSON (path, inline, or -), or canonical-C")
-    rh.add_argument("--genus", type=int, default=2)
+    # unset: canonical-C at genus 2, a lift record at its own genus
+    rh.add_argument("--genus", type=int)
     rh.add_argument("--format", choices=("text", "json"), default="text")
     rh.set_defaults(handler=cmd_rho)
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from collections.abc import Iterable, Mapping, Sequence
 
 from .laurent import (
     MAX_EXPONENT,
@@ -291,7 +291,7 @@ def _var(ring: LaurentRing, index: int) -> LaurentPoly:
 
 
 def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable,
-                ring: Optional[LaurentRing] = None) -> LaurentPoly:
+                ring: LaurentRing | None = None) -> LaurentPoly:
     """The generating polynomial sum_r ([c_x] . u^r [c_y]) u^r.
 
     Three cases: identical pairs pair to zero (parallel translates of a
@@ -341,7 +341,7 @@ def pair_generators(x: Generator, shift: Sequence[int], y: Generator,
     return pair_kernel(x.pair, y.pair, eps).coeff(shift)
 
 
-class CycleClass:
+class CycleClass(_Value):
     """A finite L_g-combination of module generators."""
 
     __slots__ = ("genus", "coeffs")
@@ -364,9 +364,6 @@ class CycleClass:
             self, "coeffs",
             {g: clean[g] for g in sorted(clean, key=Generator.sort_key)},
         )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CycleClass is immutable")
 
     @classmethod
     def basis(cls, genus: int, gen: Generator) -> "CycleClass":
@@ -391,12 +388,7 @@ class CycleClass:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycleClass):
-            return NotImplemented
-        return self.genus == other.genus and self.coeffs == other.coeffs
-
-    def __hash__(self):
+    def __hash__(self):  # coeffs is a dict, hashed by its items
         return hash((self.genus, tuple(self.coeffs.items())))
 
     def _check(self, other: "CycleClass"):
@@ -428,7 +420,7 @@ class ValidationReport(_Value):
 
     __slots__ = ("ok", "shift", "detail")
 
-    def __init__(self, ok: bool, shift: Optional[ExponentVector] = None,
+    def __init__(self, ok: bool, shift: ExponentVector | None = None,
                  detail: str = ""):
         object.__setattr__(self, "ok", ok)
         object.__setattr__(self, "shift", shift)
@@ -438,7 +430,7 @@ class ValidationReport(_Value):
         return self.ok
 
 
-class LiftClass:
+class LiftClass(_Value):
     """The homology class of a lifted simple closed curve.
 
     w is the commutator part; m and n record, per deck translate, how the
@@ -447,9 +439,9 @@ class LiftClass:
 
     __slots__ = ("genus", "w", "m", "n")
 
-    def __init__(self, genus: int, w: Optional[CycleClass] = None,
-                 m: Union[Mapping[Sequence[int], int], LaurentPoly] = (),
-                 n: Union[Mapping[Sequence[int], int], LaurentPoly] = ()):
+    def __init__(self, genus: int, w: CycleClass | None = None,
+                 m: Mapping[Sequence[int], int] | LaurentPoly = (),
+                 n: Mapping[Sequence[int], int] | LaurentPoly = ()):
         ring = surface_ring(genus)
         if w is None:
             w = CycleClass(genus)
@@ -470,21 +462,9 @@ class LiftClass:
             return data
         return LaurentPoly(ring, dict(data))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("LiftClass is immutable")
-
     @property
     def ring(self) -> LaurentRing:
         return surface_ring(self.genus)
-
-    def __eq__(self, other):
-        if not isinstance(other, LiftClass):
-            return NotImplemented
-        return (self.genus, self.w, self.m, self.n) == \
-            (other.genus, other.w, other.m, other.n)
-
-    def __hash__(self):
-        return hash((self.genus, self.w, self.m, self.n))
 
     def as_cycle_class(self) -> CycleClass:
         """The class itself, written out over the module generators."""
@@ -650,7 +630,7 @@ def _require_valid(lift: LiftClass):
 
 
 def pairing_polynomial(x: CycleClass, lift: LiftClass,
-                       eps: Optional[EpsilonTable] = None) -> LaurentPoly:
+                       eps: EpsilonTable | None = None) -> LaurentPoly:
     """The polynomial P(u) = sum_r (x . u^r C~) u^r.
 
     Bilinearity reduces the whole family of pairings against deck
@@ -680,7 +660,7 @@ def pairing_polynomial(x: CycleClass, lift: LiftClass,
 
 
 def twist_apply(lift: LiftClass, x: CycleClass,
-                eps: Optional[EpsilonTable] = None,
+                eps: EpsilonTable | None = None,
                 inverse: bool = False) -> CycleClass:
     """Push x forward under the simultaneous twist about the lift's curve.
 

@@ -27,13 +27,13 @@ printed in ascending lexicographic exponent order, e.g.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator, Mapping, Sequence
 from fractions import Fraction
 from functools import cache
 from math import lcm
 from operator import add, attrgetter
-from typing import Iterator, Mapping, Sequence, Union
 
-Coeff = Union[int, Fraction]
+Coeff = int | Fraction
 ExponentVector = tuple[int, ...]
 
 
@@ -155,7 +155,7 @@ class LaurentRing(_Value):
             return self.zero()
         return LaurentPoly._make(self, {exps: c})
 
-    def variable(self, name_or_index: Union[str, int]) -> "LaurentPoly":
+    def variable(self, name_or_index: str | int) -> "LaurentPoly":
         if isinstance(name_or_index, str):
             if name_or_index not in self.names:
                 raise ValueError(f"no variable {name_or_index!r} in ring {self.names}")

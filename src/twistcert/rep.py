@@ -23,7 +23,7 @@ power is an evaluation (at_k), by scaling and adding.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Optional, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .homology import LiftClass, _require_valid
 from .laurent import (
@@ -158,7 +158,7 @@ class Matrix2(_Value):
 
 
 def multiply(matrices: Iterable[Matrix2],
-             ring: Optional[LaurentRing] = None) -> Matrix2:
+             ring: LaurentRing | None = None) -> Matrix2:
     """The ordered product of a sequence of matrices."""
     out = None
     for mat in matrices:
@@ -240,7 +240,7 @@ def at_k(coeffs: Sequence[Matrix2], k: int) -> Matrix2:
     return out
 
 
-def matrix_N(ring: Optional[LaurentRing] = None) -> Matrix2:
+def matrix_N(ring: LaurentRing | None = None) -> Matrix2:
     """The image of the bounding-curve twist: [[1, t - 2 + t^-1], [0, 1]]."""
     if ring is None:
         ring = single_variable_ring()
@@ -248,7 +248,7 @@ def matrix_N(ring: Optional[LaurentRing] = None) -> Matrix2:
                    + ring.monomial((-1,)), ring.zero(), ring.one())
 
 
-def matrix_Mk(k: int, ring: Optional[LaurentRing] = None) -> Matrix2:
+def matrix_Mk(k: int, ring: LaurentRing | None = None) -> Matrix2:
     """The image of the k-th power of the handle twist: [[1, 0], [k, 1]]."""
     if not isinstance(k, int):
         raise TypeError("twist power must be an integer")

@@ -27,8 +27,8 @@ need no walk at all: they are read off the trace.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .laurent import (LaurentPoly, ParseError, _Value, parse_poly,
                       single_variable_ring)
@@ -82,7 +82,7 @@ def _poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a.scale(Fraction(1) / Fraction(lead))
 
 
-class RationalFunction:
+class RationalFunction(_Value):
     """An element of Q(t), kept in lowest terms.
 
     No reduction in this module uses it; the tests reduce lattice bases
@@ -122,9 +122,6 @@ class RationalFunction:
             raise TypeError("nested rational functions; use the arithmetic ops")
         return _in_qt(value, "rational functions are")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalFunction is immutable")
-
     @classmethod
     def wrap(cls, value) -> "RationalFunction":
         if isinstance(value, RationalFunction):
@@ -133,14 +130,6 @@ class RationalFunction:
 
     def __bool__(self):
         return bool(self.num)
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def __add__(self, other):
         other = RationalFunction.wrap(other)
@@ -446,7 +435,7 @@ def translation_length(mat: Matrix2) -> int:
     return max(0, -2 * trace.valuation()) if trace else 0
 
 
-def ball_dot(center: Optional[TreeVertex] = None, radius: int = 2,
+def ball_dot(center: TreeVertex | None = None, radius: int = 2,
              coefficients: Sequence = (0, 1)) -> str:
     """A DOT rendering of the ball around a vertex.
 

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -168,22 +169,37 @@ def test_identity_forcing_rejects_singular_matrices():
 # -- double cosets -----------------------------------------------------------
 
 
+@cache
+def _pair_oracle(k: int, l: int) -> dict:
+    """The pairwise record of powers k and l, read from the product
+    M_l^-1 M_k: the cosets are distinct when it lies outside U, and the
+    witness writes it out with its lower-left entry at t = 0."""
+    product = matrix_Mk(l).inverse() @ matrix_Mk(k)
+    witness = "k = l, the cosets coincide" if k == l else (
+        f"equality would put M_{l}^-1 M_{k} = {product} in U, but its "
+        f"lower-left entry is {product.c.coeff((0,))} at t = 0, not "
+        "divisible by t")
+    return {"k": k, "l": l, "distinct": not in_U(product), "witness": witness}
+
+
 def test_double_coset_frozen_witnesses():
-    report = double_cosets_distinct(2, 3)
-    assert report.distinct
-    assert str(report.connecting) == "[[1, 0], [-1, 1]]"
-    same = double_cosets_distinct(5, 5)
-    assert not same.distinct
+    assert double_cosets_distinct(2, 3) == {
+        "k": 2, "l": 3, "distinct": True,
+        "witness": "equality would put M_3^-1 M_2 = [[1, 0], [-1, 1]] in U, "
+                   "but its lower-left entry is -1 at t = 0, not divisible "
+                   "by t"}
+    assert double_cosets_distinct(5, 5) == {
+        "k": 5, "l": 5, "distinct": False,
+        "witness": "k = l, the cosets coincide"}
     far = double_cosets_distinct(1, 20)
-    assert far.distinct
-    assert str(far.connecting) == "[[1, 0], [-19, 1]]"
+    assert far["distinct"] is True
+    assert "M_20^-1 M_1 = [[1, 0], [-19, 1]] in U" in far["witness"]
 
 
 def test_double_cosets_separate_all_small_pairs():
     for k in range(1, 9):
         for l in range(1, 9):
-            report = double_cosets_distinct(k, l)
-            assert report.distinct == (k != l)
+            assert double_cosets_distinct(k, l)["distinct"] is (k != l)
 
 
 def test_double_coset_connecting_matrix_is_the_product():
@@ -191,9 +207,7 @@ def test_double_coset_connecting_matrix_is_the_product():
         for l in range(1, 13):
             product = matrix_Mk(l).inverse() @ matrix_Mk(k)
             assert product == matrix_Mk(k - l)
-            report = double_cosets_distinct(k, l)
-            assert report.connecting == product
-            assert str(report.connecting) == str(product)
+            assert double_cosets_distinct(k, l) == _pair_oracle(k, l)
 
 
 def test_witness_writes_the_connecting_matrix():
@@ -201,11 +215,11 @@ def test_witness_writes_the_connecting_matrix():
         k, l = (d + 1, 1) if d > 0 else (1, 1 - d)
         written = f"M_{l}^-1 M_{k} = {matrix_Mk(d)} in U"
         assert written in amalgam._witness(k, l)
-        assert written in double_cosets_distinct(k, l).witness
+        assert written in double_cosets_distinct(k, l)["witness"]
 
 
 def test_double_coset_json_shape():
-    data = double_cosets_distinct(2, 3).to_json()
+    data = double_cosets_distinct(2, 3)
     assert set(data) == {"k", "l", "distinct", "witness"}
     assert data["k"] == 2 and data["l"] == 3 and data["distinct"] is True
 
@@ -672,8 +686,7 @@ def test_pairwise_records_match_the_per_pair_oracle():
     for genus in range(2, 6):
         for kmax in range(2, 26):
             cert = build_certificate(kmax, genus)
-            expected = [double_cosets_distinct(k, l).to_json()
-                        for k in range(1, kmax + 1)
+            expected = [_pair_oracle(k, l) for k in range(1, kmax + 1)
                         for l in range(k + 1, kmax + 1)]
             assert list(cert.pairwise) == expected
 
@@ -692,17 +705,19 @@ def test_certificate_json_frozen_digests(genus, kmax, digest):
 
 def test_certificate_builds_no_matrix_per_power(monkeypatch):
     built = []
-    real = amalgam.matrix_Mk
+    real = rep.matrix_Mk
 
     def counting(k, *args):
         built.append(k)
         return real(k, *args)
 
-    monkeypatch.setattr(amalgam, "matrix_Mk", counting)
+    monkeypatch.setattr(rep, "matrix_Mk", counting)
+    assert "matrix_Mk" not in vars(amalgam)
     kmax = 30
     cert = build_certificate(kmax, 2)
     assert len(cert.pairwise) == kmax * (kmax - 1) // 2
     assert cert.records[-1]["memberships"]["Mk_in_A_not_U"]
+    assert double_cosets_distinct(1, kmax)["distinct"]
     # M_k's membership is read from the closed form of _separated, and
     # the pairwise witnesses write M_{k-l} in closed form
     assert built == []
@@ -751,8 +766,8 @@ def _per_k_images(lift, eps):
         for gen in (homology.Generator.a1(), homology.Generator.b1()))
 
 
-def _per_k_certificate(kmax, genus, eps=None, base_lift=None):
-    """Reference certificate: the lift check, rho, the conjugate
+def _per_k_records(kmax, genus, eps=None, base_lift=None):
+    """Reference records: the lift check, rho, the conjugate
     M_k N M_k^-1 and the twist's handle images over L_g, made again for
     every power k, with matrix products and an inverse."""
     star = base_lift if base_lift is not None else canonical_lift(genus)
@@ -786,30 +801,67 @@ def _per_k_certificate(kmax, genus, eps=None, base_lift=None):
                 "conjugate_balanced": h_form(mat).all_balanced,
             },
         })
-    return Certificate(kmax, genus, tuple(records))
+    return records
 
 
-def _stored_tuple_scan(cert):
+def _per_k_certificate(genus, records):
+    """The reference certificate for the powers 1..len(records): its
+    JSON as the generic encoder writes it, its first failure and its
+    summary lines, from the stored per-k records and the per-pair
+    oracle."""
+    kmax = len(records)
+    pairwise = [_pair_oracle(k, l) for k in range(1, kmax + 1)
+                for l in range(k + 1, kmax + 1)]
+    first, lines = _stored_scan(kmax, genus, records, pairwise)
+    text = json.dumps({"kmax": kmax, "genus": genus, "records": records,
+                       "pairwise": pairwise, "verdict": first is None},
+                      sort_keys=True, indent=2)
+    return text, first, lines
+
+
+def _summary_line(record):
+    """The summary line of one per-k record."""
+    if "error" in record:
+        return f"  k={record['k']}: ERROR {record['error']}"
+    member = record["memberships"]
+    checks = (
+        (record["conjugation_ok"], "conjugation ok", "conjugation FAILED"),
+        (record["twist_consistency_ok"], "twist consistent",
+         "twist INCONSISTENT"),
+        (member["Mk_in_A_not_U"], "M_k in A\\U", "M_k membership FAILED"),
+        (member["N_in_B_not_U"], "N in B\\U", "N membership FAILED"),
+        (member["conjugate_balanced"], "balanced", "balance FAILED"))
+    return f"  k={record['k']}: " + ", ".join(
+        held if ok else failed for ok, held, failed in checks)
+
+
+def _stored_scan(kmax, genus, records, pairwise):
     """first_failure() and summary_lines() as a certificate gave them when
-    it stored a record for every pair of powers: each pair's separation
-    is evaluated, and the records and then the pairs are scanned.  The
-    per-k summary lines are the certificate's own."""
-    pairwise = [{"k": k, "l": l, "distinct": amalgam._separated(k - l),
-                 "witness": amalgam._witness(k, l)}
-                for k in range(1, cert.kmax + 1)
-                for l in range(k + 1, cert.kmax + 1)]
+    it stored every per-k record and every pair: the records and then
+    the pairs are scanned."""
     failed = [p for p in pairwise if not p["distinct"]]
-    first = next((r for r in cert.records if "error" in r or not (
+    first = next((r for r in records if "error" in r or not (
         r["conjugation_ok"] and r["twist_consistency_ok"]
         and all(r["memberships"].values()))), None)
     if first is None and failed:
         first = failed[0]
-    lines = cert.summary_lines()[:len(cert.records) + 1]
+    lines = [f"certificate: genus {genus}, twist powers 1..{kmax}"]
+    lines += map(_summary_line, records)
     lines.append(f"  pairwise separations: {len(pairwise) - len(failed)}"
                  f"/{len(pairwise)} distinct")
     lines += [f"    NOT distinct: k={p['k']}, l={p['l']}" for p in failed]
     lines.append(f"verdict: {'PASS' if first is None else 'FAIL'}")
     return first, lines
+
+
+def _stored_tuple_scan(cert):
+    """_stored_scan over the certificate's own records, with each pair's
+    separation evaluated through _separated."""
+    pairwise = [{"k": k, "l": l, "distinct": amalgam._separated(k - l),
+                 "witness": amalgam._witness(k, l)}
+                for k in range(1, cert.kmax + 1)
+                for l in range(k + 1, cert.kmax + 1)]
+    return _stored_scan(cert.kmax, cert.genus, cert.records, pairwise)
 
 
 def _sweep_inputs(genus):
@@ -854,10 +906,10 @@ def test_derived_records_match_the_per_power_reference(genus):
     # failing and invalid lifts; first_failure derives the record it
     # returns, and records then keeps it
     for name, eps, lift, largest in _sweep_inputs(genus):
-        reference = _per_k_certificate(largest, genus, eps, lift)
+        reference = tuple(_per_k_records(largest, genus, eps, lift))
         cert = build_certificate(largest, genus, eps=eps, base_lift=lift)
         first = cert.first_failure()
-        assert cert.records == reference.records, name
+        assert cert.records == reference, name
         assert first is None or first is cert.records[first["k"] - 1]
 
 
@@ -865,25 +917,25 @@ def test_derived_records_match_the_per_power_reference(genus):
 def test_certificate_matches_the_per_power_reference(genus):
     outcomes = set()
     for name, eps, lift, largest in _sweep_inputs(genus):
-        reference = _per_k_certificate(largest, genus, eps, lift)
+        records = _per_k_records(largest, genus, eps, lift)
+        firsts = {}
         for kmax in (2, 3, 7, 25, 100):
             if kmax > largest:
                 continue
-            expected = Certificate(kmax, genus, reference.records[:kmax])
+            text, firsts[kmax], lines = _per_k_certificate(genus,
+                                                           records[:kmax])
             cert = build_certificate(kmax, genus, eps=eps, base_lift=lift)
-            assert cert.json_text() == expected.json_text(), (name, kmax)
-            assert cert.summary_lines() == expected.summary_lines(), \
-                (name, kmax)
+            assert cert.json_text() == text, (name, kmax)
             assert (cert.first_failure(), cert.summary_lines()) == \
-                _stored_tuple_scan(expected), (name, kmax)
-        record = reference.records[0]
+                (firsts[kmax], lines), (name, kmax)
+        record = records[0]
         outcomes.add("error" if "error" in record else
                      "conjugation" if not record["conjugation_ok"] else
-                     "pass" if reference.verdict else "other")
+                     "pass" if firsts[largest] is None else "other")
         if name == "invalid":
             # m = s2 - 1 and n = 1 mismatch at the shift s2 by -k != 1 - k,
             # so each power has its own error text
-            assert len({r["error"] for r in reference.records}) == largest
+            assert len({r["error"] for r in records}) == largest
     assert outcomes == {"pass", "conjugation", "error"}
 
 
@@ -907,7 +959,8 @@ def _oracle_certificates():
                                   ring.one()))
     yield build_certificate(12, 3, eps=homology.EpsilonTable.seeded(3, 7))
     # made directly, with no pair of powers: the pairwise list is empty
-    yield Certificate(1, 2, build_certificate(2, 2).records[:1])
+    lift = canonical_lift(2)
+    yield Certificate(1, 2, lift, rep.rho_in_k(lift), [(True,) * 5])
     yield build_certificate(6, 3, base_lift=_cancelling_lift())
 
 
@@ -1170,9 +1223,10 @@ def _counted_verify(monkeypatch, capsys, argv) -> dict:
 
     monkeypatch.setattr(LaurentPoly, "__str__",
                         counting("str", LaurentPoly.__str__))
-    for name in ("at_k", "pushforward_b1_twist", "matrix_Mk", "signed_terms"):
-        monkeypatch.setattr(amalgam, name,
-                            counting(name, getattr(amalgam, name)))
+    for module, name in ((amalgam, "at_k"), (amalgam, "pushforward_b1_twist"),
+                         (rep, "matrix_Mk"), (amalgam, "signed_terms")):
+        monkeypatch.setattr(module, name,
+                            counting(name, getattr(module, name)))
     code = cli.main(argv)
     monkeypatch.undo()
     capsys.readouterr()

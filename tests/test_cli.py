@@ -119,6 +119,16 @@ def test_rho_json_format(capsys):
     assert data["h_form"]["q1"] == "t^-1 - 2 + t"
 
 
+def test_rho_refuses_a_genus_the_record_does_not_have(capsys):
+    record = '{"genus": 3, "m": {"0,0,1,0": 1, "0,0,0,0": -1}}'
+    assert run(capsys, "rho", "--genus", "2", record) == \
+        (2, "", "error: lift has genus 3, expected 2\n")
+    # the record's genus, given or not, is the genus rho reads
+    for argv in (["rho", record], ["rho", "--genus", "3", record]):
+        assert run(capsys, *argv) == \
+            (0, "[[1, t^-1 - 2 + t], [0, 1]]\nbalanced: yes x4\n", "")
+
+
 def test_rho_rejects_invalid_lift(capsys, tmp_path):
     path = tmp_path / "lift.json"
     path.write_text(json.dumps(

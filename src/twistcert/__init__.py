@@ -39,7 +39,6 @@ from .homology import (
     canonical_lift,
     comm_pairs,
     excluded_pair,
-    pair_generators,
     pair_kernel,
     pairing_polynomial,
     pushforward_b1_twist,
@@ -54,7 +53,6 @@ from .rep import (
     matrix_N,
     multiply,
     rho,
-    rho_pre_phi,
 )
 from .tree import (
     TreeVertex,
@@ -64,15 +62,12 @@ from .tree import (
     base_vertex,
     canonical_vertex,
     distance,
-    first_step,
     fixes_edge,
     fixes_vertex,
-    geodesic,
     odd_base_vertex,
     parse_vertex,
     series_ring,
     translation_length,
-    vertex_matrix,
 )
 from .amalgam import (
     AmalgamLetter,

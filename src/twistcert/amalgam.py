@@ -538,7 +538,7 @@ def build_certificate(kmax: int, genus: int,
     if star.genus != genus:
         raise ValueError(f"base lift has genus {star.genus}, expected {genus}")
     if eps is None:
-        eps = EpsilonTable.zero(genus)
+        eps = EpsilonTable(genus)
     elif eps.genus != genus:
         raise ValueError(f"epsilon table has genus {eps.genus}, expected {genus}")
     n_mat = matrix_N()

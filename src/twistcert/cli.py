@@ -112,9 +112,10 @@ def _read_json(source: str, what: str):
         raise UsageError(f"bad {what} JSON: {exc}") from None
 
 
-def parse_matrix(text: str, ring: LaurentRing | None = None) -> Matrix2:
-    """Parse ``[[a, b], [c, d]]`` with Laurent polynomial entries."""
-    ring = ring or series_ring()
+def parse_matrix(text: str) -> Matrix2:
+    """Parse ``[[a, b], [c, d]]`` with entries in Q[t, t^-1], or a
+    matrix record ``{"a": ..., "d": ...}``."""
+    ring = series_ring()
     body = text.strip()
     if body.startswith("{"):
         try:
@@ -146,7 +147,7 @@ def _lift_from_spec(source: str, genus: int) -> LiftClass:
 
 def _ring_for_expression(expr: str, genus: int, domain: str) -> LaurentRing:
     """Pick the ring from the variable tokens that appear in expr."""
-    names = set(re.findall(r"\b[st]\d+\b", expr))
+    names = set(re.findall(r"\b[st]\d+\b", expr, re.ASCII))
     if not names:
         return single_variable_ring("t", domain)
     ring = surface_ring(genus, domain)
@@ -173,7 +174,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if not 2 <= args.kmax <= MAX_KMAX:
         raise UsageError(
             f"kmax must be between 2 and {MAX_KMAX}, got {args.kmax}")
-    eps = EpsilonTable.zero(args.genus)
+    eps = EpsilonTable(args.genus)
     if args.eps_table is not None:
         eps = EpsilonTable.from_entries(
             args.genus, _read_json(args.eps_table, "pairing table"))
@@ -286,9 +287,9 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
             [{"side": l.side, "matrix": l.matrix.to_json()} for l in letters],
             indent=2, sort_keys=True))
         return 0
-    for letter in letters:
-        print(letter)
-    print(f"letters: {len(letters)}")
+    # every line is formatted before any is written: a letter that cannot
+    # be printed leaves standard output empty
+    print("\n".join([*map(str, letters), f"letters: {len(letters)}"]))
     return 0
 
 

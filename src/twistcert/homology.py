@@ -34,7 +34,6 @@ from .laurent import (
     ExponentVector,
     LaurentPoly,
     LaurentRing,
-    _exponent_vector,
     _Value,
     parse_poly,
     surface_ring,
@@ -46,9 +45,10 @@ IndexPair = tuple[int, int]
 # has 2g - 2 variables and a random pairing table O(g^4) entries.
 MAX_GENUS = 40
 
-_EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*")
+# an exponent key of a lift family; numbers are read in ASCII digits only
+_EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*", re.ASCII)
 # a commutator key as Generator.key writes it; an index has at most 9 digits
-_COMMUTATOR_KEY = re.compile(r"c:([1-9]\d{0,8}):([1-9]\d{0,8})")
+_COMMUTATOR_KEY = re.compile(r"c:([1-9]\d{0,8}):([1-9]\d{0,8})", re.ASCII)
 # each coefficient printed by rho or a per-k record (k <= 1000) sums at most
 # (1 + k)^2 MAX_TERMS^2 < 10^13 products of two lift coefficients, so it has
 # at most 2 * 2143 + 13 = 4299 digits, within _MAX_DIGITS
@@ -220,10 +220,6 @@ class EpsilonTable:
                    {k: v for k, v in signs.items() if len(k) == 3})
 
     @classmethod
-    def zero(cls, genus: int) -> "EpsilonTable":
-        return cls(genus)
-
-    @classmethod
     def random_skew(cls, genus: int, rng, density: float = 0.6) -> "EpsilonTable":
         """A random table, mostly nonzero, for robustness tests."""
         pairs = comm_pairs(genus)
@@ -290,8 +286,7 @@ def _var(ring: LaurentRing, index: int) -> LaurentPoly:
     return ring.variable(index - 1)
 
 
-def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable,
-                ring: LaurentRing | None = None) -> LaurentPoly:
+def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable) -> LaurentPoly:
     """The generating polynomial sum_r ([c_x] . u^r [c_y]) u^r.
 
     Three cases: identical pairs pair to zero (parallel translates of a
@@ -300,8 +295,7 @@ def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable,
     three-factor form with the shared variable contributing
     1 - u - u^{-1}.  Either product is scaled by the sign eps.value(x, y).
     """
-    if ring is None:
-        ring = surface_ring(eps.genus)
+    ring = surface_ring(eps.genus)
     if set(x) == set(y):
         return ring.zero()
     v = eps.value(x, y)
@@ -320,25 +314,6 @@ def pair_kernel(x: IndexPair, y: IndexPair, eps: EpsilonTable,
         * (_var(ring, x[0] + x[1] - s) - one) \
         * (_var(ring, y[0] + y[1] - s).unit_inverse() - one)
     return v * poly
-
-
-def pair_generators(x: Generator, shift: Sequence[int], y: Generator,
-                    eps: EpsilonTable) -> int:
-    """The intersection number [x] . (u^shift [y]).
-
-    Pairings in which either side is a1 or b1 vanish here; the symplectic
-    a1/b1 pairing enters pairing_polynomial, against a lift's m and n
-    families, instead.
-    """
-    shift = _exponent_vector(shift)
-    n = 2 * eps.genus - 2
-    if len(shift) != n:
-        raise ValueError(f"shift of length {len(shift)} for genus {eps.genus}")
-    if x.kind != "comm" or y.kind != "comm":
-        return 0
-    x.validate(eps.genus)
-    y.validate(eps.genus)
-    return pair_kernel(x.pair, y.pair, eps).coeff(shift)
 
 
 class CycleClass(_Value):
@@ -384,9 +359,6 @@ class CycleClass(_Value):
 
     def comm_items(self) -> list[tuple[Generator, LaurentPoly]]:
         return [(g, p) for g, p in self.coeffs.items() if g.kind == "comm"]
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __hash__(self):  # coeffs is a dict, hashed by its items
         return hash((self.genus, tuple(self.coeffs.items())))
@@ -558,7 +530,7 @@ class LiftClass(_Value):
 
     def __repr__(self):
         return (f"<LiftClass genus {self.genus} m=({self.m}) n=({self.n}) "
-                f"w={'0' if self.w.is_zero() else '...'}>")
+                f"w={'...' if self.w.coeffs else '0'}>")
 
 
 def canonical_lift(genus: int) -> LiftClass:
@@ -577,7 +549,8 @@ def validate_lift(lift: LiftClass) -> ValidationReport:
     sides are coefficients of one product: with Q = m-bar n, the left
     side is Q[p] and the right side is Q[-p], so the lift is valid
     exactly when Q is fixed by the involution, which is when the
-    determinant 1 - Q + Q-bar of rho_pre_phi is 1.  A mismatch at p is
+    determinant 1 + Q-bar - Q of the twist's matrix on the handle span,
+    over L_g, is 1 (see rep).  A mismatch at p is
     one at -p with sides swapped; the report names the smallest
     representative max(p, -p).
     """
@@ -639,7 +612,7 @@ def pairing_polynomial(x: CycleClass, lift: LiftClass,
     pairings of gamma itself against all translates of the lift.
     """
     if eps is None:
-        eps = EpsilonTable.zero(x.genus)
+        eps = EpsilonTable(x.genus)
     if eps.genus != x.genus or lift.genus != x.genus:
         raise ValueError("genus mismatch between class, lift and epsilon table")
     ring = x.ring
@@ -652,7 +625,7 @@ def pairing_polynomial(x: CycleClass, lift: LiftClass,
         else:
             g_poly = ring.zero()
             for other, w_coeff in lift.w.comm_items():
-                kern = pair_kernel(gen.pair, other.pair, eps, ring)
+                kern = pair_kernel(gen.pair, other.pair, eps)
                 if kern:
                     g_poly = g_poly + w_coeff.involution() * kern
         total = total + coeff * g_poly

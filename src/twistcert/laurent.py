@@ -27,7 +27,7 @@ printed in ascending lexicographic exponent order, e.g.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache
 from math import lcm
@@ -257,15 +257,9 @@ class LaurentPoly:
 
     # -- basic queries ------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, exponents: Sequence[int]) -> Coeff:
         return self.terms.get(_exponent_vector(exponents),
                               self.ring.coerce_coeff(0))
-
-    def support(self) -> Iterator[ExponentVector]:
-        return iter(self.terms)
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -536,8 +530,9 @@ def specialize_single(f: LaurentPoly, keep: int) -> LaurentPoly:
 
 # -- parsing ------------------------------------------------------------
 
-# each match skips whitespace, then takes one token or one stray character
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
+# each match skips whitespace, then takes one token or one stray character;
+# a literal is ASCII digits only, so a digit of another script is refused
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])|(\S))")
 
 
 def _tokenize(text: str):

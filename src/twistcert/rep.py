@@ -24,6 +24,8 @@ power is an evaluation (at_k), by scaling and adding.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
+from operator import matmul
 
 from .homology import LiftClass, _require_valid
 from .laurent import (
@@ -107,19 +109,6 @@ class Matrix2(_Value):
         return Matrix2(inv_det * self.d, -(inv_det * self.b),
                        -(inv_det * self.c), inv_det * self.a)
 
-    def __pow__(self, k: int) -> "Matrix2":
-        if not isinstance(k, int):
-            return NotImplemented
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        out = Matrix2.identity(self.ring)
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
     def __add__(self, other: "Matrix2") -> "Matrix2":
         return Matrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
 
@@ -157,28 +146,9 @@ class Matrix2(_Value):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
 
-def multiply(matrices: Iterable[Matrix2],
-             ring: LaurentRing | None = None) -> Matrix2:
-    """The ordered product of a sequence of matrices."""
-    out = None
-    for mat in matrices:
-        out = mat if out is None else out @ mat
-    if out is None:
-        if ring is None:
-            raise ValueError("empty product needs an explicit ring")
-        return Matrix2.identity(ring)
-    return out
-
-
-def rho_pre_phi(lift: LiftClass) -> Matrix2:
-    """The twist's matrix on the handle span, before specialization.
-
-    Entries are over the full ring L_g: with P = inv(m) m, Q = inv(m) n
-    and R = inv(n) n, it is [[1 + inv(Q), -P], [R, 1 - Q]], of
-    determinant 1 + inv(Q) - Q, which is 1 exactly when the lift passes
-    validation; the commutator part of the lift does not enter.
-    """
-    return _rho_coefficients(lift.m, lift.n)[0]
+def multiply(matrices: Iterable[Matrix2]) -> Matrix2:
+    """The ordered product of a nonempty sequence of matrices."""
+    return reduce(matmul, matrices)
 
 
 def _rho_coefficients(m, n) -> tuple[Matrix2, Matrix2, Matrix2]:
@@ -190,6 +160,10 @@ def _rho_coefficients(m, n) -> tuple[Matrix2, Matrix2, Matrix2]:
         C0 = [[1 + inv(Q), -P], [R, 1 - Q]]
         C1 = [[P, 0], [Q + inv(Q), -P]]
         C2 = [[0, 0], [P, 0]]
+
+    Over L_g, before Phi, C0 is the twist's matrix on the handle span, of
+    determinant 1 + inv(Q) - Q, which is 1 exactly when the lift passes
+    validation; the commutator part of the lift does not enter.
     """
     inv_m = m.involution()
     p, q, r = inv_m * m, inv_m * n, n.involution() * n
@@ -199,7 +173,8 @@ def _rho_coefficients(m, n) -> tuple[Matrix2, Matrix2, Matrix2]:
 
 
 def rho(lift: LiftClass) -> Matrix2:
-    """The represented matrix over L, Phi applied to rho_pre_phi.
+    """The represented matrix over L: Phi applied to the twist's matrix
+    on the handle span over L_g.
 
     Phi is a ring homomorphism that commutes with the involution, so
     the matrix is built from Phi(m) and Phi(n): each family is
@@ -240,21 +215,18 @@ def at_k(coeffs: Sequence[Matrix2], k: int) -> Matrix2:
     return out
 
 
-def matrix_N(ring: LaurentRing | None = None) -> Matrix2:
+def matrix_N() -> Matrix2:
     """The image of the bounding-curve twist: [[1, t - 2 + t^-1], [0, 1]]."""
-    if ring is None:
-        ring = single_variable_ring()
+    ring = single_variable_ring()
     return Matrix2(ring.one(), ring.monomial((1,)) + ring.constant(-2)
                    + ring.monomial((-1,)), ring.zero(), ring.one())
 
 
-def matrix_Mk(k: int, ring: LaurentRing | None = None) -> Matrix2:
+def matrix_Mk(k: int) -> Matrix2:
     """The image of the k-th power of the handle twist: [[1, 0], [k, 1]]."""
     if not isinstance(k, int):
         raise TypeError("twist power must be an integer")
-    if ring is None:
-        ring = single_variable_ring()
-    return Matrix2.from_rows(ring, [[1, 0], [k, 1]])
+    return Matrix2.from_rows(single_variable_ring(), [[1, 0], [k, 1]])
 
 
 def conjugate_in_k(mat: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:

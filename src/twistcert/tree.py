@@ -27,10 +27,10 @@ need no walk at all: they are read off the trace.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import re
 from fractions import Fraction
 
-from .laurent import (LaurentPoly, ParseError, _Value, parse_poly,
+from .laurent import (_MAX_DIGITS, LaurentPoly, ParseError, _Value, parse_poly,
                       single_variable_ring)
 from .rep import Matrix2
 
@@ -213,10 +213,6 @@ class TreeVertex(_Value):
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "r", r)
 
-    @classmethod
-    def base(cls) -> "TreeVertex":
-        return cls(0, _QT.zero())
-
     def parent(self) -> "TreeVertex":
         """The neighbor one level down."""
         kept = {e: c for e, c in self.r.terms.items() if e[0] < self.a - 1}
@@ -227,15 +223,17 @@ class TreeVertex(_Value):
         return TreeVertex(
             self.a + 1, self.r + _QT.monomial((self.a,), Fraction(coefficient)))
 
-    def neighbors(self, coefficients: Sequence = (0, 1)) -> list["TreeVertex"]:
-        return [self.parent()] + [self.child(c) for c in coefficients]
+    def neighbors(self) -> list["TreeVertex"]:
+        """The parent and the children of tail coefficients 0 and 1."""
+        return [self.parent(), self.child(0), self.child(1)]
 
     def __str__(self):
         return f"({self.a}; {self.r})"
 
 
 def base_vertex() -> TreeVertex:
-    return TreeVertex.base()
+    """The base vertex (0; 0), the class of the standard lattice."""
+    return TreeVertex(0, _QT.zero())
 
 
 def odd_base_vertex() -> TreeVertex:
@@ -243,25 +241,22 @@ def odd_base_vertex() -> TreeVertex:
     return TreeVertex(-1, _QT.zero())
 
 
+# a vertex level: an optional sign and at most _MAX_DIGITS ASCII digits
+_LEVEL = re.compile(rf"[-+]?[0-9]{{1,{_MAX_DIGITS}}}")
+
+
 def parse_vertex(text: str) -> TreeVertex:
     """Read a vertex back from its "(a; r)" rendering."""
     body = text.strip()
     if body == "base":
-        return TreeVertex.base()
+        return base_vertex()
     if not (body.startswith("(") and body.endswith(")")) or ";" not in body:
         raise ParseError("expected a vertex of the form (a; r)", 0)
     level_text, _, tail_text = body[1:-1].partition(";")
-    try:
-        level = int(level_text.strip())
-    except ValueError:
-        raise ParseError(f"bad vertex level {level_text.strip()!r}", 1) from None
-    return TreeVertex(level, parse_poly(tail_text.strip(), _QT))
-
-
-def vertex_matrix(vertex: TreeVertex) -> Matrix2:
-    """The canonical lattice representative [[t^a, r], [0, 1]]."""
-    return Matrix2(_QT.monomial((vertex.a,), 1), vertex.r,
-                   _QT.zero(), _QT.one())
+    level_text = level_text.strip()
+    if not _LEVEL.fullmatch(level_text):
+        raise ParseError(f"bad vertex level {level_text!r}", 1)
+    return TreeVertex(int(level_text), parse_poly(tail_text.strip(), _QT))
 
 
 def canonical_vertex(alpha, beta, gamma, delta) -> TreeVertex:
@@ -377,40 +372,13 @@ def act(mat: Matrix2, vertex: TreeVertex) -> TreeVertex:
                    z * shift, z * vertex.r + w, vertex.a)
 
 
-def _meet_level(v: TreeVertex, w: TreeVertex) -> int:
-    """The lowest level on the geodesic from v to w, where it turns:
-    min(a_v, a_w, ord(r_v - r_w)), from the elementary divisors of the
-    transition matrix."""
+def distance(v: TreeVertex, w: TreeVertex) -> int:
+    """The path metric: down from v to the meet level, min(a_v, a_w,
+    ord(r_v - r_w)) by the elementary divisors, and back up to w."""
     diff = v.r - w.r
     low = min(v.a, w.a)
-    return min(low, diff.valuation()) if diff else low
-
-
-def distance(v: TreeVertex, w: TreeVertex) -> int:
-    """The path metric: down from v to the meet level and back up to w."""
-    return v.a + w.a - 2 * _meet_level(v, w)
-
-
-def first_step(v: TreeVertex, w: TreeVertex) -> TreeVertex:
-    """The neighbor of v on the geodesic toward w."""
-    if v == w:
-        raise ValueError("the vertices coincide")
-    if _meet_level(v, w) < v.a:
-        return v.parent()
-    # past the meet level w's tail agrees with v's below v.a
-    return v.child(w.r.coeff((v.a,)))
-
-
-def geodesic(v: TreeVertex, w: TreeVertex) -> list[TreeVertex]:
-    """All vertices from v to w inclusive, in order."""
-    path = [v]
-    while path[-1] != w:
-        path.append(first_step(path[-1], w))
-    if len(path) != distance(v, w) + 1:
-        raise RuntimeError(
-            f"geodesic from {v} to {w} has {len(path) - 1} edges, "
-            f"but their distance is {distance(v, w)}")
-    return path
+    meet = min(low, diff.valuation()) if diff else low
+    return v.a + w.a - 2 * meet
 
 
 def fixes_vertex(mat: Matrix2, vertex: TreeVertex) -> bool:
@@ -435,17 +403,14 @@ def translation_length(mat: Matrix2) -> int:
     return max(0, -2 * trace.valuation()) if trace else 0
 
 
-def ball_dot(center: TreeVertex | None = None, radius: int = 2,
-             coefficients: Sequence = (0, 1)) -> str:
+def ball_dot(center: TreeVertex, radius: int) -> str:
     """A DOT rendering of the ball around a vertex.
 
-    Only children whose new tail coefficient lies in the given finite
-    set are explored; the full tree is infinitely branching.
+    Only children whose new tail coefficient is 0 or 1 are explored; the
+    full tree is infinitely branching.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    if center is None:
-        center = TreeVertex.base()
     seen = {center}
     frontier = [center]
     edges: list[tuple[str, str]] = []
@@ -454,7 +419,7 @@ def ball_dot(center: TreeVertex | None = None, radius: int = 2,
         for vertex in frontier:
             # in a tree the only neighbor already seen is the one walked
             # from, so an edge is new exactly when its far end is
-            for neighbor in vertex.neighbors(coefficients):
+            for neighbor in vertex.neighbors():
                 if neighbor not in seen:
                     seen.add(neighbor)
                     next_frontier.append(neighbor)

@@ -13,7 +13,7 @@ from twistcert.homology import (
 )
 from twistcert.laurent import LaurentPoly, LaurentRing, surface_ring
 from twistcert.rep import Matrix2, multiply
-from twistcert.tree import TreeVertex, series_ring
+from twistcert.tree import TreeVertex, distance, series_ring
 
 
 def random_poly(rng: random.Random, ring: LaurentRing, max_terms: int = 4,
@@ -124,7 +124,7 @@ def random_a_element(rng: random.Random, factors: int = 3) -> Matrix2:
             mats.append(Matrix2.from_rows(ring, [[1, f], [0, 1]]))
         else:
             mats.append(Matrix2.from_rows(ring, [[1, 0], [f, 1]]))
-    return multiply(mats, ring)
+    return multiply(mats)
 
 
 def random_b_element(rng: random.Random, factors: int = 3) -> Matrix2:
@@ -154,7 +154,7 @@ def random_laurent_sl2(rng: random.Random, factors: int = 3) -> Matrix2:
             mats.append(random_a_element(rng, 2))
         else:
             mats.append(random_b_element(rng, 2))
-    return multiply(mats, series_ring())
+    return multiply(mats)
 
 
 def random_tree_vertex(rng: random.Random) -> TreeVertex:
@@ -165,3 +165,38 @@ def random_tree_vertex(rng: random.Random) -> TreeVertex:
         if rng.random() < 0.5:
             terms[(e,)] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
     return TreeVertex(a, LaurentPoly(ring, terms))
+
+
+# -- tree walks: references for the tree and normal-form tests ------------
+
+
+def vertex_matrix(vertex: TreeVertex) -> Matrix2:
+    """The canonical lattice representative [[t^a, r], [0, 1]]."""
+    ring = series_ring()
+    return Matrix2(ring.monomial((vertex.a,), 1), vertex.r,
+                   ring.zero(), ring.one())
+
+
+def first_step(v: TreeVertex, w: TreeVertex) -> TreeVertex:
+    """The neighbor of v on the geodesic toward w: down while the meet
+    level min(a_v, a_w, ord(r_v - r_w)) lies below v, else up."""
+    if v == w:
+        raise ValueError("the vertices coincide")
+    diff = v.r - w.r
+    low = min(v.a, w.a)
+    if (min(low, diff.valuation()) if diff else low) < v.a:
+        return v.parent()
+    # past the meet level w's tail agrees with v's below v.a
+    return v.child(w.r.coeff((v.a,)))
+
+
+def geodesic(v: TreeVertex, w: TreeVertex) -> list[TreeVertex]:
+    """All vertices from v to w inclusive, in order."""
+    path = [v]
+    while path[-1] != w:
+        path.append(first_step(path[-1], w))
+    if len(path) != distance(v, w) + 1:
+        raise RuntimeError(
+            f"geodesic from {v} to {w} has {len(path) - 1} edges, "
+            f"but their distance is {distance(v, w)}")
+    return path

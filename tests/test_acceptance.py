@@ -60,7 +60,7 @@ def test_criterion_01_canonical_curve_identity():
     start = time.perf_counter()
     for genus in range(2, 6):
         image = rho(canonical_lift(genus))
-        assert image == matrix_N(image.ring)
+        assert image == matrix_N()
         assert str(image) == "[[1, t^-1 - 2 + t], [0, 1]]"
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
@@ -215,9 +215,9 @@ def test_criterion_09_normal_form():
         factors = [random_a_element(rng) if rng.random() < 0.5
                    else random_b_element(rng)
                    for _ in range(rng.randint(1, 6))]
-        word = multiply(factors, series_ring())
+        word = multiply(factors)
         letters = amalgam_normal_form(word)
-        assert multiply([l.matrix for l in letters], series_ring()) == word
+        assert multiply([l.matrix for l in letters]) == word
         for first, second in zip(letters, letters[1:]):
             assert first.side != second.side
     assert [l.side for l in amalgam_normal_form(matrix_N())] == ["B"]

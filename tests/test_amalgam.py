@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     _random_q_polynomial,
+    first_step,
     random_poly,
     random_a_element,
     random_b_element,
@@ -236,7 +237,7 @@ def test_double_cosets_need_positive_powers():
 
 def _check_normal_form(mat):
     letters = amalgam_normal_form(mat)
-    assert multiply([letter.matrix for letter in letters], QT) == \
+    assert multiply([letter.matrix for letter in letters]) == \
         Matrix2(*(e.as_domain("Q") for e in mat.entries()))
     for first, second in zip(letters, letters[1:]):
         assert first.side != second.side
@@ -274,7 +275,7 @@ def test_normal_form_length_matches_tree_displacement():
         factors = [random_a_element(rng) if rng.random() < 0.5
                    else random_b_element(rng)
                    for _ in range(rng.randint(1, 6))]
-        g = multiply(factors, QT)
+        g = multiply(factors)
         letters = _check_normal_form(g)
         edge_moves = max(distance(v0, act(g, v0)), distance(v1, act(g, v1)))
         assert len(letters) <= distance(v0, act(g, v0)) + 1
@@ -294,11 +295,11 @@ def _two_action_normal_form(mat):
         near_v1 = min(distance(v1, p), distance(v1, q))
         if near_v0 < near_v1:
             target = p if distance(v0, p) < distance(v0, q) else q
-            c = tree.first_step(v0, target).r.coeff((0,))
+            c = first_step(v0, target).r.coeff((0,))
             letter, side = _mat([[c, -1], [1, 0]]), "A"
         else:
             target = p if distance(v1, p) < distance(v1, q) else q
-            step = tree.first_step(v1, target)
+            step = first_step(v1, target)
             if step.a == -2:
                 letter = Matrix2(QT.zero(), -t.unit_inverse(), t, QT.zero())
             else:
@@ -334,11 +335,11 @@ def _one_action_normal_form(mat):
     letters = []
     while not any(amalgam._sides(rest)):
         p = tree.act(rest, v0)
-        step = tree.first_step(v0, p)
+        step = first_step(v0, p)
         if step != v1:
             letter, side = _mat([[step.r.coeff((0,)), -1], [1, 0]]), "A"
         else:
-            step = tree.first_step(v1, p)
+            step = first_step(v1, p)
             if step.a == -2:
                 letter = Matrix2(QT.zero(), -t.unit_inverse(), t, QT.zero())
             else:
@@ -386,7 +387,7 @@ def test_normal_form_matches_the_two_action_walk():
         for _ in range(rng.randint(0, 7)):
             sides.append(sides[-1] if rng.random() < 0.2
                          else "AB"[sides[-1] == "A"])
-        word = multiply([_random_factor(rng, side) for side in sides], QT)
+        word = multiply([_random_factor(rng, side) for side in sides])
         letters = _check_normal_form(word)
         assert [str(l) for l in letters] == \
             [str(l) for l in _two_action_normal_form(word)]
@@ -405,7 +406,7 @@ def test_normal_form_matches_the_one_action_walk():
         for _ in range(rng.randint(0, 9)):
             sides.append(sides[-1] if rng.random() < 0.2
                          else "AB"[sides[-1] == "A"])
-        word = multiply([_random_factor(rng, side) for side in sides], QT)
+        word = multiply([_random_factor(rng, side) for side in sides])
         letters = amalgam_normal_form(word)
         assert [str(l) for l in letters] == \
             [str(l) for l in _one_action_normal_form(word)]
@@ -467,9 +468,9 @@ def test_no_letter_after_the_first_lies_in_U():
         if i % 4 == 3:
             word = random_laurent_sl2(rng, factors=6)
         else:
-            word = multiply([make[c](rng) for c in rng.choice(shapes)], QT)
+            word = multiply([make[c](rng) for c in rng.choice(shapes)])
         letters = amalgam_normal_form(word)
-        assert multiply([l.matrix for l in letters], QT) == word
+        assert multiply([l.matrix for l in letters]) == word
         assert not any(in_U(l.matrix) for l in letters[1:])
         assert all(l.side != m.side for l, m in zip(letters, letters[1:]))
 
@@ -565,7 +566,7 @@ def test_certificate_never_reads_the_pairing_table(lift):
 
 def test_pairing_table_recheck_reads_no_sign():
     lift = _lift_with_commutator_terms()
-    zero = homology.EpsilonTable.zero(3)
+    zero = homology.EpsilonTable(3)
     for probe in (homology.EpsilonTable.seeded(3, 7), _UnreadableTable(3)):
         assert amalgam.pairing_table_recheck(lift, zero, probe)
 
@@ -772,7 +773,7 @@ def _per_k_records(kmax, genus, eps=None, base_lift=None):
     every power k, with matrix products and an inverse."""
     star = base_lift if base_lift is not None else canonical_lift(genus)
     if eps is None:
-        eps = homology.EpsilonTable.zero(genus)
+        eps = homology.EpsilonTable(genus)
     n_mat = matrix_N()
     n_in_b_not_u = in_B(n_mat) and not in_U(n_mat)
     records = []
@@ -1328,7 +1329,7 @@ def test_seed_recheck_products_do_not_grow_with_kmax(monkeypatch):
     # the recheck compares the images' coefficients in k once; the whole
     # verify --seed makes as many products at kmax 60 as at kmax 5
     lift = _lift_with_commutator_terms()
-    zero = homology.EpsilonTable.zero(3)
+    zero = homology.EpsilonTable(3)
     counts = _products_and_phi(monkeypatch, lambda: amalgam.pairing_table_recheck(
         lift, zero, homology.EpsilonTable.seeded(3, 7)))
     assert counts["mul"] > 0 and counts["phi"] == 0

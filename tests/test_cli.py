@@ -18,7 +18,6 @@ from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
 from twistcert.homology import EpsilonTable, canonical_lift, comm_pairs
 from twistcert.rep import matrix_Mk, matrix_N, multiply
-from twistcert.tree import series_ring
 
 
 def run(capsys, *argv):
@@ -484,9 +483,8 @@ def test_tree_translation_exact_and_clipped(capsys):
     code, out, _ = run(capsys, "tree", "translation", "[[t,0],[0,t^-1]]")
     assert code == 0
     assert out.splitlines()[0] == "translation length: 2 (exact)"
-    ring = series_ring()
-    shift = parse_matrix("[[1, t^-3], [0, 1]]", ring)
-    diag = parse_matrix("[[t^2, 0], [0, t^-2]]", ring)
+    shift = parse_matrix("[[1, t^-3], [0, 1]]")
+    diag = parse_matrix("[[t^2, 0], [0, t^-2]]")
     text = str(shift @ diag @ shift.inverse())
     # --ball-radius is accepted and has no effect
     code, out, _ = run(capsys, "tree", "translation", text,
@@ -594,6 +592,26 @@ def test_normal_form_frozen_bytes(capsys, factors, text_digest, json_digest):
         code, out, err = run(capsys, "normal-form", str(word), "--format", fmt)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+def test_normal_form_prints_nothing_when_a_letter_cannot_be_printed(
+        capsys, monkeypatch):
+    # every line is formatted before any is written, so a failure at the
+    # second letter leaves standard output empty
+    word = str(matrix_N() @ matrix_Mk(1) @ matrix_N())
+    printed = []
+    real = amalgam.AmalgamLetter.__str__
+
+    def fails_at_the_second(letter):
+        printed.append(letter.side)
+        if len(printed) == 2:
+            raise ValueError("cannot print this letter")
+        return real(letter)
+
+    monkeypatch.setattr(amalgam.AmalgamLetter, "__str__", fails_at_the_second)
+    code, out, err = run(capsys, "normal-form", word)
+    assert (code, out, err) == (2, "", "error: cannot print this letter\n")
+    assert printed == ["B", "A"]
+
 
 def test_normal_form_rejects_non_unimodular(capsys):
     code, _, err = run(capsys, "normal-form", "[[t, 0], [0, 1]]")
@@ -884,6 +902,24 @@ def test_input_errors_name_the_input(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+# each of these was read as the number its digits look like in ASCII:
+# \d matches any Unicode decimal digit, and int() reads those digits and
+# an underscore between two digits
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "\u0661\u0662*t + \u0663"],
+     "unexpected character '\u0661' (at position 0)"),
+    (["rho", '{"genus": 2, "m": {"\u0660,\u0661": 1}}'],
+     "bad exponent key '\u0660,\u0661' in m"),
+    (["rho", '{"genus": 12, "w": [["c:1:1\u0662", "1"]]}'],
+     "bad generator key 'c:1:1\u0662'"),
+    (["tree", "distance", "(1_0; 0)", "base"],
+     "bad vertex level '1_0' (at position 1)"),
+], ids=["eval literal", "exponent key", "generator key", "vertex level"])
+def test_numbers_are_read_in_ascii_digits_only(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_json_integers_up_to_the_digit_limit_are_read(capsys):
     genus = "9" * 4300
     code, out, err = run(capsys, "rho", '{"genus": %s}' % genus)
@@ -950,9 +986,9 @@ def test_a_pass_does_not_check_the_w_part_of_the_self_pairing(capsys):
     def self_pairing(eps):
         return pairing_polynomial(lift.as_cycle_class(), lift, eps)
 
-    assert not self_pairing(EpsilonTable.seeded(3, 7)).is_zero()
-    assert self_pairing(EpsilonTable.zero(3)).is_zero()
-    assert self_pairing(EpsilonTable.seeded(3, 1)).is_zero()
+    assert self_pairing(EpsilonTable.seeded(3, 7))
+    assert not self_pairing(EpsilonTable(3))
+    assert not self_pairing(EpsilonTable.seeded(3, 1))
 
 
 def test_lift_coefficient_digit_limit(capsys):

@@ -20,7 +20,6 @@ from twistcert.homology import (
     canonical_lift,
     comm_pairs,
     excluded_pair,
-    pair_generators,
     pair_kernel,
     pairing_polynomial,
     pushforward_b1_twist,
@@ -184,10 +183,8 @@ def test_epsilon_entry_fixes_shift_zero_pairing():
     # shift-zero intersection number of that ordered pair
     eps = EpsilonTable.from_entries(
         3, [{"x": [1, 3], "y": [3, 4], "value": 1}])
-    assert pair_generators(Generator.comm(1, 3), Z4,
-                           Generator.comm(3, 4), eps) == 1
-    assert pair_generators(Generator.comm(3, 4), Z4,
-                           Generator.comm(1, 3), eps) == -1
+    assert pair_kernel((1, 3), (3, 4), eps).coeff(Z4) == 1
+    assert pair_kernel((3, 4), (1, 3), eps).coeff(Z4) == -1
 
 
 def test_value_reads_an_entry_in_either_order():
@@ -231,56 +228,55 @@ def test_seeded_table_draws_at_the_first_lookup(monkeypatch):
 
 
 def test_disjoint_pairing_values():
-    eps = _eps_disjoint()
-    x, y = Generator.comm(1, 2), Generator.comm(3, 4)
-    assert pair_generators(x, Z4, y, eps) == 1
-    assert pair_generators(x, (1, 0, 0, 0), y, eps) == -1
-    assert pair_generators(x, (1, 1, -1, -1), y, eps) == 1
-    assert pair_generators(x, (2, 0, 0, 0), y, eps) == 0
-    assert pair_generators(x, (0, 0, 1, 0), y, eps) == 0
-    assert pair_generators(y, Z4, x, eps) == -1
-    assert pair_generators(y, (-1, 0, 0, 0), x, eps) == 1
+    # the coefficient of u^shift in pair_kernel(x, y) is [c_x] . u^shift [c_y]
+    kern = pair_kernel((1, 2), (3, 4), _eps_disjoint())
+    assert kern.coeff(Z4) == 1
+    assert kern.coeff((1, 0, 0, 0)) == -1
+    assert kern.coeff((1, 1, -1, -1)) == 1
+    assert kern.coeff((2, 0, 0, 0)) == 0
+    assert kern.coeff((0, 0, 1, 0)) == 0
+    back = pair_kernel((3, 4), (1, 2), _eps_disjoint())
+    assert back.coeff(Z4) == -1
+    assert back.coeff((-1, 0, 0, 0)) == 1
 
 
 def test_shared_index_pairing_values():
-    eps = _eps_parallel()
-    x, y = Generator.comm(1, 2), Generator.comm(1, 3)
-    assert pair_generators(x, Z4, y, eps) == 1
-    assert pair_generators(x, (1, 1, -1, 0), y, eps) == -1
-    assert pair_generators(x, (-1, 0, 0, 0), y, eps) == -1
-    assert pair_generators(x, (0, 1, 0, 0), y, eps) == -1
+    kern = pair_kernel((1, 2), (1, 3), _eps_parallel())
+    assert kern.coeff(Z4) == 1
+    assert kern.coeff((1, 1, -1, 0)) == -1
+    assert kern.coeff((-1, 0, 0, 0)) == -1
+    assert kern.coeff((0, 1, 0, 0)) == -1
 
 
 def test_identical_pairs_pair_to_zero():
     eps = random_epsilon(random.Random(0), 3, density=1.0)
-    x = Generator.comm(1, 4)
     for shift in (Z4, (1, 0, 0, 0), (0, -1, 1, 0)):
-        assert pair_generators(x, shift, x, eps) == 0
+        assert pair_kernel((1, 4), (1, 4), eps).coeff(shift) == 0
     assert not pair_kernel((1, 4), (1, 4), eps)
 
 
 def test_handle_generators_pair_to_zero_here():
+    # in pairing_polynomial, a1 and b1 pair with a lift's m and n only,
+    # and a commutator class with its w-part only
     eps = random_epsilon(random.Random(1), 3, density=1.0)
+    ring = surface_ring(3)
     c = Generator.comm(1, 2)
+    handles = LiftClass(3, None, ring.variable("t2") - ring.one(),
+                        ring.variable("s2") - ring.one())
+    commutator = LiftClass(3, CycleClass.basis(3, c))
     for gen in (Generator.a1(), Generator.b1()):
-        assert pair_generators(gen, Z4, c, eps) == 0
-        assert pair_generators(c, Z4, gen, eps) == 0
-        assert pair_generators(gen, Z4, gen, eps) == 0
-
-
-def test_pairing_rejects_bad_shift_and_pairs():
-    eps = EpsilonTable.zero(3)
-    with pytest.raises(ValueError):
-        pair_generators(Generator.comm(1, 2), (0, 0), Generator.comm(1, 3), eps)
-    with pytest.raises(ValueError):
-        pair_generators(Generator.comm(2, 4), Z4, Generator.comm(1, 3), eps)
+        assert not pairing_polynomial(CycleClass.basis(3, gen), commutator,
+                                      eps)
+        assert pairing_polynomial(CycleClass.basis(3, gen), handles, eps)
+    assert not pairing_polynomial(CycleClass.basis(3, c), handles, eps)
+    assert pairing_polynomial(CycleClass.basis(3, Generator.comm(3, 4)),
+                              commutator, eps)
 
 
 def test_pairing_refuses_a_shift_that_is_not_integral():
     # refused, not truncated to (1, 0, 0, 0)
     with pytest.raises(TypeError, match="exponent"):
-        pair_generators(Generator.comm(1, 2), (1.5, 0, 0, 0),
-                        Generator.comm(1, 3), EpsilonTable.zero(3))
+        pair_kernel((1, 2), (1, 3), EpsilonTable(3)).coeff((1.5, 0, 0, 0))
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -289,12 +285,11 @@ def test_generator_pairing_is_skew(seed):
     eps = random_epsilon(rng, 3, density=0.9)
     pairs = comm_pairs(3)
     for _ in range(40):
-        x = Generator.comm(*rng.choice(pairs))
-        y = Generator.comm(*rng.choice(pairs))
+        x, y = rng.choice(pairs), rng.choice(pairs)
         shift = tuple(rng.randint(-2, 2) for _ in range(4))
         neg = tuple(-e for e in shift)
-        assert pair_generators(x, shift, y, eps) == \
-            -pair_generators(y, neg, x, eps)
+        assert pair_kernel(x, y, eps).coeff(shift) == \
+            -pair_kernel(y, x, eps).coeff(neg)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -379,7 +374,7 @@ def test_canonical_lift_shape():
     lift = canonical_lift(2)
     assert lift.m == parse_poly("t2 - 1", surface_ring(2))
     assert not lift.n
-    assert lift.w.is_zero()
+    assert not lift.w.coeffs
     assert validate_lift(lift).ok
 
 
@@ -410,7 +405,7 @@ def test_validation_matches_involution_product_identity(mdict, ndict):
 def _per_shift_scan(lift):
     """Reference check: each cross-correlation shift summed on its own."""
     m, n = lift.m, lift.n
-    supp_m, supp_n = list(m.support()), list(n.support())
+    supp_m, supp_n = list(m.terms), list(n.terms)
     shifts = set()
     for v in supp_m:
         for w in supp_n:
@@ -697,7 +692,7 @@ def test_pairing_polynomial_genus_mismatch():
         pairing_polynomial(CycleClass(3), canonical_lift(2))
     with pytest.raises(ValueError):
         pairing_polynomial(CycleClass(3), canonical_lift(3),
-                           EpsilonTable.zero(2))
+                           EpsilonTable(2))
 
 
 # -- pushforward under powers of the handle twist ------------------------

@@ -73,8 +73,8 @@ def test_binomial_cube():
 
 def test_zero_terms_are_dropped():
     f = LaurentPoly(T, {(1,): 2, (0,): 0, (2,): -2})
-    assert list(f.support()) == [(1,), (2,)]
-    assert (f - f).is_zero()
+    assert list(f.terms) == [(1,), (2,)]
+    assert not (f - f).terms
 
 
 def test_duplicate_keys_accumulate():
@@ -373,12 +373,13 @@ def test_roundtrip_rational_random():
         assert parse_poly(str(f), TQ) == f
 
 
-_ORACLE_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])")
+_ORACLE_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z][A-Za-z0-9]*)|([-+*/^()])")
 
 
 def _oracle_tokenize(text: str):
     """The tokenizer as it was before the one-scan regex: a loop that
-    skips whitespace with str.isspace and matches one token at a time."""
+    skips whitespace with str.isspace and matches one token at a time,
+    a literal of ASCII digits only."""
     tokens = []
     pos = 0
     while pos < len(text):
@@ -410,7 +411,8 @@ def _tokens_or_error(tokenize, text: str):
 
 
 # the grammar's alphabet, whitespace of several kinds (str.isspace counts
-# \x1c and \x85), non-ASCII digits (\d matches them) and stray symbols
+# \x1c and \x85), non-ASCII digits (refused, though \d matches them) and
+# stray symbols
 _TOKEN_ALPHABET = ("0123456789tsxT_2" "-+*/^()"
                    " \t\n\r\x1c\x85\xa0\u2003" "\u0663\u0967\uff17"
                    "%$.,;[]=!\u00e9\u00b2")

@@ -34,10 +34,15 @@ from twistcert.rep import (
     multiply,
     rho,
     rho_in_k,
-    rho_pre_phi,
 )
 
 L = single_variable_ring()
+
+
+def rho_pre_phi(lift: LiftClass) -> Matrix2:
+    """The twist's matrix on the handle span over L_g, before Phi: C0 of
+    rep._rho_coefficients on the lift's own families."""
+    return rep._rho_coefficients(lift.m, lift.n)[0]
 
 
 def _mat(rows, ring=L):
@@ -78,20 +83,11 @@ def test_inverse_requires_unit_determinant():
         m.inverse()
 
 
-def test_powers_including_negative():
-    n = matrix_N()
-    assert n ** 0 == Matrix2.identity(L)
-    assert n ** 3 == n @ n @ n
-    assert (n ** -2) @ (n ** 2) == Matrix2.identity(L)
-    q = parse_poly("t - 2 + t^-1", L)
-    assert (n ** 7).b == 7 * q
-
-
 def test_matrix_entry_ring_checks():
     with pytest.raises(ValueError):
         Matrix2(L.one(), L.zero(), surface_ring(2).zero(), L.one())
     with pytest.raises(ValueError):
-        matrix_N() @ matrix_N(surface_ring(2))
+        matrix_N() @ Matrix2.identity(surface_ring(2))
 
 
 def test_from_rows_accepts_mixed_entry_forms():
@@ -112,9 +108,7 @@ def test_json_round_trip_and_errors():
 def test_multiply_sequences():
     n, m2 = matrix_N(), matrix_Mk(2)
     assert multiply([m2, n, m2.inverse()]) == m2 @ n @ m2.inverse()
-    assert multiply([], L) == Matrix2.identity(L)
-    with pytest.raises(ValueError):
-        multiply([])
+    assert multiply(iter([n])) is n
 
 
 # -- the represented matrices --------------------------------------------
@@ -197,7 +191,7 @@ def test_determinant_is_read_from_the_trace(monkeypatch, genus):
     for valid in (True,) * 15 + (False,) * 15:
         if valid:
             lift = random_valid_lift(rng, genus)
-            with_w += not lift.w.is_zero()
+            with_w += bool(lift.w.coeffs)
         else:
             lift = LiftClass(genus, None, random_poly(rng, ring),
                              random_poly(rng, ring))
@@ -319,7 +313,7 @@ def test_rho_is_phi_of_rho_pre_phi(genus):
         lift = random_valid_lift(rng, genus)
         styles.add("n = 0" if not lift.n else "m = 0" if not lift.m
                    else "n = q m")
-        with_w += not lift.w.is_zero()
+        with_w += bool(lift.w.coeffs)
         assert rho(lift) == rho_pre_phi(lift).map_entries(specialize_phi)
     assert styles == {"n = 0", "m = 0", "n = q m"}
     # genus 2 has no commutator generator: [a2, b2] is the excluded one

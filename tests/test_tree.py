@@ -4,11 +4,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    first_step,
+    geodesic,
     random_a_element,
     random_b_element,
     random_laurent_sl2,
     random_tree_vertex,
     random_u_element,
+    vertex_matrix,
 )
 from twistcert.laurent import (
     LaurentPoly,
@@ -28,15 +31,12 @@ from twistcert.tree import (
     base_vertex,
     canonical_vertex,
     distance,
-    first_step,
     fixes_edge,
     fixes_vertex,
-    geodesic,
     odd_base_vertex,
     parse_vertex,
     series_ring,
     translation_length,
-    vertex_matrix,
 )
 
 QT = series_ring()
@@ -504,7 +504,7 @@ def test_as_sl2_rejects_non_unimodular_and_multivariate_input():
 
 
 def test_ball_dot_radius_one():
-    text = ball_dot(radius=1)
+    text = ball_dot(base_vertex(), 1)
     assert text.splitlines()[0] == "graph ball {"
     assert '"(0; 0)" -- "(-1; 0)";' in text
     assert '"(0; 0)" -- "(1; 0)";' in text
@@ -513,7 +513,7 @@ def test_ball_dot_radius_one():
 
 
 def test_ball_dot_radius_zero_is_a_single_node():
-    text = ball_dot(radius=0)
+    text = ball_dot(base_vertex(), 0)
     assert '"(0; 0)";' in text
     assert "--" not in text
 
@@ -577,9 +577,3 @@ def test_ball_dot_off_the_base_frozen():
     # children (0, 1), so the one edge between them is drawn from the
     # centre's side only
     assert ball_dot(parse_vertex("(2; 5*t)"), 3) == BALL_AROUND_2_5T
-
-
-def test_ball_dot_respects_coefficient_set():
-    text = ball_dot(radius=2, coefficients=(0,))
-    # a path: two steps up, two steps down from the base vertex
-    assert text.count("--") == 4

@@ -35,7 +35,6 @@ from .homology import (
     EpsilonTable,
     Generator,
     LiftClass,
-    ValidationReport,
     canonical_lift,
     comm_pairs,
     excluded_pair,
@@ -46,7 +45,6 @@ from .homology import (
     validate_lift,
 )
 from .rep import (
-    HFormReport,
     Matrix2,
     h_form,
     matrix_Mk,
@@ -72,7 +70,6 @@ from .tree import (
 from .amalgam import (
     AmalgamLetter,
     Certificate,
-    IdentityForcingReport,
     amalgam_normal_form,
     build_certificate,
     double_cosets_distinct,

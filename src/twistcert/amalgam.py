@@ -114,61 +114,42 @@ class AmalgamLetter(_Value):
         return f"({self.side}) {self.matrix}"
 
 
-class IdentityForcingReport(_Value):
-    """Trace of the argument that a balanced matrix in A is the identity."""
-
-    __slots__ = ("status", "steps", "matrix")
-
-    def __init__(self, status: str, steps: tuple[str, ...], matrix: Matrix2):
-        # status: "ok" | "precondition_failed" | "counterexample"
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "matrix", matrix)
-
-    def __bool__(self):
-        return self.status == "ok"
-
-
-def h_cap_a_forces_identity(mat: Matrix2) -> IdentityForcingReport:
-    """Check that balanced form plus polynomial entries forces M = I.
+def h_cap_a_forces_identity(mat: Matrix2) -> tuple[str, tuple[str, ...]]:
+    """Check that balanced form plus polynomial entries forces M = I;
+    return the status ("ok", "precondition_failed" or "counterexample")
+    and the steps of the argument.
 
     A polynomial fixed by the bar involution can have no exponent of
     either sign, so it is constant; a balanced one vanishes at 1, so it
     is zero.  Applied to a - 1, b, c and 1 - d this pins M to the
     identity.  Precondition failures (entries not polynomial, or form
-    not balanced) are reported as such; a counterexample status would
-    mean the argument itself broke and must never occur.
+    not balanced) are reported as such, with the one failing step; a
+    counterexample status would mean the argument itself broke and must
+    never occur.
     """
-
-    def failed(reason: str) -> IdentityForcingReport:
-        return IdentityForcingReport("precondition_failed", (reason,), mat)
-
     try:
         m = as_sl2(mat)
     except ValueError as exc:
-        return failed(str(exc))
+        return "precondition_failed", (str(exc),)
     for label, entry in zip("abcd", m.entries()):
         if not entry.is_polynomial():
-            return failed(f"entry {label} = {entry} is not a polynomial")
+            return "precondition_failed", (
+                f"entry {label} = {entry} is not a polynomial",)
     steps = ["all four entries are polynomials, so M lies in A"]
-    form = h_form(m)
-    named = (("a - 1", form.p1), ("b", form.q1),
-             ("c", form.q2), ("1 - d", form.p2))
+    named = tuple(zip(("a - 1", "b", "c", "1 - d"), h_form(m)))
     for name, poly in named:
         if not poly.is_balanced():
-            return failed(f"{name} = {poly} is not balanced")
+            return "precondition_failed", (f"{name} = {poly} is not balanced",)
     steps.append("a - 1, b, c and 1 - d are balanced")
     for name, poly in named:
         if poly:
-            return IdentityForcingReport(
-                "counterexample",
-                tuple(steps) + (f"{name} = {poly} is balanced and polynomial "
-                                "yet nonzero",),
-                mat)
+            steps.append(f"{name} = {poly} is balanced and polynomial "
+                         "yet nonzero")
+            return "counterexample", tuple(steps)
         steps.append(f"{name} is balanced and polynomial, "
                      "hence constant, hence zero")
     steps.append("M = I")
-    return IdentityForcingReport("ok", tuple(steps), mat)
+    return "ok", tuple(steps)
 
 
 def double_cosets_distinct(k: int, l: int) -> dict:
@@ -561,12 +542,13 @@ def build_certificate(kmax: int, genus: int,
     twist_identity = no_c or not any(r0 + r1)
     # balance is linear, so h_form(rho_k) is balanced for every k when
     # h_form(C0) and every entry of C1 and C2 are
-    balance_identity = h_form(rho_k[0]).all_balanced and all(
-        entry.is_balanced() for coeff in rho_k[1:] for entry in coeff.entries())
+    balance_identity = all(entry.is_balanced() for entry in (
+        *h_form(rho_k[0]), *rho_k[1].entries(), *rho_k[2].entries()))
     flags = tuple(
         (conj_identity or _vanishes([at_k(conj_residual, k)]),
          twist_identity or not any(x + y.scale(k) for x, y in zip(r0, r1)),
          _separated(k), n_in_b and not n_in_a,  # M_k is in A, in U iff t | k
-         balance_identity or h_form(at_k(rho_k, k)).all_balanced)
+         balance_identity or all(
+             entry.is_balanced() for entry in h_form(at_k(rho_k, k))))
         for k in powers)
     return Certificate(kmax, genus, star, rho_k, flags)

@@ -68,6 +68,17 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int(text: str) -> int:
+    """An integer option: int() also reads digits of other scripts and
+    underscores between digits, which are refused here."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse's error names the type: invalid int value
+
+
 def _check_genus(genus: int):
     if not 2 <= genus <= MAX_GENUS:
         raise UsageError(
@@ -232,20 +243,20 @@ def cmd_rho(args: argparse.Namespace) -> int:
     if args.genus is not None and lift.genus != genus:
         raise UsageError(f"lift has genus {lift.genus}, expected {genus}")
     mat = rho(lift)
-    report = h_form(mat)
+    form = h_form(mat)
+    flags = [poly.is_balanced() for poly in form]
     if args.format == "json":
         print(json.dumps({
             "matrix": mat.to_json(),
-            "h_form": {"p1": str(report.p1), "q1": str(report.q1),
-                       "q2": str(report.q2), "p2": str(report.p2)},
-            "balanced": list(report.flags),
+            "h_form": dict(zip(("p1", "q1", "q2", "p2"), map(str, form))),
+            "balanced": flags,
         }, indent=2, sort_keys=True))
         return 0
     print(mat)
-    if report.all_balanced:
+    if all(flags):
         print("balanced: yes x4")
     else:
-        named = zip(("a - 1", "b", "c", "1 - d"), report.flags)
+        named = zip(("a - 1", "b", "c", "1 - d"), flags)
         print("balanced: " + ", ".join(
             f"{name} {'yes' if ok else 'no'}" for name, ok in named))
     return 0
@@ -299,8 +310,8 @@ def cmd_normal_form(args: argparse.Namespace) -> int:
 def _add_verify(sub):
     verify = sub.add_parser(
         "verify", help="build and check the full certificate")
-    verify.add_argument("--genus", type=int, default=2)
-    verify.add_argument("--kmax", type=int, default=10,
+    verify.add_argument("--genus", type=_int, default=2)
+    verify.add_argument("--kmax", type=_int, default=10,
                         help="largest twist power to certify (default 10)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--eps-table", metavar="JSON",
@@ -311,7 +322,7 @@ def _add_verify(sub):
                              "(path, inline JSON, or -), or canonical-C")
     verify.add_argument("--output", metavar="PATH",
                         help="also write the certificate JSON here")
-    verify.add_argument("--seed", type=int,
+    verify.add_argument("--seed", type=_int,
                         help="recheck with a seeded random pairing table")
     verify.set_defaults(handler=cmd_verify)
 
@@ -319,7 +330,7 @@ def _add_verify(sub):
 def _add_eval(sub):
     ev = sub.add_parser("eval", help="evaluate a Laurent expression")
     ev.add_argument("expression", help="expression text, or - for stdin")
-    ev.add_argument("--genus", type=int, default=2,
+    ev.add_argument("--genus", type=_int, default=2,
                     help="ring size when surface variables appear")
     ev.add_argument("--domain", choices=("Z", "Q"), default="Z")
     ev.set_defaults(handler=cmd_eval)
@@ -331,7 +342,7 @@ def _add_rho(sub):
     rh.add_argument("lift",
                     help="lift JSON (path, inline, or -), or canonical-C")
     # unset: canonical-C at genus 2, a lift record at its own genus
-    rh.add_argument("--genus", type=int)
+    rh.add_argument("--genus", type=_int)
     rh.add_argument("--format", choices=("text", "json"), default="text")
     rh.set_defaults(handler=cmd_rho)
 
@@ -360,7 +371,7 @@ def _add_translation(queries):
     trans = queries.add_parser(
         "translation", help="minimal displacement of a matrix")
     trans.add_argument("matrix")
-    trans.add_argument("--ball-radius", type=int,
+    trans.add_argument("--ball-radius", type=_int,
                        help="accepted and ignored: the length is read "
                             "from the trace, exactly")
 
@@ -368,7 +379,7 @@ def _add_translation(queries):
 def _add_ball(queries):
     ball = queries.add_parser("ball", help="DOT drawing of a metric ball")
     ball.add_argument("center", nargs="?", default="base")
-    ball.add_argument("--ball-radius", type=int, default=2)
+    ball.add_argument("--ball-radius", type=_int, default=2)
 
 
 def _add_normal_form(sub):

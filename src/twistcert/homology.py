@@ -387,21 +387,6 @@ class CycleClass(_Value):
         return f"<CycleClass genus {self.genus} {{{body}}}>"
 
 
-class ValidationReport(_Value):
-    """The verdict of validate_lift: ok, or the first mismatching shift."""
-
-    __slots__ = ("ok", "shift", "detail")
-
-    def __init__(self, ok: bool, shift: ExponentVector | None = None,
-                 detail: str = ""):
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "shift", shift)
-        object.__setattr__(self, "detail", detail)
-
-    def __bool__(self):
-        return self.ok
-
-
 class LiftClass(_Value):
     """The homology class of a lifted simple closed curve.
 
@@ -540,8 +525,9 @@ def canonical_lift(genus: int) -> LiftClass:
     return LiftClass(genus, None, m, ring.zero())
 
 
-def validate_lift(lift: LiftClass) -> ValidationReport:
-    """Check the self-intersection identity between the m and n families.
+def validate_lift(lift: LiftClass) -> None:
+    """Check the self-intersection identity between the m and n families;
+    return None, or raise InvalidLift.
 
     For every shift p the cross-correlations must agree:
     sum_v m[v] n[v+p] = sum_v n[v] m[v+p].  This is what disjointness of
@@ -551,30 +537,25 @@ def validate_lift(lift: LiftClass) -> ValidationReport:
     exactly when Q is fixed by the involution, which is when the
     determinant 1 + Q-bar - Q of the twist's matrix on the handle span,
     over L_g, is 1 (see rep).  A mismatch at p is
-    one at -p with sides swapped; the report names the smallest
+    one at -p with sides swapped; the error names the smallest
     representative max(p, -p).
     """
     q = lift.m.involution() * lift.n
     q_bar = q.involution()  # q_bar[p] = q[-p]
     # a mismatch at p or -p leaves a term of q at one of them
     mismatched = [p for p, c in q.terms.items() if q_bar.coeff(p) != c]
-    if not mismatched:
-        return ValidationReport(True)
-    p = min(max(e, tuple(-x for x in e)) for e in mismatched)
-    return ValidationReport(False, p, _mismatch(p, q.coeff(p), q_bar.coeff(p)))
-
-
-def _mismatch(p: ExponentVector, lhs, rhs) -> str:
-    return f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}"
+    if mismatched:
+        p = min(max(e, tuple(-x for x in e)) for e in mismatched)
+        raise InvalidLift(lift, p, q.coeff(p), q_bar.coeff(p))
 
 
 class InvalidLift(ValueError):
-    """A lift that fails validate_lift, with the report that says where."""
+    """A lift that fails validate_lift, with the shift that mismatches."""
 
-    def __init__(self, lift: LiftClass, report: ValidationReport):
-        super().__init__(f"invalid lift: {report.detail}")
+    def __init__(self, lift: LiftClass, shift: ExponentVector, lhs, rhs):
+        super().__init__(_mismatch(shift, lhs, rhs))
         self.lift = lift
-        self.report = report
+        self.shift = shift
 
     def pushed_forward(self, ks: Iterable[int]) -> list[str]:
         """This error's text for pushforward_b1_twist(lift, k), k in ks.
@@ -584,7 +565,7 @@ class InvalidLift(ValueError):
         own shifts, with both sides moved by k (inv(m) m)[shift].
         """
         m, n = self.lift.m, self.lift.n
-        p = self.report.shift
+        p = self.shift
 
         def correlation(f: LaurentPoly, g: LaurentPoly) -> int:
             # sum_v f[v] g[v + p], the coefficient of inv(f) g at p
@@ -592,14 +573,12 @@ class InvalidLift(ValueError):
                        for v, c in f.terms.items())
 
         lhs, rhs, drift = correlation(m, n), correlation(n, m), correlation(m, m)
-        return [f"invalid lift: {_mismatch(p, lhs + k * drift, rhs + k * drift)}"
-                for k in ks]
+        return [_mismatch(p, lhs + k * drift, rhs + k * drift) for k in ks]
 
 
-def _require_valid(lift: LiftClass):
-    report = validate_lift(lift)
-    if not report.ok:
-        raise InvalidLift(lift, report)
+def _mismatch(p: ExponentVector, lhs, rhs) -> str:
+    return (f"invalid lift: cross-correlation mismatch at shift {p}: "
+            f"{lhs} != {rhs}")
 
 
 def pairing_polynomial(x: CycleClass, lift: LiftClass,
@@ -640,7 +619,7 @@ def twist_apply(lift: LiftClass, x: CycleClass,
     x |-> x + sum_r (x . u^r C~) u^r [C~]; with inverse=True the pairing
     enters negated, giving the inverse twist.
     """
-    _require_valid(lift)
+    validate_lift(lift)
     p = pairing_polynomial(x, lift, eps)
     if inverse:
         p = -p

@@ -53,13 +53,17 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _exponent_vector(exponents: Sequence[int]) -> ExponentVector:
-    """The exponents as a tuple; anything but an int (a bool, a float,
-    a string) is refused, not truncated."""
+def _exponent_vector(exponents: Sequence[int],
+                     ring: LaurentRing) -> ExponentVector:
+    """The exponents as a tuple, one per variable of the ring; anything
+    but an int (a bool, a float, a string) is refused, not truncated."""
     exps = tuple(exponents)
     for e in exps:
         if type(e) is not int:
             raise TypeError(f"exponent {e!r} is not an integer")
+    if len(exps) != ring.nvars:
+        raise RingMismatchError(f"exponent vector of length {len(exps)} "
+                                f"in a {ring.nvars}-variable ring")
     return exps
 
 
@@ -115,6 +119,9 @@ class LaurentRing(_Value):
         object.__setattr__(self, "names", names)
         object.__setattr__(self, "domain", domain)
 
+    def __reduce__(self):  # the one shared ring object per signature
+        return _ring, (self.names, self.domain)
+
     @property
     def nvars(self) -> int:
         return len(self.names)
@@ -145,11 +152,7 @@ class LaurentRing(_Value):
         return LaurentPoly._make(self, {(0,) * self.nvars: c})
 
     def monomial(self, exponents: Sequence[int], coeff: Coeff = 1) -> "LaurentPoly":
-        exps = _exponent_vector(exponents)
-        if len(exps) != self.nvars:
-            raise RingMismatchError(
-                f"exponent vector of length {len(exps)} in a {self.nvars}-variable ring"
-            )
+        exps = _exponent_vector(exponents, self)
         c = self.coerce_coeff(coeff)
         if not c:
             return self.zero()
@@ -218,7 +221,7 @@ def _numerators(terms: dict) -> tuple[int, list[tuple[ExponentVector, int]]]:
                  for e, c in terms.items()]
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """An immutable Laurent polynomial: a map exponents -> coefficient.
 
     The term map holds nonzero coefficients only and has no meaningful
@@ -226,22 +229,17 @@ class LaurentPoly:
     __eq__ and __hash__ ignore the order.
     """
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring: LaurentRing, terms: Mapping[Sequence[int], Coeff]):
         cleaned = {}
         for exps, c in terms.items():
-            key = _exponent_vector(exps)
-            if len(key) != ring.nvars:
-                raise RingMismatchError(
-                    f"exponent vector {key} in a {ring.nvars}-variable ring"
-                )
+            key = _exponent_vector(exps, ring)
             c = ring.coerce_coeff(c)
             if c:
                 cleaned[key] = cleaned.get(key, ring.coerce_coeff(0)) + c
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if c})
-        object.__setattr__(self, "_hash", None)
 
     @classmethod
     def _make(cls, ring: LaurentRing, clean_terms: dict) -> "LaurentPoly":
@@ -249,32 +247,19 @@ class LaurentPoly:
         self = object.__new__(cls)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", clean_terms)
-        object.__setattr__(self, "_hash", None)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
 
     # -- basic queries ------------------------------------------------
 
     def coeff(self, exponents: Sequence[int]) -> Coeff:
-        return self.terms.get(_exponent_vector(exponents),
+        return self.terms.get(_exponent_vector(exponents, self.ring),
                               self.ring.coerce_coeff(0))
 
     def __bool__(self) -> bool:
         return bool(self.terms)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return _same_ring(self.ring, other.ring) and self.terms == other.terms
-
-    def __hash__(self):
-        if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.ring, frozenset(self.terms.items())))
-            )
-        return self._hash
+    def __hash__(self):  # terms is a dict, hashed by its items
+        return hash(frozenset(self.terms.items()))
 
     def _check_ring(self, other: "LaurentPoly"):
         if not _same_ring(self.ring, other.ring):

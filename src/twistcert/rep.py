@@ -27,7 +27,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from functools import reduce
 from operator import matmul
 
-from .homology import LiftClass, _require_valid
+from .homology import LiftClass, validate_lift
 from .laurent import (
     LaurentPoly,
     LaurentRing,
@@ -195,7 +195,7 @@ def rho_in_k(lift: LiftClass) -> tuple[Matrix2, Matrix2, Matrix2]:
     inv(m) m is fixed by the involution), so the lift is checked once,
     and the determinant once, from the traces of C0, C1 and C2.
     """
-    _require_valid(lift)
+    validate_lift(lift)
     coeffs = _rho_coefficients(specialize_phi(lift.m), specialize_phi(lift.n))
     one, zero = coeffs[0].ring.one(), coeffs[0].ring.zero()
     det = [coeffs[0].trace() - one] + [c.trace() for c in coeffs[1:]]
@@ -242,34 +242,13 @@ def conjugate_in_k(mat: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:
     return (mat, Matrix2(-b, zero, a - d, b), Matrix2(zero, zero, -b, zero))
 
 
-class HFormReport(_Value):
-    """Balancedness of the four polynomials attached to a matrix.
+def h_form(mat: Matrix2) -> tuple[LaurentPoly, LaurentPoly, LaurentPoly,
+                                  LaurentPoly]:
+    """The four polynomials a - 1, b, c and 1 - d of [[a, b], [c, d]].
 
-    For M = [[a, b], [c, d]] the relevant polynomials are a - 1, b, c
-    and 1 - d; M lies in the subgroup cut out by the homological
+    The matrix lies in the subgroup cut out by the homological
     constraints exactly when all four are balanced (vanish at 1 and are
-    fixed by the bar involution).
+    fixed by the bar involution, LaurentPoly.is_balanced).
     """
-
-    __slots__ = ("p1", "q1", "q2", "p2")
-
-    def __init__(self, p1: LaurentPoly, q1: LaurentPoly, q2: LaurentPoly,
-                 p2: LaurentPoly):
-        object.__setattr__(self, "p1", p1)
-        object.__setattr__(self, "q1", q1)
-        object.__setattr__(self, "q2", q2)
-        object.__setattr__(self, "p2", p2)
-
-    @property
-    def flags(self) -> tuple[bool, bool, bool, bool]:
-        return (self.p1.is_balanced(), self.q1.is_balanced(),
-                self.q2.is_balanced(), self.p2.is_balanced())
-
-    @property
-    def all_balanced(self) -> bool:
-        return all(self.flags)
-
-
-def h_form(mat: Matrix2) -> HFormReport:
     one = mat.ring.one()
-    return HFormReport(mat.a - one, mat.b, mat.c, one - mat.d)
+    return mat.a - one, mat.b, mat.c, one - mat.d

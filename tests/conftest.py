@@ -7,6 +7,7 @@ from twistcert.homology import (
     CycleClass,
     EpsilonTable,
     Generator,
+    InvalidLift,
     LiftClass,
     comm_pairs,
     validate_lift,
@@ -79,8 +80,17 @@ def random_valid_lift(rng: random.Random, genus: int,
             if poly:
                 w[Generator.comm(*pair)] = poly
     lift = LiftClass(genus, CycleClass(genus, w), m, n)
-    assert validate_lift(lift).ok
+    validate_lift(lift)
     return lift
+
+
+def lift_error(lift: LiftClass) -> InvalidLift | None:
+    """The InvalidLift that validate_lift raises on the lift, or None."""
+    try:
+        validate_lift(lift)
+    except InvalidLift as exc:
+        return exc
+    return None
 
 
 def random_epsilon(rng: random.Random, genus: int,

@@ -914,10 +914,26 @@ def test_input_errors_name_the_input(capsys, argv, message):
      "bad generator key 'c:1:1\u0662'"),
     (["tree", "distance", "(1_0; 0)", "base"],
      "bad vertex level '1_0' (at position 1)"),
-], ids=["eval literal", "exponent key", "generator key", "vertex level"])
+    (["verify", "--kmax", "\u0661\u0660"],
+     "argument --kmax: invalid int value: '\u0661\u0660'"),
+    (["verify", "--kmax", "1_0"], "argument --kmax: invalid int value: '1_0'"),
+    (["verify", "--seed", "\u0667"],
+     "argument --seed: invalid int value: '\u0667'"),
+    (["eval", "t", "--genus", "\uff13"],
+     "argument --genus: invalid int value: '\uff13'"),
+    (["tree", "ball", "--ball-radius", "\u0663"],
+     "argument --ball-radius: invalid int value: '\u0663'"),
+], ids=["eval literal", "exponent key", "generator key", "vertex level",
+        "kmax digits", "kmax underscore", "seed", "genus", "ball radius"])
 def test_numbers_are_read_in_ascii_digits_only(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_integer_options_read_ascii_as_int_does(capsys):
+    # a sign and surrounding spaces are still read
+    assert run(capsys, "verify", "--kmax", " +3 ", "--seed", "-7") \
+        == run(capsys, "verify", "--kmax", "3", "--seed", "-7")
 
 
 def test_json_integers_up_to_the_digit_limit_are_read(capsys):
@@ -981,7 +997,7 @@ def test_a_pass_does_not_check_the_w_part_of_the_self_pairing(capsys):
     assert (code, err) == (0, "")
     assert out.endswith("verdict: PASS\npairing-table recheck: ok\n")
     lift = LiftClass.from_json(json.loads(_W_LIFT))
-    assert validate_lift(lift).ok
+    assert validate_lift(lift) is None
 
     def self_pairing(eps):
         return pairing_polynomial(lift.as_cycle_class(), lift, eps)

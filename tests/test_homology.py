@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (
+    lift_error,
     random_cycle_class,
     random_epsilon,
     random_poly,
@@ -16,7 +17,6 @@ from twistcert.homology import (
     Generator,
     LiftClass,
     InvalidLift,
-    ValidationReport,
     canonical_lift,
     comm_pairs,
     excluded_pair,
@@ -28,6 +28,7 @@ from twistcert.homology import (
 )
 from twistcert.laurent import (
     LaurentPoly,
+    RingMismatchError,
     parse_poly,
     specialize_phi,
     specialize_single,
@@ -238,6 +239,8 @@ def test_disjoint_pairing_values():
     back = pair_kernel((3, 4), (1, 2), _eps_disjoint())
     assert back.coeff(Z4) == -1
     assert back.coeff((-1, 0, 0, 0)) == 1
+    with pytest.raises(RingMismatchError):  # once read as 0
+        kern.coeff((0, 0))
 
 
 def test_shared_index_pairing_values():
@@ -375,20 +378,22 @@ def test_canonical_lift_shape():
     assert lift.m == parse_poly("t2 - 1", surface_ring(2))
     assert not lift.n
     assert not lift.w.coeffs
-    assert validate_lift(lift).ok
+    assert validate_lift(lift) is None
 
 
 def test_validate_accepts_proportional_families():
     lift = LiftClass(2, None, {(0, 0): 1}, {(0, 0): 1})
-    assert validate_lift(lift).ok
+    assert validate_lift(lift) is None
 
 
 def test_validate_reports_first_violating_shift():
     lift = LiftClass(2, None, {(0, 0): 1}, {(1, 0): 1})
-    report = validate_lift(lift)
-    assert not report.ok
-    assert report.shift == (1, 0)
-    assert "mismatch" in report.detail
+    with pytest.raises(InvalidLift) as exc:
+        validate_lift(lift)
+    assert exc.value.shift == (1, 0)
+    assert exc.value.lift is lift
+    assert str(exc.value) == ("invalid lift: cross-correlation mismatch "
+                              "at shift (1, 0): 1 != 0")
 
 
 exp2 = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
@@ -398,12 +403,13 @@ family_st = st.dictionaries(exp2, st.integers(-3, 3), max_size=4)
 @given(family_st, family_st)
 def test_validation_matches_involution_product_identity(mdict, ndict):
     lift = LiftClass(2, None, mdict, ndict)
-    ok = validate_lift(lift).ok
+    ok = lift_error(lift) is None
     assert ok == (lift.m.involution() * lift.n == lift.n.involution() * lift.m)
 
 
 def _per_shift_scan(lift):
-    """Reference check: each cross-correlation shift summed on its own."""
+    """Reference check: each cross-correlation shift summed on its own;
+    the first mismatching shift with its error text, or None."""
     m, n = lift.m, lift.n
     supp_m, supp_n = list(m.terms), list(n.terms)
     shifts = set()
@@ -417,10 +423,9 @@ def _per_shift_scan(lift):
         rhs = sum(n.coeff(v) * m.coeff(tuple(a + b for a, b in zip(v, p)))
                   for v in supp_n)
         if lhs != rhs:
-            return ValidationReport(
-                False, p,
-                f"cross-correlation mismatch at shift {p}: {lhs} != {rhs}")
-    return ValidationReport(True)
+            return p, ("invalid lift: cross-correlation mismatch at shift "
+                       f"{p}: {lhs} != {rhs}")
+    return None
 
 
 def test_validation_matches_the_per_shift_scan():
@@ -440,9 +445,10 @@ def test_validation_matches_the_per_shift_scan():
             lift = LiftClass(genus, None,
                              random_poly(rng, ring, max_exp=2),
                              random_poly(rng, ring, max_exp=2))
-        report = validate_lift(lift)
-        assert report == _per_shift_scan(lift), lift
-        invalid += not report.ok
+        error = lift_error(lift)
+        assert _per_shift_scan(lift) == (
+            None if error is None else (error.shift, str(error))), lift
+        invalid += error is not None
     assert invalid >= 2100 // 3, invalid
 
 
@@ -456,15 +462,14 @@ def test_pushed_forward_errors_match_each_pushforward():
         ring = surface_ring(genus)
         lift = LiftClass(genus, None, random_poly(rng, ring, max_exp=1),
                          random_poly(rng, ring, max_exp=1))
-        report = validate_lift(lift)
-        if report.ok:
+        error = lift_error(lift)
+        if error is None:
             continue
         invalid += 1
         ks = [1, 2, 5, 30]
-        texts = InvalidLift(lift, report).pushed_forward(ks)
+        texts = error.pushed_forward(ks)
         for k, text in zip(ks, texts):
-            pushed = validate_lift(pushforward_b1_twist(lift, k))
-            assert text == f"invalid lift: {pushed.detail}"
+            assert text == str(lift_error(pushforward_b1_twist(lift, k)))
         moved += len(set(texts)) > 1
     assert invalid >= 150 and moved >= 20, (invalid, moved)
 
@@ -485,12 +490,12 @@ def test_validation_is_one_product_on_a_large_lift(monkeypatch):
         return lookup(self, exponents)
 
     monkeypatch.setattr(LaurentPoly, "coeff", counting)
-    assert validate_lift(LiftClass(2, None, m, n)).ok
+    assert validate_lift(LiftClass(2, None, m, n)) is None
     assert len(calls) <= 2 * len(m) * len(n)
     calls.clear()
     n[(41, 0)] = 1
-    report = validate_lift(LiftClass(2, None, m, n))
-    assert not report.ok and report.shift is not None
+    with pytest.raises(InvalidLift):
+        validate_lift(LiftClass(2, None, m, n))
     assert len(calls) <= 2 * len(m) * len(n)
 
 
@@ -723,7 +728,7 @@ def test_pushforward_preserves_validity(k):
     rng = random.Random(k)
     for genus in (2, 3):
         lift = random_valid_lift(rng, genus)
-        assert validate_lift(pushforward_b1_twist(lift, k)).ok
+        assert validate_lift(pushforward_b1_twist(lift, k)) is None
 
 
 def test_pushforward_requires_integer_power():

@@ -123,6 +123,10 @@ def test_ring_mismatch_errors():
         parse_poly("t", T) * parse_poly("s2", L2)
     with pytest.raises(RingMismatchError):
         T.monomial((1, 2))
+    # a vector of another length names no term: refused, not read as 0
+    for exps in ((), (0,), (0, 0, 0)):
+        with pytest.raises(RingMismatchError, match="length"):
+            parse_poly("s2*t2 - 7", L2).coeff(exps)
 
 
 # -- units, powers, involution -------------------------------------------

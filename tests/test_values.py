@@ -1,7 +1,7 @@
 """The value contract of the immutable value classes: equality and hash by
-field, no assignment, usable as dict keys and cache arguments, a shallow
-copy that is equal, and a repr that names the class.  Each instance
-comes from a real call."""
+field, no assignment or deletion, usable as dict keys and cache
+arguments, a copy, deep copy and pickle round trip that are equal, and a
+repr that names the class.  Each instance comes from a real call."""
 
 import copy
 import pickle
@@ -16,20 +16,16 @@ from twistcert import (
     AmalgamLetter,
     CycleClass,
     Generator,
-    HFormReport,
-    IdentityForcingReport,
+    LaurentPoly,
     LaurentRing,
     LiftClass,
     Matrix2,
     RingHom,
     TreeVertex,
-    ValidationReport,
     amalgam_normal_form,
     base_vertex,
     canonical_lift,
     canonical_vertex,
-    h_cap_a_forces_identity,
-    h_form,
     matrix_Mk,
     matrix_N,
     parse_poly,
@@ -37,7 +33,6 @@ from twistcert import (
     pushforward_b1_twist,
     series_ring,
     surface_ring,
-    validate_lift,
 )
 from twistcert.tree import RationalFunction
 
@@ -58,26 +53,19 @@ def _letter(rows) -> AmalgamLetter:
 CASES = [
     (LaurentRing, ("names", "domain"),
      lambda: surface_ring(2), lambda: surface_ring(2, "Q")),
+    (LaurentPoly, ("ring", "terms"),  # two of the polynomials h_form gives
+     lambda: matrix_N().b, lambda: matrix_Mk(2).c),
     (RingHom, ("source", "target", "images"),
      lambda: phi_hom(surface_ring(2)), lambda: phi_hom(surface_ring(3))),
     (Generator, ("kind", "i", "j"),
      lambda: Generator.comm(1, 2), lambda: Generator.comm(1, 3)),
-    (ValidationReport, ("ok", "shift", "detail"),
-     lambda: validate_lift(canonical_lift(2)),
-     lambda: validate_lift(LiftClass(2, m={(0, 0): 1, (0, 1): -1},
-                                     n={(1, 0): 1}))),
     (Matrix2, ("a", "b", "c", "d"), matrix_N, lambda: matrix_Mk(2)),
-    (HFormReport, ("p1", "q1", "q2", "p2"),
-     lambda: h_form(matrix_N()), lambda: h_form(matrix_Mk(2))),
     (TreeVertex, ("a", "r"),
      lambda: canonical_vertex(1, series_ring().variable(0) ** -1, 0, 1),
      base_vertex),
     (AmalgamLetter, ("side", "matrix"),
      lambda: _letter([["1", "0"], ["t", "1"]]),
      lambda: _letter([["1", "0"], ["2*t", "1"]])),
-    (IdentityForcingReport, ("status", "steps", "matrix"),
-     lambda: h_cap_a_forces_identity(Matrix2.identity(series_ring())),
-     lambda: h_cap_a_forces_identity(matrix_N())),
     (CycleClass, ("genus", "coeffs"),
      lambda: canonical_lift(2).as_cycle_class(),
      lambda: CycleClass.basis(2, Generator.a1())),
@@ -140,9 +128,19 @@ def test_values_are_dict_keys_and_cache_arguments(case):
 
 def test_copies_are_equal(case):
     cls, fields, value, _ = case
-    assert copy.copy(value) == value
-    if cls in (LaurentRing, Generator, ValidationReport):  # no polynomials
-        assert pickle.loads(pickle.dumps(value)) == value
+    for twin in (copy.copy(value), copy.deepcopy(value),
+                 pickle.loads(pickle.dumps(value))):
+        assert type(twin) is cls
+        assert twin == value and hash(twin) == hash(value)
+
+
+def test_an_unpickled_ring_is_the_shared_ring():
+    # one ring object per signature, so ring checks stay identity checks
+    for ring in (surface_ring(3), surface_ring(2, "Q"), series_ring()):
+        assert pickle.loads(pickle.dumps(ring)) is ring
+        assert copy.deepcopy(ring) is ring
+    poly = copy.deepcopy(canonical_lift(3)).m
+    assert poly.ring is surface_ring(3)
 
 
 def test_repr_names_the_class(case):

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from fractions import Fraction
 from itertools import repeat
 
 from .homology import (
@@ -51,7 +52,8 @@ from .homology import (
     pairing_polynomial,
     pushforward_b1_twist,
 )
-from .laurent import _Value, monomial_text, signed_terms, specialize_phi
+from .laurent import (_MAX_DIGITS, _Value, monomial_text, oversized_term,
+                      signed_terms, specialize_phi)
 from .rep import (
     Matrix2,
     at_k,
@@ -74,8 +76,8 @@ def _sides(mat: Matrix2) -> tuple[bool, bool]:
     divisible by t.
     """
     diagonal = mat.a.is_polynomial() and mat.d.is_polynomial()
-    low_b = min((e[0] for e in mat.b.terms), default=0)
-    low_c = min((e[0] for e in mat.c.terms), default=1)
+    low_b = min((e[0] for e in mat.b.num), default=0)
+    low_c = min((e[0] for e in mat.c.num), default=1)
     return (diagonal and low_b >= 0 and low_c >= 0,
             diagonal and low_b >= -1 and low_c >= 1)
 
@@ -220,6 +222,16 @@ def _peel(rest: Matrix2, s: int, lead) -> tuple[str, Matrix2, Matrix2]:
             Matrix2(t_inv * c, t_inv * d, -(t * a), -(t * b)))
 
 
+def _check_printable(letter: Matrix2, index: int):
+    """Refuse the index-th letter of a normal form (1-based) when an entry
+    has a coefficient too long to print (laurent.oversized_term)."""
+    for name, entry in zip("abcd", letter.entries()):
+        if oversized_term(entry.num, entry.den) is not None:
+            raise ValueError(
+                f"normal form letter {index}: entry {name} has a coefficient "
+                f"of more than {_MAX_DIGITS} digits, too long to print")
+
+
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     """Factor a matrix as an alternating word in A and B.
 
@@ -239,6 +251,10 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     product.  Letters alternate sides automatically, every non-initial
     letter lies outside U, and the word length is at most the
     displacement of the base vertex plus one.
+
+    A letter, or the final remainder, with a coefficient of more than
+    laurent._MAX_DIGITS digits above or below its fraction bar, which
+    cannot be printed, raises ValueError as soon as it is formed.
     """
     original = as_sl2(mat)
     rest = original
@@ -251,11 +267,14 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
         level = -2 * v
         s = beta.valuation() - v if beta else level
         if s < level:
-            lead = beta.coeff((s + v,)) / delta.coeff((v,))
+            lead = Fraction(beta.num[(s + v,)] * delta.den,
+                            beta.den * delta.num[(v,)])
         else:  # the tail is zero below the level
             s, lead = level, 0
         side, letter, rest = _peel(rest, s, lead)
         letters.append((side, letter))
+        _check_printable(letter, len(letters))
+    _check_printable(rest, len(letters) + 1)
     # rest is outside U after a letter, else letter rest fixed the letter's end
     out = [AmalgamLetter(side, matrix) for side, matrix in letters]
     out.append(AmalgamLetter("A" if _sides(rest)[0] else "B", rest))

@@ -193,7 +193,7 @@ class EpsilonTable:
             raise ValueError(f"genus must be at least 2, got {genus}")
         self.genus = genus
         self._signs = {}
-        self._draw = None
+        self._seed = None  # set by seeded: the draw waits for a lookup
         # one rule for every key: it is the storage key of two pairs of
         # the generating set, as from_entries requires of each entry
         valid = set(comm_pairs(genus))
@@ -237,8 +237,24 @@ class EpsilonTable:
         lookup: a caller that looks nothing up never pays the O(g^4) draw.
         """
         table = cls(genus)
-        table._draw = lambda: cls.random_skew(genus, random.Random(seed))._signs
+        table._seed = seed
         return table
+
+    def _drawn(self) -> dict:
+        """The signs by storage key, a seeded table's drawn on first use."""
+        if self._seed is not None:
+            self._signs = self.random_skew(
+                self.genus, random.Random(self._seed))._signs
+            self._seed = None
+        return self._signs
+
+    def __eq__(self, other):
+        if not isinstance(other, EpsilonTable):
+            return NotImplemented
+        return self.genus == other.genus and self._drawn() == other._drawn()
+
+    def __hash__(self):
+        return hash((self.genus, frozenset(self._drawn().items())))
 
     @classmethod
     def from_entries(cls, genus: int, entries: Sequence[Mapping]) -> "EpsilonTable":
@@ -275,8 +291,8 @@ class EpsilonTable:
 
     def value(self, x: IndexPair, y: IndexPair) -> int:
         """The sign fixed for the ordered pair (x, y); 0 where none is."""
-        if self._draw is not None:
-            self._signs, self._draw = self._draw(), None
+        if self._seed is not None:
+            self._drawn()
         key, sign = _storage_key(x, y)
         return sign * self._signs.get(key, 0)
 

@@ -2,9 +2,12 @@
 
 Everything in this module is immutable and exact.  A ring is a tuple of
 variable names plus a coefficient domain ("Z" for Python ints, "Q" for
-fractions.Fraction); a polynomial is a term map from exponent vectors
-(tuples of ints, one slot per variable, negatives allowed) to nonzero
-coefficients.  Term maps are unordered: arithmetic never sorts, and
+fractions.Fraction).  A polynomial is integer numerators over one
+denominator, as FLINT's fmpq_poly keeps it: a term map from exponent
+vectors (tuples of ints, one slot per variable, negatives allowed) to
+nonzero integers, and a positive denominator coprime to their content.
+Over Z the denominator is 1, so both domains share one representation
+and one code path.  Term maps are unordered: arithmetic never sorts, and
 equality and hashing ignore insertion order.  Order is imposed only
 where it shows, when a polynomial is printed or serialized.
 
@@ -12,9 +15,14 @@ There is one ring object per signature (single_variable_ring,
 surface_ring and as_domain hand out the same object for the same names
 and domain), so ring checks are identity checks in the common case.
 A product by a single term moves and scales the other operand's terms;
-every other product is one integer convolution, _convolve: over Q, of
-the numerators left once each operand's denominators are cleared, with
-one Fraction built per surviving term.
+every other product is one integer convolution of the numerators,
+_convolve, over the product of the denominators, once each operand's
+denominator is cancelled against the other's numerators; by Gauss's
+lemma that leaves the product in lowest terms.  A sum adds numerators
+over the lcm of the denominators and is reduced once, by one gcd of its
+denominator and every numerator.
+Sums, products, parsing and printing build no Fraction: one is built
+only where a Q coefficient is read, through terms or coeff.
 
 The text format round-trips: parse_poly(str(f), f.ring) == f.  Terms are
 printed in ascending lexicographic exponent order, e.g.
@@ -30,8 +38,9 @@ import re
 from collections.abc import Mapping, Sequence
 from fractions import Fraction
 from functools import cache
-from math import lcm
+from math import gcd, lcm
 from operator import add, attrgetter
+from types import MappingProxyType
 
 Coeff = int | Fraction
 ExponentVector = tuple[int, ...]
@@ -140,23 +149,25 @@ class LaurentRing(_Value):
         raise TypeError(f"coefficient {c!r} does not lie in Q")
 
     def zero(self) -> "LaurentPoly":
-        return LaurentPoly._make(self, {})
+        return _make(self, {}, 1)
 
     def one(self) -> "LaurentPoly":
         return self.constant(1)
 
     def constant(self, c: Coeff) -> "LaurentPoly":
-        c = self.coerce_coeff(c)
+        if type(c) is not int:  # an int lies in either domain as it is
+            c = self.coerce_coeff(c)
         if not c:
             return self.zero()
-        return LaurentPoly._make(self, {(0,) * self.nvars: c})
+        return _make(self, {(0,) * len(self.names): c.numerator},
+                     c.denominator)
 
     def monomial(self, exponents: Sequence[int], coeff: Coeff = 1) -> "LaurentPoly":
         exps = _exponent_vector(exponents, self)
         c = self.coerce_coeff(coeff)
         if not c:
             return self.zero()
-        return LaurentPoly._make(self, {exps: c})
+        return _make(self, {exps: c.numerator}, c.denominator)
 
     def variable(self, name_or_index: str | int) -> "LaurentPoly":
         if isinstance(name_or_index, str):
@@ -211,25 +222,73 @@ def _convolve(f, g) -> dict:
     return out
 
 
-def _numerators(terms: dict) -> tuple[int, list[tuple[ExponentVector, int]]]:
-    """The lcm d of the Fraction coefficients' denominators, and the
-    terms as (exponents, integer numerator over d) pairs."""
-    den = lcm(*{c.denominator for c in terms.values()})
-    if den == 1:
-        return 1, [(e, c.numerator) for e, c in terms.items()]
-    return den, [(e, c.numerator * (den // c.denominator))
-                 for e, c in terms.items()]
+def _reduced(ring: LaurentRing, num: dict, den: int) -> "LaurentPoly":
+    """The polynomial num / den (nonzero integers over a positive den) in
+    lowest terms, by one gcd of den and every numerator."""
+    g = gcd(den, *num.values())
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    return _make(ring, num, den)
+
+
+def _cancel(items, numerators, den: int):
+    """items (exponents, numerator) and den, each divided by the gcd of
+    den and the numerators."""
+    g = gcd(den, *numerators)
+    if g == 1:
+        return items, den
+    return [(e, c // g) for e, c in items], den // g
+
+
+def _over_lcm(f: "LaurentPoly", g: "LaurentPoly"):
+    """The numerators of f (a new dict) and of g (term pairs), both over
+    the lcm of their denominators, and that lcm."""
+    den = lcm(f.den, g.den)
+    sf, sg = den // f.den, den // g.den
+    return ({e: c * sf for e, c in f.num.items()},
+            [(e, c * sg) for e, c in g.num.items()], den)
+
+
+class _FractionTerms(Mapping):
+    """The terms of a polynomial over Q: each coefficient is built as a
+    Fraction in lowest terms when it is read, and the length, iteration
+    and membership are the numerator dict's."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num: dict, den: int):
+        self._num, self._den = num, den
+
+    def __getitem__(self, exps):
+        return Fraction(self._num[exps], self._den)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __contains__(self, exps):  # with no Fraction built
+        return exps in self._num
+
+    def __repr__(self):
+        return repr(dict(self.items()))
 
 
 class LaurentPoly(_Value):
-    """An immutable Laurent polynomial: a map exponents -> coefficient.
+    """An immutable Laurent polynomial: integer numerators over one
+    denominator.
 
-    The term map holds nonzero coefficients only and has no meaningful
-    order; __str__ prints terms by ascending exponent vector, and
-    __eq__ and __hash__ ignore the order.
+    num maps exponent vectors to nonzero integers and den is a positive
+    integer coprime to their content, so the form is unique: zero is
+    ({}, 1), and over Z den is 1.  terms is the read-only map exponents
+    -> coefficient (int over Z, Fraction over Q).  The term map has no
+    meaningful order; __str__ prints terms by ascending exponent
+    vector, and __eq__ and __hash__ ignore the order.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring", "num", "den")
 
     def __init__(self, ring: LaurentRing, terms: Mapping[Sequence[int], Coeff]):
         cleaned = {}
@@ -237,29 +296,35 @@ class LaurentPoly(_Value):
             key = _exponent_vector(exps, ring)
             c = ring.coerce_coeff(c)
             if c:
-                cleaned[key] = cleaned.get(key, ring.coerce_coeff(0)) + c
+                cleaned[key] = cleaned.get(key, 0) + c
+        den = lcm(*(c.denominator for c in cleaned.values()))
         object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", {k: c for k, c in cleaned.items() if c})
-
-    @classmethod
-    def _make(cls, ring: LaurentRing, clean_terms: dict) -> "LaurentPoly":
-        # Internal fast path: caller guarantees coerced, nonzero coefficients.
-        self = object.__new__(cls)
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "terms", clean_terms)
-        return self
+        object.__setattr__(self, "num", {k: c.numerator * (den // c.denominator)
+                                         for k, c in cleaned.items() if c})
+        object.__setattr__(self, "den", den)
 
     # -- basic queries ------------------------------------------------
 
+    @property
+    def terms(self) -> Mapping[ExponentVector, Coeff]:
+        """The read-only map exponents -> coefficient, as cheap to measure
+        and iterate as num: num itself over Z, Fractions over Q."""
+        if self.ring.domain == "Z":
+            return MappingProxyType(self.num)
+        return _FractionTerms(self.num, self.den)
+
     def coeff(self, exponents: Sequence[int]) -> Coeff:
-        return self.terms.get(_exponent_vector(exponents, self.ring),
-                              self.ring.coerce_coeff(0))
+        c = self.num.get(_exponent_vector(exponents, self.ring), 0)
+        return c if self.ring.domain == "Z" else Fraction(c, self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.num)
 
-    def __hash__(self):  # terms is a dict, hashed by its items
-        return hash(frozenset(self.terms.items()))
+    def __hash__(self):  # num is a dict, hashed by its items
+        return hash((frozenset(self.num.items()), self.den))
+
+    def __reduce__(self):
+        return LaurentPoly, (self.ring, dict(self.terms))
 
     def _check_ring(self, other: "LaurentPoly"):
         if not _same_ring(self.ring, other.ring):
@@ -269,31 +334,46 @@ class LaurentPoly(_Value):
             )
 
     # -- ring operations ----------------------------------------------
+    # With every denominator 1, as over Z, a result is in lowest terms as
+    # formed, and no gcd is taken.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
+        den = self.den
+        if den == other.den:
+            out, items = dict(self.num), other.num.items()
+        else:
+            out, items, den = _over_lcm(self, other)
+        for exps, c in items:
             s = out.get(exps, 0) + c
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return LaurentPoly._make(self.ring, out)
+                del out[exps]
+        if den == 1:
+            return _make(self.ring, out, 1)
+        return _reduced(self.ring, out, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._make(self.ring, {e: -c for e, c in self.terms.items()})
+        return _make(
+            self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         self._check_ring(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
+        den = self.den
+        if den == other.den:
+            out, items = dict(self.num), other.num.items()
+        else:
+            out, items, den = _over_lcm(self, other)
+        for exps, c in items:
             s = out.get(exps, 0) - c
             if s:
                 out[exps] = s
             else:
-                out.pop(exps, None)
-        return LaurentPoly._make(self.ring, out)
+                del out[exps]
+        if den == 1:
+            return _make(self.ring, out, 1)
+        return _reduced(self.ring, out, den)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -301,33 +381,44 @@ class LaurentPoly(_Value):
         self._check_ring(other)
         # an operand c x^e of at most one term moves the other's exponents
         # by e and scales by c: in a domain no two terms meet, none vanishes
-        if len(other.terms) <= 1:
+        if len(other.num) <= 1:
             return self._times_term(other)
-        if len(self.terms) <= 1:
+        if len(self.num) <= 1:
             return other._times_term(self)
-        if self.ring.domain == "Z":
-            return LaurentPoly._make(
-                self.ring, _convolve(self.terms.items(), other.terms.items()))
-        # over Q each operand is integers n_e over the lcm d of its
-        # denominators, and one Fraction is built per surviving sum
-        (d1, n1), (d2, n2) = _numerators(self.terms), _numerators(other.terms)
-        return LaurentPoly._make(self.ring, {
-            e: Fraction(s, d1 * d2) for e, s in _convolve(n1, n2).items()})
+        # by Gauss's lemma the content of a product is the product of the
+        # contents, so the result is in lowest terms once each operand's
+        # denominator is cancelled against the other's numerators
+        f, g = self.num.items(), other.num.items()
+        d1, d2 = self.den, other.den
+        if d1 != 1:
+            g, d1 = _cancel(g, other.num.values(), d1)
+        if d2 != 1:
+            f, d2 = _cancel(f, self.num.values(), d2)
+        return _make(self.ring, _convolve(f, g), d1 * d2)
 
     def _times_term(self, term: "LaurentPoly") -> "LaurentPoly":
-        if not term.terms:
+        if not term.num:
             return self.ring.zero()
-        (shift, c), = term.terms.items()
-        items = self.terms.items()
+        (shift, c), = term.num.items()
+        items = self.num.items()
         if any(shift):
             items = [(tuple(map(add, e, shift)), v) for e, v in items]
-        elif c == 1:
+        elif c == 1 and term.den == 1:
             return self
+        # c / d times num / den, cancelled as in __mul__
+        den, d = self.den, term.den
+        if den != 1:
+            g = gcd(c, den)
+            c, den = c // g, den // g
+        if d != 1:
+            items, d = _cancel(items, self.num.values(), d)
         if c == 1:
-            return LaurentPoly._make(self.ring, dict(items))
-        if c == -1:
-            return LaurentPoly._make(self.ring, {e: -v for e, v in items})
-        return LaurentPoly._make(self.ring, {e: c * v for e, v in items})
+            num = dict(items)
+        elif c == -1:
+            num = {e: -v for e, v in items}
+        else:
+            num = {e: c * v for e, v in items}
+        return _make(self.ring, num, den * d)
 
     def __rmul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
@@ -335,10 +426,7 @@ class LaurentPoly(_Value):
         return NotImplemented
 
     def scale(self, c: Coeff) -> "LaurentPoly":
-        c = self.ring.coerce_coeff(c)
-        if not c:
-            return self.ring.zero()
-        return LaurentPoly._make(self.ring, {e: c * v for e, v in self.terms.items()})
+        return self._times_term(self.ring.constant(c))
 
     def __pow__(self, n: int) -> "LaurentPoly":
         if not isinstance(n, int):
@@ -356,69 +444,86 @@ class LaurentPoly(_Value):
 
     def unit_inverse(self) -> "LaurentPoly":
         """Inverse of a unit (a single invertible term); error otherwise."""
-        if len(self.terms) != 1:
+        if len(self.num) != 1:
             raise ValueError(f"{self} is not a unit in {self.ring.names}")
-        (exps, c), = self.terms.items()
-        if self.ring.domain == "Z":
-            if c not in (1, -1):
-                raise ValueError(f"coefficient {c} is not invertible over Z")
-            inv = c
-        else:
-            inv = Fraction(1) / c
-        return LaurentPoly._make(self.ring, {tuple(-e for e in exps): inv})
+        (exps, c), = self.num.items()
+        if self.ring.domain == "Z" and c not in (1, -1):
+            raise ValueError(f"coefficient {c} is not invertible over Z")
+        # c / den inverts to den / c, still in lowest terms
+        return _make(self.ring, {tuple(-e for e in exps): (
+            self.den if c > 0 else -self.den)}, abs(c))
 
     # -- structure maps -----------------------------------------------
 
     def involution(self) -> "LaurentPoly":
         """The ring automorphism sending every variable to its inverse."""
-        return LaurentPoly._make(
-            self.ring, {tuple(-e for e in exps): c for exps, c in self.terms.items()}
-        )
+        return _make(self.ring, {
+            tuple(-e for e in exps): c for exps, c in self.num.items()},
+            self.den)
 
     def evaluate_at_one(self) -> Coeff:
         """The coefficient sum, i.e. the value at (1, ..., 1)."""
-        return sum(self.terms.values(), self.ring.coerce_coeff(0))
+        s = sum(self.num.values())
+        return s if self.ring.domain == "Z" else Fraction(s, self.den)
 
     def is_balanced(self) -> bool:
         """Zero coefficient sum and symmetric under exponent negation."""
-        return self.evaluate_at_one() == 0 and self.involution() == self
+        return not sum(self.num.values()) and self.involution() == self
 
     def valuation(self) -> int:
         """Lowest exponent of a univariate polynomial; errors on zero."""
         if self.ring.nvars != 1:
             raise ValueError("valuation is only defined for univariate polynomials")
-        if not self.terms:
+        if not self.num:
             raise ValuationError("the zero polynomial has no valuation")
-        return min(e[0] for e in self.terms)
+        return min(e[0] for e in self.num)
 
     def degree(self) -> int:
         """Highest exponent of a nonzero univariate polynomial."""
         if self.ring.nvars != 1:
             raise ValueError("degree is only defined for univariate polynomials")
-        if not self.terms:
+        if not self.num:
             raise ValuationError("the zero polynomial has no degree")
-        return max(e[0] for e in self.terms)
+        return max(e[0] for e in self.num)
 
     def is_polynomial(self) -> bool:
         """True when no variable appears with a negative exponent."""
-        return all(all(e >= 0 for e in exps) for exps in self.terms)
+        return all(all(e >= 0 for e in exps) for exps in self.num)
 
     def as_domain(self, domain: str) -> "LaurentPoly":
         """The same polynomial viewed in the ring with the given domain."""
         target = _ring(self.ring.names, domain)
         if target is self.ring:
             return self
-        return LaurentPoly(target, self.terms)
+        if self.den != 1:  # over Q, with a coefficient outside Z
+            return LaurentPoly(target, self.terms)
+        return _make(target, dict(self.num), 1)
 
     # -- printing -------------------------------------------------------
 
     def __str__(self) -> str:
-        names, terms = self.ring.names, self.terms
-        return signed_terms([(monomial_text(names, exps), terms[exps])
-                             for exps in sorted(terms)])
+        names, num = self.ring.names, self.num
+        return signed_terms([(monomial_text(names, exps), num[exps])
+                             for exps in sorted(num)], self.den)
 
     def __repr__(self) -> str:
         return f"<LaurentPoly {self} over {'/'.join(self.ring.names)};{self.ring.domain}>"
+
+
+_set_ring, _set_num, _set_den = (
+    LaurentPoly.ring.__set__, LaurentPoly.num.__set__, LaurentPoly.den.__set__)
+
+
+def _make(ring: LaurentRing, num: dict, den: int) -> LaurentPoly:
+    """The polynomial num / den, with no check: the caller guarantees
+    nonzero integer numerators and a positive den coprime to their
+    content.  The slots are set through their descriptors, the cheapest
+    way past _Value's __setattr__."""
+    poly = object.__new__(LaurentPoly)
+    _set_ring(poly, ring)
+    _set_num(poly, num)
+    _set_den(poly, den)
+    return poly
 
 
 def monomial_text(names: Sequence[str], exps: ExponentVector) -> str:
@@ -430,16 +535,20 @@ def monomial_text(names: Sequence[str], exps: ExponentVector) -> str:
     return "*".join(parts)
 
 
-def signed_terms(terms) -> str:
-    """The printed sum of terms (monomial_text, nonzero coefficient) in
-    the given order: "0" for no terms, signs spaced apart, and a unit
-    coefficient written only on the constant term."""
+def signed_terms(terms, den: int = 1) -> str:
+    """The printed sum of terms (monomial_text, nonzero numerator over
+    den) in the given order: "0" for no terms, signs spaced apart, each
+    coefficient in lowest terms, and a unit coefficient written only on
+    the constant term."""
     chunks = []
     for var, c in terms:
         if c < 0:
             sign, c = " - ", -c
         else:
             sign = " + "
+        if den != 1:
+            g = gcd(c, den)
+            c = c // g if g == den else f"{c // g}/{den // g}"
         chunks.append(f"{sign}{c}" if not var else f"{sign}{var}" if c == 1
                       else f"{sign}{c}*{var}")
     text = "".join(chunks)
@@ -467,9 +576,9 @@ class RingHom(_Value):
     def apply(self, f: LaurentPoly) -> LaurentPoly:
         if not _same_ring(f.ring, self.source):
             raise RingMismatchError("argument does not live in the source ring")
-        total = self.target.zero()
-        for exps, c in f.terms.items():
-            term = self.target.constant(c)
+        total, den = self.target.zero(), f.den
+        for exps, c in f.num.items():
+            term = self.target.constant(c if den == 1 else Fraction(c, den))
             for im, e in zip(self.images, exps):
                 if e:
                     term = term * (im ** e)
@@ -545,6 +654,27 @@ MAX_TERMS = 1000
 # the most digits Python converts between an int and its text by default
 _MAX_DIGITS = 4300
 _COEFF_LIMIT = 10 ** _MAX_DIGITS
+# a common denominator of two coefficients at the digit limit; each term
+# printed reduces its numerator by one gcd with it, so its size bounds
+# what printing and each parser check cost
+MAX_DENOMINATOR_DIGITS = 2 * _MAX_DIGITS
+_DENOMINATOR_LIMIT = 10 ** MAX_DENOMINATOR_DIGITS
+
+
+def oversized_term(num: Mapping[ExponentVector, int],
+                   den: int) -> ExponentVector | None:
+    """The exponents of the first term of num / den whose coefficient, in
+    lowest terms, has more than _MAX_DIGITS digits above or below its
+    fraction bar, past what Python prints; None when there is none.  Each
+    term is reduced only when the largest numerator or den is over."""
+    if den < _COEFF_LIMIT and max(map(abs, num.values()),
+                                  default=0) < _COEFF_LIMIT:
+        return None
+    for exps, c in num.items():
+        g = gcd(c, den)
+        if abs(c) // g >= _COEFF_LIMIT or den // g >= _COEFF_LIMIT:
+            return exps
+    return None
 
 
 class _Parser:
@@ -559,9 +689,10 @@ class _Parser:
     power's exponent is at most MAX_EXPONENT in absolute value.  Every
     sum and product built along the way, including each step of a
     power, has at most MAX_TERMS terms, exponents at most MAX_EXPONENT
-    in absolute value, and numerators and denominators of at most
-    _MAX_DIGITS digits; so nested powers such as (t^100)^20 are refused
-    too.  A product is refused before it is formed when its operands'
+    in absolute value, coefficients whose numerators and denominators
+    in lowest terms have at most _MAX_DIGITS digits, and a common
+    denominator of at most MAX_DENOMINATOR_DIGITS digits; so nested
+    powers such as (t^100)^20 are refused too.  A product is refused before it is formed when its operands'
     term counts multiply to more than MAX_TERMS, the size it has before
     like terms combine, so each step costs at most MAX_TERMS term
     products on operands of bounded size.
@@ -596,78 +727,122 @@ class _Parser:
         return poly
 
     def expr(self) -> LaurentPoly:
-        # one running term map: each + or - checks only the terms it
-        # changes, since every term is within limits when it is parsed
-        total = self.term()
+        # one running term map of coefficients in lowest terms, as
+        # (numerator, denominator) pairs: each + or - checks only the
+        # terms it changes, since every term is within limits when it is
+        # parsed, and the sum is put over one denominator once, at the end
+        total = self.pairs(self.term())
         while True:
             kind, val, pos = self.peek()
             if not (kind == "op" and val in "+-"):
-                return LaurentPoly._make(self.ring, total)
+                return self.over_one_denominator(total, pos)
             self.advance()
-            touched = {}
-            for exps, c in self.term(1 if val == "+" else -1).items():
-                s = total[exps] + c if exps in total else c
-                if s:
-                    total[exps] = touched[exps] = s
+            touched = []
+            for exps, (n, d) in self.pairs(
+                    self.term(1 if val == "+" else -1)).items():
+                if exps in total:
+                    n0, d0 = total[exps]
+                    n, d = n0 * d + n * d0, d0 * d
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+                if n:
+                    total[exps] = n, d
+                    touched.append(exps)
                 else:
                     del total[exps]
             if len(total) > MAX_TERMS:
                 raise ParseError(
                     f"expression has more than {MAX_TERMS} terms", pos)
-            self.check_size(touched, pos)
+            for exps in touched:
+                n, d = total[exps]
+                self.check_size({exps: n}, d, pos)
 
-    def term(self, sign: int = 1) -> dict:
-        """The term map of one term, times sign.  While its factors are
-        literals and variable powers the term is one (coefficient,
-        exponents) monomial, and each * checks it; from its first factor
-        that is a parenthesised expression or a power of a constant on,
-        the term is a polynomial, and each * is a product."""
+    @staticmethod
+    def pairs(poly: LaurentPoly) -> dict:
+        """The terms of a polynomial as (numerator, denominator) pairs in
+        lowest terms."""
+        den = poly.den
+        return {e: (c // (g := gcd(c, den)), den // g)
+                for e, c in poly.num.items()}
+
+    def over_one_denominator(self, terms: dict, pos: int) -> LaurentPoly:
+        """The polynomial of (numerator, denominator) pairs in lowest
+        terms: its denominator is their lcm, refused past the limit before
+        any numerator is scaled to it."""
+        den = 1
+        for _, d in terms.values():
+            if den % d:
+                den = den // gcd(den, d) * d
+                if den >= _DENOMINATOR_LIMIT:
+                    raise ParseError("common denominator has more than "
+                                     f"{MAX_DENOMINATOR_DIGITS} digits", pos)
+        return _make(self.ring, {e: n * (den // d)
+                                 for e, (n, d) in terms.items()}, den)
+
+    def term(self, sign: int = 1) -> LaurentPoly:
+        """One term, times sign.  While its factors are literals and
+        variable powers the term is one (numerator, denominator,
+        exponents) monomial in lowest terms, and each * checks it; from
+        its first factor that is a parenthesised expression or a power of
+        a constant on, the term is a polynomial, and each * is a
+        product."""
         term = self.factor(sign)
         while True:
             kind, val, pos = self.peek()
             if not (kind == "op" and val == "*"):
-                return self.as_poly(term).terms
+                return self.as_poly(term)
             self.advance()
             factor = self.factor()
             if type(term) is tuple and type(factor) is tuple:
-                c = term[0] if factor[0] == 1 else term[0] * factor[0]
-                term = c, tuple(map(add, term[1], factor[1]))
-                if c:
-                    self.check_size({term[1]: c}, pos)
+                (n, d, exps), (n2, d2, exps2) = term, factor
+                if n2 != 1 or d2 != 1:
+                    n, d = n * n2, d * d2
+                    if d != 1:
+                        g = gcd(n, d)
+                        n, d = n // g, d // g
+                term = n, d, tuple(map(add, exps, exps2))
+                if n:
+                    self.check_size({term[2]: n}, d, pos)
             else:
                 term = self.product(self.as_poly(term), self.as_poly(factor),
                                     pos)
 
     def as_poly(self, term) -> LaurentPoly:
-        """A polynomial, or a (coefficient, exponents) monomial as one,
-        its coefficient coerced into the ring."""
+        """A polynomial, or a (numerator, denominator, exponents)
+        monomial as one."""
         if type(term) is not tuple:
             return term
-        c, exps = term
-        return LaurentPoly._make(
-            self.ring, {exps: self.ring.coerce_coeff(c)} if c else {})
+        n, d, exps = term
+        return _make(self.ring, {exps: n}, d) if n \
+            else self.ring.zero()
 
     def product(self, f: LaurentPoly, g: LaurentPoly, pos: int) -> LaurentPoly:
-        if len(f.terms) * len(g.terms) > MAX_TERMS:
+        if len(f.num) * len(g.num) > MAX_TERMS:
             raise ParseError(
-                f"product of {len(f.terms)} by {len(g.terms)} terms exceeds "
+                f"product of {len(f.num)} by {len(g.num)} terms exceeds "
                 f"the limit of {MAX_TERMS} terms", pos)
         out = f * g
-        self.check_size(out.terms, pos)
+        self.check_size(out.num, out.den, pos)
         return out
 
     @staticmethod
-    def check_size(terms: Mapping[ExponentVector, Coeff], pos: int):
-        """Refuse terms whose exponents or coefficients exceed the limits."""
-        for exps, c in terms.items():
+    def check_size(num: Mapping[ExponentVector, int], den: int, pos: int):
+        """Refuse terms of num / den whose exponents or coefficients
+        exceed the limits: the first such term in num's order, its
+        exponents checked before its coefficient; then a denominator
+        past the limit."""
+        oversized = oversized_term(num, den)
+        for exps in num:
             for e in exps:
                 if abs(e) > MAX_EXPONENT:
                     raise ParseError(f"exponent {e} exceeds the limit of "
                                      f"{MAX_EXPONENT} in absolute value", pos)
-            if abs(c.numerator) >= _COEFF_LIMIT \
-                    or c.denominator >= _COEFF_LIMIT:
+            if exps is oversized:
                 raise ParseError(f"coefficient has more than {_MAX_DIGITS} "
                                  "digits", pos)
+        if den >= _DENOMINATOR_LIMIT:
+            raise ParseError("common denominator has more than "
+                             f"{MAX_DENOMINATOR_DIGITS} digits", pos)
 
     def factor(self, sign: int = 1):
         while True:
@@ -681,7 +856,7 @@ class _Parser:
         atom = self.atom()
         if sign == 1:
             return atom
-        return (-atom[0], atom[1]) if type(atom) is tuple else -atom
+        return (-atom[0], *atom[1:]) if type(atom) is tuple else -atom
 
     def integer(self) -> int:
         sign = 1
@@ -697,12 +872,13 @@ class _Parser:
         return sign * val
 
     def atom(self):
-        """A literal or a variable power as a (coefficient, exponents)
-        monomial; a power of a constant or a parenthesised expression as a
-        polynomial."""
+        """A literal or a variable power as a (numerator, denominator,
+        exponents) monomial in lowest terms; a power of a constant or a
+        parenthesised expression as a polynomial."""
         kind, val, pos = self.peek()
         if kind == "int":
             self.advance()
+            den = 1
             nkind, nval, npos = self.peek()
             if nkind == "op" and nval == "/":
                 self.advance()
@@ -714,10 +890,11 @@ class _Parser:
                     raise ParseError("rational literal in an integer ring", pos)
                 if val2 == 0:
                     raise ParseError("zero denominator", pos2)
-                val = Fraction(val, val2)
+                g = gcd(val, val2)
+                val, den = val // g, val2 // g
             if self.peek()[1] != "^":
-                return val, self.origin
-            return self.power(self.ring.constant(val))
+                return val, den, self.origin
+            return self.power(self.as_poly((val, den, self.origin)))
         if kind == "name":
             if val not in self.ring.names:
                 raise ParseError(
@@ -729,7 +906,7 @@ class _Parser:
             n, _ = self.exponent()
             exps = [0] * self.ring.nvars
             exps[self.ring.names.index(val)] = 1 if n is None else n
-            return 1, tuple(exps)
+            return 1, 1, tuple(exps)
         if kind == "op" and val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)

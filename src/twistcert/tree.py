@@ -326,10 +326,10 @@ def _series_quotient(num: LaurentPoly, den: LaurentPoly,
             f"vertex tail needs {count} coefficients of a quotient by "
             f"{len(den.terms)} terms, over the limit of {MAX_SERIES_STEPS} "
             "steps")
-    num_c = {e[0] - v_num: Fraction(c) for e, c in num.terms.items()}
+    num_c = {e[0] - v_num: c for e, c in num.terms.items()}
     # ascending exponents: the lowest coefficient leads, and the loop
     # below stops at the first exponent past i
-    (_, d0), *den_rest = sorted((e[0] - v_den, Fraction(c))
+    (_, d0), *den_rest = sorted((e[0] - v_den, c)
                                 for e, c in den.terms.items())
     series: list[Fraction] = []
     for i in range(count):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from twistcert.homology import (
     CycleClass,
@@ -12,7 +13,8 @@ from twistcert.homology import (
     comm_pairs,
     validate_lift,
 )
-from twistcert.laurent import LaurentPoly, LaurentRing, surface_ring
+from twistcert.laurent import (LaurentPoly, LaurentRing, monomial_text,
+                               surface_ring)
 from twistcert.rep import Matrix2, multiply
 from twistcert.tree import TreeVertex, distance, series_ring
 
@@ -27,6 +29,78 @@ def random_poly(rng: random.Random, ring: LaurentRing, max_terms: int = 4,
             c = Fraction(c, rng.randint(1, 3))
         terms[exps] = terms.get(exps, 0) + c
     return LaurentPoly(ring, terms)
+
+
+# -- the Fraction-per-term oracle ------------------------------------------
+# Laurent arithmetic as it was before a polynomial kept one denominator:
+# a term map from exponents to one Fraction per term, every sum and
+# product formed term by term.
+
+
+def fraction_terms(poly: LaurentPoly) -> dict:
+    """The oracle's term map of a polynomial."""
+    return {e: Fraction(c) for e, c in poly.terms.items()}
+
+
+def _nonzero(terms: dict) -> dict:
+    return {e: c for e, c in terms.items() if c}
+
+
+def oracle_sum(f: dict, g: dict, sign: int = 1) -> dict:
+    out = dict(f)
+    for e, c in g.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return _nonzero(out)
+
+
+def oracle_product(f: dict, g: dict) -> dict:
+    out: dict = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            key = tuple(a + b for a, b in zip(e1, e2))
+            out[key] = out.get(key, Fraction(0)) + c1 * c2
+    return _nonzero(out)
+
+
+def oracle_scale(f: dict, c) -> dict:
+    return _nonzero({e: c * v for e, v in f.items()})
+
+
+def oracle_unit_inverse(f: dict) -> dict:
+    (exps, c), = f.items()
+    return {tuple(-e for e in exps): 1 / c}
+
+
+def oracle_involution(f: dict) -> dict:
+    return {tuple(-e for e in exps): c for exps, c in f.items()}
+
+
+def oracle_value_at_one(f: dict) -> Fraction:
+    return sum(f.values(), Fraction(0))
+
+
+def oracle_text(names, f: dict) -> str:
+    """The printed polynomial, each coefficient printed as its Fraction."""
+    chunks = []
+    for exps in sorted(f):
+        var, c = monomial_text(names, exps), f[exps]
+        sign, c = (" - ", -c) if c < 0 else (" + ", c)
+        chunks.append(f"{sign}{c}" if not var else f"{sign}{var}" if c == 1
+                      else f"{sign}{c}*{var}")
+    text = "".join(chunks)
+    return (text[3:] if text[1] == "+" else "-" + text[3:]) if text else "0"
+
+
+def assert_normal_form(poly: LaurentPoly):
+    """Integer numerators, nonzero, over a positive denominator coprime to
+    their content; zero is ({}, 1), and over Z the denominator is 1."""
+    assert type(poly.den) is int and poly.den > 0
+    assert all(type(c) is int and c for c in poly.num.values())
+    assert gcd(poly.den, *poly.num.values()) == 1
+    if poly.ring.domain == "Z":
+        assert poly.den == 1
+    coeff_type = int if poly.ring.domain == "Z" else Fraction
+    assert all(type(c) is coeff_type for c in poly.terms.values())
 
 
 def random_zero_sum_family(rng: random.Random, ring: LaurentRing,

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +488,58 @@ def test_peeling_is_the_inverse_letter_times_the_remainder(s, lead, side):
         assert AmalgamLetter(side, letter).matrix == letter
         assert peeled == letter.inverse() @ rest
         assert peeled.ring is QT
+
+
+_LIMIT = laurent._COEFF_LIMIT
+# letter coefficients under and past the 4,300 digits Python prints, above
+# and below the fraction bar, and of half as many digits, whose products
+# in the multiplied-out word are past it while every letter prints
+_LETTER_COEFFS = (1, -2, Fraction(3, 2), 10 ** 2200 + 1,
+                  Fraction(-1, 10 ** 2200 + 3), _LIMIT - 1, _LIMIT,
+                  Fraction(-_LIMIT, 7), Fraction(2, _LIMIT + 1),
+                  Fraction(_LIMIT - 1, _LIMIT - 2))
+
+
+def _letter(side: str, c) -> Matrix2:
+    """[[c, -1], [1, 0]] in A, [[1, c t^-1], [0, 1]] in B."""
+    entries = ([c, -1], [1, 0]) if side == "A" else \
+        ([1, QT.monomial((-1,), c)], [0, 1])
+    return Matrix2.from_rows(QT, entries)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from("AB"),
+       st.lists(st.sampled_from(_LETTER_COEFFS), min_size=1, max_size=4))
+def test_normal_form_refuses_exactly_the_words_it_cannot_print(side, coeffs):
+    word = multiply([_letter("AB"[("AB".index(side) + i) % 2], c)
+                     for i, c in enumerate(coeffs)])
+    # the normal form as it was before letters were checked: it fails,
+    # if at all, only when a letter is printed
+    with mock.patch.object(amalgam, "_check_printable", lambda *args: None):
+        unchecked = amalgam_normal_form(word)
+    try:
+        text = [str(letter) for letter in unchecked]
+    except ValueError as exc:
+        assert "Exceeds the limit (4300 digits)" in str(exc)
+        with pytest.raises(ValueError, match=(
+                r"^normal form letter \d+: entry [abcd] has a coefficient of "
+                r"more than 4300 digits, too long to print$")):
+            amalgam_normal_form(word)
+    else:
+        assert [str(letter) for letter in amalgam_normal_form(word)] == text
+
+
+def test_normal_form_names_the_first_letter_it_cannot_print():
+    word = _letter("A", 3) @ _letter("B", _LIMIT) @ _letter("A", _LIMIT)
+    with pytest.raises(ValueError, match=(
+            "^normal form letter 2: entry b has a coefficient of more than "
+            "4300 digits, too long to print$")):
+        amalgam_normal_form(word)
+    # the last letter is the remainder
+    with pytest.raises(ValueError, match="^normal form letter 3: entry a "):
+        amalgam_normal_form(_letter("A", 3) @ _letter("B", 1)
+                            @ _letter("A", _LIMIT))
+
 
 # -- certificates --------------------------------------------------------------
 

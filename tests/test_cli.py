@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -17,7 +18,8 @@ from twistcert.amalgam import Certificate
 from twistcert.cli import MAX_KMAX, main, parse_matrix
 from twistcert.homology import MAX_GENUS
 from twistcert.homology import EpsilonTable, canonical_lift, comm_pairs
-from twistcert.rep import matrix_Mk, matrix_N, multiply
+from twistcert.laurent import LaurentPoly
+from twistcert.rep import Matrix2, matrix_Mk, matrix_N, multiply
 
 
 def run(capsys, *argv):
@@ -611,6 +613,38 @@ def test_normal_form_prints_nothing_when_a_letter_cannot_be_printed(
     code, out, err = run(capsys, "normal-form", word)
     assert (code, out, err) == (2, "", "error: cannot print this letter\n")
     assert printed == ["B", "A"]
+
+
+def _overflow_word() -> str:
+    """The word of the CI step "Normal form that overflows printing": six
+    factors, [[1, 0], [c, 1]] in A and [[1, b], [0, 1]] in B alternating,
+    c = sum r_e t^e and b = sum r_e t^-e for e = 1..20, each r_e drawn
+    from +-1, +-2, +-3 (seed 5), multiplied out."""
+    rng = random.Random(5)
+    ring = tree.series_ring()
+    one, zero = ring.one(), ring.zero()
+
+    def draw(sign):
+        return LaurentPoly(ring, {(sign * e,): rng.choice((-3, -2, -1, 1, 2, 3))
+                                  for e in range(1, 21)})
+
+    factors = []
+    for _ in range(3):
+        factors += [Matrix2(one, zero, draw(1), one),
+                    Matrix2(one, draw(-1), zero, one)]
+    return str(multiply(factors))
+
+
+@pytest.mark.parametrize("fmt", ("text", "json"))
+def test_normal_form_refuses_a_letter_too_long_to_print(capsys, monkeypatch,
+                                                        fmt):
+    # its 107th letter has a coefficient past the 4,300 digits Python
+    # prints: the command stops there, before the rest of the word
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_overflow_word()))
+    code, out, err = run(capsys, "normal-form", "-", "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("error: normal form letter 107: entry b has a coefficient "
+                   "of more than 4300 digits, too long to print\n")
 
 
 def test_normal_form_rejects_non_unimodular(capsys):

@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import pytest
@@ -150,6 +151,24 @@ def test_table_keys_follow_the_entries_rule(genus, key, x, y):
     with pytest.raises(ValueError, match=r"entry .* names a pair outside "
                                          "the generating set"):
         EpsilonTable.from_entries(genus, [{"x": x, "y": y, "value": 1}])
+
+
+def test_a_seeded_table_pickles_before_its_draw_and_equals_its_signs():
+    table = EpsilonTable.seeded(3, 7)
+    copied = pickle.loads(pickle.dumps(table))  # before the first lookup
+    drawn = EpsilonTable.random_skew(3, random.Random(7))
+    pairs = comm_pairs(3)
+    assert [copied.value(x, y) for x in pairs for y in pairs] == \
+        [drawn.value(x, y) for x in pairs for y in pairs]
+    # equal with the same genus and signs, drawn or not, and hashed alike
+    for other in (table, copied, drawn, EpsilonTable.seeded(3, 7),
+                  pickle.loads(pickle.dumps(copied))):
+        assert other == drawn and hash(other) == hash(drawn)
+    assert table != EpsilonTable.seeded(3, 1)
+    assert EpsilonTable(3) == EpsilonTable.from_entries(3, [])
+    assert EpsilonTable(3) != EpsilonTable(4) and EpsilonTable(3) != {}
+    assert len({EpsilonTable(3), EpsilonTable.from_entries(3, []), table,
+                copied}) == 2
 
 
 @pytest.mark.parametrize("disjoint, parallel", [

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -9,6 +11,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (
+    assert_normal_form,
+    fraction_terms,
+    oracle_involution,
+    oracle_product,
+    oracle_scale,
+    oracle_sum,
+    oracle_text,
+    oracle_unit_inverse,
+    oracle_value_at_one,
+)
 from twistcert import laurent
 from twistcert.laurent import (
     LaurentPoly,
@@ -455,7 +468,7 @@ class _OracleParser(laurent._Parser):
                 self.advance()
                 poly = self.product(poly, self.factor(), pos)
             else:
-                return (poly if sign == 1 else -poly).terms
+                return poly if sign == 1 else -poly
 
     def factor(self):
         sign = 1
@@ -497,8 +510,7 @@ class _OracleParser(laurent._Parser):
             n, _ = self.exponent()
             exps = [0] * self.ring.nvars
             exps[self.ring.names.index(val)] = 1 if n is None else n
-            return LaurentPoly._make(self.ring, {
-                tuple(exps): self.ring.coerce_coeff(1)})
+            return self.ring.monomial(exps)
         if kind == "op" and val == "(":
             if self.depth == laurent.MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than "
@@ -590,13 +602,7 @@ def test_a_literal_term_forms_no_product(monkeypatch):
 
 
 def _oracle_product(f: LaurentPoly, g: LaurentPoly) -> dict:
-    """Term-by-term convolution of Fraction coefficients."""
-    out: dict = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
-            key = tuple(a + b for a, b in zip(e1, e2))
-            out[key] = out.get(key, Fraction(0)) + Fraction(c1) * Fraction(c2)
-    return {k: c for k, c in out.items() if c}
+    return oracle_product(fraction_terms(f), fraction_terms(g))
 
 
 def test_term_order_does_not_matter():
@@ -688,6 +694,146 @@ def test_one_term_products_match_the_convolution_oracle():
     assert -L3.one() * f == -f
 
 
+# -- one denominator per polynomial, against the Fraction-per-term oracle ------
+
+L2Q = surface_ring(2, "Q")
+_BIG = 10 ** 30 + 1  # a denominator past a machine word
+_Q_COEFFS = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from((1, 2, 3, 4, 6, 35))),
+    st.sampled_from((Fraction(1, _BIG), Fraction(-3, 7 * _BIG), 2 ** 70)))
+_Z_COEFFS = st.one_of(st.integers(-9, 9), st.sampled_from((2 ** 70, -3 ** 50)))
+
+
+def _laurent_st(ring: LaurentRing):
+    exps = st.tuples(*([st.integers(-3, 3)] * ring.nvars))
+    coeffs = _Z_COEFFS if ring.domain == "Z" else _Q_COEFFS
+    return st.dictionaries(exps, coeffs, max_size=5).map(
+        lambda terms: LaurentPoly(ring, terms))
+
+
+_RINGS = st.sampled_from((T, TQ, L2, L2Q))
+_POLY = _RINGS.flatmap(_laurent_st)
+_POLY_PAIR = _RINGS.flatmap(lambda ring: st.tuples(_laurent_st(ring),
+                                                   _laurent_st(ring)))
+
+
+@settings(max_examples=300)
+@given(_POLY_PAIR)
+def test_arithmetic_matches_the_fraction_oracle(pair):
+    f, g = pair
+    of, og = fraction_terms(f), fraction_terms(g)
+    for poly, expected in ((f, of), (f + g, oracle_sum(of, og)),
+                           (f - g, oracle_sum(of, og, -1)),
+                           (f * g, oracle_product(of, og)),
+                           (g * f, oracle_product(of, og)),
+                           (-f, oracle_scale(of, -1)),
+                           (f.involution(), oracle_involution(of))):
+        assert_normal_form(poly)
+        assert poly.ring is f.ring
+        assert fraction_terms(poly) == expected
+    value = f.evaluate_at_one()
+    assert value == oracle_value_at_one(of)
+    assert type(value) is (int if f.ring.domain == "Z" else Fraction)
+    assert f.is_balanced() == (not value and oracle_involution(of) == of)
+    for exps in [*of, (5,) * f.ring.nvars]:
+        assert f.coeff(exps) == of.get(exps, 0)
+
+
+@settings(max_examples=200)
+@given(_RINGS.flatmap(lambda ring: st.tuples(
+    _laurent_st(ring), _Z_COEFFS if ring.domain == "Z" else _Q_COEFFS)))
+def test_scale_and_unit_inverse_match_the_fraction_oracle(poly_and_c):
+    f, c = poly_and_c
+    of = fraction_terms(f)
+    for poly in (f.scale(c), f * c, c * f):
+        assert_normal_form(poly)
+        assert fraction_terms(poly) == oracle_scale(of, c)
+    if len(of) == 1 and (f.ring.domain == "Q" or abs(f.evaluate_at_one()) == 1):
+        inverse = f.unit_inverse()
+        assert_normal_form(inverse)
+        assert fraction_terms(inverse) == oracle_unit_inverse(of)
+        assert f * inverse == f.ring.one()
+
+
+@settings(max_examples=200)
+@given(_POLY_PAIR)
+def test_equality_and_hash_match_the_fraction_oracle(pair):
+    f, g = pair
+    assert (f == g) == (fraction_terms(f) == fraction_terms(g))
+    # the same terms in another order, and a sum that cancels back to f
+    reordered = LaurentPoly(f.ring, dict(reversed(list(f.terms.items()))))
+    for same in (reordered, f + g - g, (f - g) + g):
+        assert same == f and hash(same) == hash(f)
+    assert f - f == f.ring.zero() and (f - f).num == {} and (f - f).den == 1
+
+
+@settings(max_examples=200)
+@given(_POLY)
+def test_printing_parsing_and_pickling_match_the_fraction_oracle(f):
+    assert str(f) == oracle_text(f.ring.names, fraction_terms(f))
+    for copied in (parse_poly(str(f), f.ring), pickle.loads(pickle.dumps(f)),
+                   copy.copy(f), copy.deepcopy(f)):
+        assert_normal_form(copied)
+        assert copied == f and hash(copied) == hash(f)
+    assert len(f.terms) == len(f.num) and list(f.terms) == list(f.num)
+
+
+def test_the_denominator_is_the_lcm_of_the_reduced_ones():
+    f = parse_poly("1/2*t - 1/3 + 2/4*t^2", TQ)
+    assert (f.num, f.den) == ({(1,): 3, (0,): -2, (2,): 3}, 6)
+    assert (f + parse_poly("1/3 - 1/2*t - 1/2*t^2", TQ)).num == {}
+    assert parse_poly("3/6 + 1/2", TQ).num == {(0,): 1}
+    assert parse_poly("4/6*t", TQ).den == 3
+    assert (TQ.constant(Fraction(2, 3)) * parse_poly("3/4*t + 3/2", TQ)) \
+        == parse_poly("1/2*t + 1", TQ)
+    assert parse_poly("6*t + 4", T).den == 1
+
+
+def test_parser_accepts_terms_whose_denominators_multiply_past_the_limit():
+    # p and q are coprime (10^k - 1 is odd), of 4,299 and 4,300 digits:
+    # their terms print, though the common denominator has 8,599 digits
+    p, q = 10 ** 4299 - 1, 10 ** 4299 + 1
+    f = parse_poly(f"1/{p} + 1/{q}*t", TQ)
+    assert f.den == p * q >= laurent._COEFF_LIMIT
+    assert f.terms == {(0,): Fraction(1, p), (1,): Fraction(1, q)}
+    assert parse_poly(str(f), TQ) == f
+    # the same two terms at one exponent sum to a coefficient over p q,
+    # which has too many digits
+    with pytest.raises(ParseError, match="coefficient has more than 4300 "):
+        parse_poly(f"1/{p} + 1/{q}", TQ)
+
+
+def test_parser_bounds_the_common_denominator():
+    # three pairwise coprime denominators of about 4,300 digits multiply
+    # past MAX_DENOMINATOR_DIGITS = 8,600: each term printed would take a
+    # gcd with a numerator of that size, so the sum is refused
+    p, q, r = 10 ** 4299 - 1, 10 ** 4299 + 1, 10 ** 4299 + 3
+    assert laurent.MAX_DENOMINATOR_DIGITS == 8600
+    text = f"1/{p} + 1/{q}*t + 1/{r}*t^2"
+    with pytest.raises(ParseError, match=(
+            "^common denominator has more than 8600 digits "
+            rf"\(at position {len(text)}\)$")):
+        parse_poly(text, TQ)
+    # terms that cancel leave nothing in the denominator
+    f = parse_poly(f"1/{p}*t + 1/{q} - 1/{q} + 1/{r}", TQ)
+    assert f.den == p * r
+    assert f == parse_poly(f"1/{r} + 1/{p}*t", TQ)
+
+
+def test_oversized_term_reduces_each_term_only_past_the_bound():
+    big = laurent._COEFF_LIMIT
+    assert laurent.oversized_term({(0,): big - 1, (1,): 1 - big}, big - 1) \
+        is None
+    # q / (p q) + p / (p q) t is 1/p + 1/q t: the largest numerator and
+    # the denominator are not the terms in lowest terms
+    p, q = 10 ** 4299 - 1, 10 ** 4299 + 1
+    assert laurent.oversized_term({(0,): q, (1,): p}, p * q) is None
+    assert laurent.oversized_term({(0,): q, (1,): p, (2,): 1}, p * q) == (2,)
+    assert laurent.oversized_term({(0,): 3, (1,): big}, 1) == (1,)
+    assert laurent.oversized_term({(0,): 1, (1,): 2}, big) == (0,)
+
+
 def test_rings_are_shared_objects():
     assert surface_ring(3) is surface_ring(3)
     assert surface_ring(3, "Q") is surface_ring(3, "Q")
@@ -771,9 +917,9 @@ def test_sum_checks_only_the_terms_each_addition_touches(monkeypatch):
     check = laurent._Parser.check_size
     inspected = []
 
-    def counting(terms, pos):
-        inspected.append(len(terms))
-        return check(terms, pos)
+    def counting(num, den, pos):
+        inspected.append(len(num))
+        return check(num, den, pos)
 
     monkeypatch.setattr(laurent._Parser, "check_size", staticmethod(counting))
 

@@ -344,7 +344,7 @@ class CycleClass(_Value):
         clean = {}
         for gen, poly in dict(coeffs).items():
             gen.validate(genus)
-            if poly.ring != ring:
+            if poly.ring is not ring:
                 raise ValueError(
                     f"coefficient of {gen.key()} lives in the wrong ring"
                 )
@@ -384,6 +384,8 @@ class CycleClass(_Value):
             raise ValueError(f"mixed genera {self.genus} and {other.genus}")
 
     def __add__(self, other: "CycleClass") -> "CycleClass":
+        if not isinstance(other, CycleClass):
+            return NotImplemented
         self._check(other)
         out = dict(self.coeffs)
         for gen, poly in other.coeffs.items():
@@ -391,10 +393,12 @@ class CycleClass(_Value):
         return CycleClass(self.genus, out)
 
     def __sub__(self, other: "CycleClass") -> "CycleClass":
+        if not isinstance(other, CycleClass):
+            return NotImplemented
         return self + other.scaled_by(self.ring.constant(-1))
 
     def scaled_by(self, poly: LaurentPoly) -> "CycleClass":
-        if poly.ring != self.ring:
+        if poly.ring is not self.ring:
             raise ValueError("scalar lives in the wrong ring")
         return CycleClass(self.genus, {g: poly * p for g, p in self.coeffs.items()})
 
@@ -430,7 +434,7 @@ class LiftClass(_Value):
     @staticmethod
     def _family(ring: LaurentRing, data) -> LaurentPoly:
         if isinstance(data, LaurentPoly):
-            if data.ring != ring:
+            if data.ring is not ring:
                 raise ValueError("coefficient family lives in the wrong ring")
             return data
         return LaurentPoly(ring, dict(data))

@@ -11,16 +11,17 @@ and one code path.  Term maps are unordered: arithmetic never sorts, and
 equality and hashing ignore insertion order.  Order is imposed only
 where it shows, when a polynomial is printed or serialized.
 
-There is one ring object per signature (single_variable_ring,
-surface_ring and as_domain hand out the same object for the same names
-and domain), so ring checks are identity checks in the common case.
+There is one ring object per signature: the LaurentRing constructor,
+and so single_variable_ring, surface_ring and as_domain, hand out the
+one shared ring for the same names and domain, so every ring check is
+an identity check.
 A product by a single term moves and scales the other operand's terms;
 every other product is one integer convolution of the numerators,
 _convolve, over the product of the denominators, once each operand's
 denominator is cancelled against the other's numerators; by Gauss's
-lemma that leaves the product in lowest terms.  A sum adds numerators
-over the lcm of the denominators and is reduced once, by one gcd of its
-denominator and every numerator.
+lemma that leaves the product in lowest terms.  A sum or difference,
+_sum, adds numerators over the lcm of the denominators and is reduced
+once, by one gcd of its denominator and every numerator.
 Sums, products, parsing and printing build no Fraction: one is built
 only where a Q coefficient is read, through terms or coeff.
 
@@ -78,8 +79,9 @@ def _exponent_vector(exponents: Sequence[int],
 
 class _Value:
     """Base of the immutable value classes.  A subclass names its fields
-    in __slots__, in the order of its __init__ parameters, and sets each
-    once in __init__ through object.__setattr__; two instances of one
+    in __slots__, in the order of its constructor's parameters, and sets
+    each once, in __init__ (in __new__ for the shared LaurentRing),
+    through object.__setattr__; two instances of one
     class are equal when their fields are, and hash, print and copy by
     their fields."""
 
@@ -112,11 +114,12 @@ class _Value:
 
 
 class LaurentRing(_Value):
-    """A Laurent polynomial ring signature: variable names and domain."""
+    """A Laurent polynomial ring signature: variable names and domain.
+    The constructor hands out the one shared ring of each signature."""
 
     __slots__ = ("names", "domain")
 
-    def __init__(self, names: Sequence[str], domain: str = "Z"):
+    def __new__(cls, names: Sequence[str], domain: str = "Z"):
         if domain not in ("Z", "Q"):
             raise ValueError(f"unknown coefficient domain {domain!r}")
         names = tuple(names)
@@ -125,11 +128,13 @@ class LaurentRing(_Value):
                 raise TypeError(f"variable name {name!r} is not a string")
         if not names or len(set(names)) != len(names):
             raise ValueError("variable names must be nonempty and distinct")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "domain", domain)
-
-    def __reduce__(self):  # the one shared ring object per signature
-        return _ring, (self.names, self.domain)
+        ring = _RINGS.get((names, domain))
+        if ring is None:
+            ring = object.__new__(cls)
+            object.__setattr__(ring, "names", names)
+            object.__setattr__(ring, "domain", domain)
+            _RINGS[names, domain] = ring
+        return ring
 
     @property
     def nvars(self) -> int:
@@ -174,6 +179,9 @@ class LaurentRing(_Value):
             if name_or_index not in self.names:
                 raise ValueError(f"no variable {name_or_index!r} in ring {self.names}")
             idx = self.names.index(name_or_index)
+        elif type(name_or_index) is not int:
+            raise TypeError(f"variable index {name_or_index!r} is not "
+                            "an integer")
         else:
             idx = name_or_index
             if not 0 <= idx < self.nvars:
@@ -183,18 +191,12 @@ class LaurentRing(_Value):
         return self.monomial(exps)
 
 
-@cache
-def _ring(names: tuple[str, ...], domain: str) -> LaurentRing:
-    # the one shared ring object per signature
-    return LaurentRing(names, domain)
-
-
-def _same_ring(r1: LaurentRing, r2: LaurentRing) -> bool:
-    return r1 is r2 or r1 == r2
+# the one ring per (names, domain)
+_RINGS: dict[tuple[tuple[str, ...], str], LaurentRing] = {}
 
 
 def single_variable_ring(name: str = "t", domain: str = "Z") -> LaurentRing:
-    return _ring((name,), domain)
+    return LaurentRing((name,), domain)
 
 
 @cache
@@ -204,7 +206,7 @@ def surface_ring(genus: int, domain: str = "Z") -> LaurentRing:
         raise ValueError(f"genus must be at least 2, got {genus}")
     s_names = tuple(f"s{i}" for i in range(2, genus + 1))
     t_names = tuple(f"t{i}" for i in range(2, genus + 1))
-    return _ring(s_names + t_names, domain)
+    return LaurentRing(s_names + t_names, domain)
 
 
 def _convolve(f, g) -> dict:
@@ -222,16 +224,6 @@ def _convolve(f, g) -> dict:
     return out
 
 
-def _reduced(ring: LaurentRing, num: dict, den: int) -> "LaurentPoly":
-    """The polynomial num / den (nonzero integers over a positive den) in
-    lowest terms, by one gcd of den and every numerator."""
-    g = gcd(den, *num.values())
-    if g != 1:
-        num = {e: c // g for e, c in num.items()}
-        den //= g
-    return _make(ring, num, den)
-
-
 def _cancel(items, numerators, den: int):
     """items (exponents, numerator) and den, each divided by the gcd of
     den and the numerators."""
@@ -241,13 +233,33 @@ def _cancel(items, numerators, den: int):
     return [(e, c // g) for e, c in items], den // g
 
 
-def _over_lcm(f: "LaurentPoly", g: "LaurentPoly"):
-    """The numerators of f (a new dict) and of g (term pairs), both over
-    the lcm of their denominators, and that lcm."""
-    den = lcm(f.den, g.den)
-    sf, sg = den // f.den, den // g.den
-    return ({e: c * sf for e, c in f.num.items()},
-            [(e, c * sg) for e, c in g.num.items()], den)
+def _sum(f: "LaurentPoly", g, sign: int):
+    """f + sign * g, NotImplemented when g is not a polynomial: the
+    numerators are added over the lcm of the denominators, and the sum
+    is reduced by one gcd of its denominator and every numerator."""
+    if not isinstance(g, LaurentPoly):
+        return NotImplemented
+    f._check_ring(g)
+    den = f.den
+    if den == g.den:
+        out = dict(f.num)
+    else:
+        den = lcm(den, g.den)
+        scale = den // f.den
+        out = {e: c * scale for e, c in f.num.items()}
+        sign *= den // g.den
+    for exps, c in g.num.items():
+        s = out.get(exps, 0) + sign * c
+        if s:
+            out[exps] = s
+        else:
+            del out[exps]
+    if den != 1:
+        content = gcd(den, *out.values())
+        if content != 1:
+            out = {e: c // content for e, c in out.items()}
+            den //= content
+    return _make(f.ring, out, den)
 
 
 class _FractionTerms(Mapping):
@@ -327,7 +339,7 @@ class LaurentPoly(_Value):
         return LaurentPoly, (self.ring, dict(self.terms))
 
     def _check_ring(self, other: "LaurentPoly"):
-        if not _same_ring(self.ring, other.ring):
+        if other.ring is not self.ring:
             raise RingMismatchError(
                 f"mixed rings: {self.ring.names}/{self.ring.domain} "
                 f"vs {other.ring.names}/{other.ring.domain}"
@@ -338,46 +350,20 @@ class LaurentPoly(_Value):
     # formed, and no gcd is taken.
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_ring(other)
-        den = self.den
-        if den == other.den:
-            out, items = dict(self.num), other.num.items()
-        else:
-            out, items, den = _over_lcm(self, other)
-        for exps, c in items:
-            s = out.get(exps, 0) + c
-            if s:
-                out[exps] = s
-            else:
-                del out[exps]
-        if den == 1:
-            return _make(self.ring, out, 1)
-        return _reduced(self.ring, out, den)
+        return _sum(self, other, 1)
 
     def __neg__(self) -> "LaurentPoly":
         return _make(
             self.ring, {e: -c for e, c in self.num.items()}, self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check_ring(other)
-        den = self.den
-        if den == other.den:
-            out, items = dict(self.num), other.num.items()
-        else:
-            out, items, den = _over_lcm(self, other)
-        for exps, c in items:
-            s = out.get(exps, 0) - c
-            if s:
-                out[exps] = s
-            else:
-                del out[exps]
-        if den == 1:
-            return _make(self.ring, out, 1)
-        return _reduced(self.ring, out, den)
+        return _sum(self, other, -1)
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
+        if not isinstance(other, LaurentPoly):
+            return NotImplemented
         self._check_ring(other)
         # an operand c x^e of at most one term moves the other's exponents
         # by e and scales by c: in a domain no two terms meet, none vanishes
@@ -429,8 +415,8 @@ class LaurentPoly(_Value):
         return self._times_term(self.ring.constant(c))
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if not isinstance(n, int):
-            raise TypeError("exponent must be an integer")
+        if type(n) is not int:
+            raise TypeError(f"exponent {n!r} is not an integer")
         if n < 0:
             return self.unit_inverse() ** (-n)
         result = self.ring.one()
@@ -492,7 +478,7 @@ class LaurentPoly(_Value):
 
     def as_domain(self, domain: str) -> "LaurentPoly":
         """The same polynomial viewed in the ring with the given domain."""
-        target = _ring(self.ring.names, domain)
+        target = LaurentRing(self.ring.names, domain)
         if target is self.ring:
             return self
         if self.den != 1:  # over Q, with a coefficient outside Z
@@ -567,14 +553,14 @@ class RingHom(_Value):
                 f"{len(images)} images for {source.nvars} variables"
             )
         for im in images:
-            if not _same_ring(im.ring, target):
+            if im.ring is not target:
                 raise RingMismatchError("image polynomial outside the target ring")
         object.__setattr__(self, "source", source)
         object.__setattr__(self, "target", target)
         object.__setattr__(self, "images", images)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        if not _same_ring(f.ring, self.source):
+        if f.ring is not self.source:
             raise RingMismatchError("argument does not live in the source ring")
         total, den = self.target.zero(), f.den
         for exps, c in f.num.items():

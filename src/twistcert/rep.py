@@ -47,7 +47,7 @@ class Matrix2(_Value):
                  d: LaurentPoly):
         ring = a.ring
         for entry in (b, c, d):
-            if entry.ring is not ring and entry.ring != ring:
+            if entry.ring is not ring:
                 raise ValueError("matrix entries live in different rings")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
@@ -67,7 +67,7 @@ class Matrix2(_Value):
     def from_rows(cls, ring: LaurentRing, rows: Sequence[Sequence]) -> "Matrix2":
         def entry(name, x) -> LaurentPoly:
             if isinstance(x, LaurentPoly):
-                if x.ring != ring:
+                if x.ring is not ring:
                     raise ValueError("entry lives in the wrong ring")
                 return x
             if isinstance(x, str):
@@ -89,7 +89,7 @@ class Matrix2(_Value):
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         if not isinstance(other, Matrix2):
             return NotImplemented
-        if self.ring is not other.ring and self.ring != other.ring:
+        if self.ring is not other.ring:
             raise ValueError("matrices live in different rings")
         return Matrix2(
             self.a * other.a + self.b * other.c,
@@ -110,9 +110,13 @@ class Matrix2(_Value):
                        -(inv_det * self.c), inv_det * self.a)
 
     def __add__(self, other: "Matrix2") -> "Matrix2":
+        if not isinstance(other, Matrix2):
+            return NotImplemented
         return Matrix2(*(x + y for x, y in zip(self.entries(), other.entries())))
 
     def __sub__(self, other: "Matrix2") -> "Matrix2":
+        if not isinstance(other, Matrix2):
+            return NotImplemented
         return Matrix2(*(x - y for x, y in zip(self.entries(), other.entries())))
 
     def scale(self, c) -> "Matrix2":

@@ -274,7 +274,7 @@ def test_phi_is_built_once_per_ring():
     q3 = phi_hom(surface_ring(3, "Q"))
     assert q3 is not phi_hom(L3)
     assert q3.target == TQ
-    # an equal ring built apart from surface_ring gets the same map
+    # a ring built apart from surface_ring is the same ring
     assert phi_hom(LaurentRing(L3.names)) is phi_hom(L3)
 
 
@@ -841,16 +841,24 @@ def test_rings_are_shared_objects():
     f = parse_poly("t - 2 + t^-1", T)
     assert f.as_domain("Q").ring is single_variable_ring("t", "Q")
     assert f.as_domain("Z") is f
-    # a ring built directly is equal to the shared one and mixes with it
-    assert LaurentRing(("t",), "Q") == TQ
+    # a ring built directly is the shared one
+    assert LaurentRing(["t"]) is single_variable_ring()
+    assert LaurentRing(("t",), "Q") is TQ
+    assert LaurentRing(L3.names, "Q") is surface_ring(3, "Q")
     assert LaurentPoly(LaurentRing(("t",), "Q"), {(1,): 1}) + TQ.one() == \
         parse_poly("t + 1", TQ)
+    for ring in (T, TQ, L3):
+        assert copy.copy(ring) is ring
+        f = ring.variable(0) - ring.one()
+        assert pickle.loads(pickle.dumps(f)).ring is ring
+        assert copy.deepcopy(f).ring is ring
+        assert f.as_domain("Q").as_domain(ring.domain).ring is ring
 
 
 def test_ring_names_are_a_tuple_of_strings():
     # a ring built from a list is hashable, so the cached maps accept it
     ring = LaurentRing(["t"])
-    assert ring.names == ("t",) and ring == T and hash(ring) == hash(T)
+    assert ring.names == ("t",) and ring is T
     f = LaurentPoly(ring, {(1,): 1})
     assert specialize_single(f, 1) == f
     assert specialize_phi(LaurentPoly(LaurentRing(list(L2.names)),
@@ -863,6 +871,20 @@ def test_ring_names_are_a_tuple_of_strings():
         with pytest.raises(ValueError,
                            match="^variable names must be nonempty and distinct$"):
             LaurentRing(names)
+
+
+@pytest.mark.parametrize("value", [True, False, 0.5, 1.0, "1", Fraction(1)],
+                         ids=repr)
+def test_powers_and_variable_indices_refuse_non_integers(value):
+    # a bool is an int to Python, but neither a power nor an index here
+    t = T.variable(0)
+    with pytest.raises(TypeError, match="^exponent .* is not an integer$"):
+        t ** value
+    if not isinstance(value, str):  # a string is a variable name
+        with pytest.raises(TypeError,
+                           match="^variable index .* is not an integer$"):
+            L2.variable(value)
+    assert t ** 1 == t and L2.variable(1) == L2.variable("t2")
 
 
 def test_parser_exponent_limit():

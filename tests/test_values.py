@@ -90,7 +90,8 @@ def test_equal_fields_give_equal_values_and_hashes(case):
     cls, fields, value, other = case
     values = [getattr(value, name) for name in fields]
     for twin in (cls(*values), cls(**dict(zip(fields, values)))):
-        assert twin is not value
+        # the constructor hands out the one shared ring per signature
+        assert (twin is value) == (cls is LaurentRing)
         assert twin == value and not twin != value
         assert hash(twin) == hash(value)
     assert value != other and not value == other
@@ -141,6 +142,29 @@ def test_an_unpickled_ring_is_the_shared_ring():
         assert copy.deepcopy(ring) is ring
     poly = copy.deepcopy(canonical_lift(3)).m
     assert poly.ring is surface_ring(3)
+
+
+@pytest.mark.parametrize("operation", [
+    lambda: series_ring().variable(0) + 1,
+    lambda: 1 + series_ring().variable(0),
+    lambda: series_ring().variable(0) - 1,
+    lambda: 1 - series_ring().variable(0),
+    lambda: series_ring().variable(0) * 1.5,
+    lambda: 1.5 * series_ring().variable(0),
+    lambda: series_ring().variable(0) * None,
+    lambda: matrix_N() + 1,
+    lambda: matrix_N() - 1,
+    lambda: 1 - matrix_N(),
+    lambda: canonical_lift(2).w + 1,
+    lambda: canonical_lift(2).w - 1,
+    lambda: canonical_lift(2).w - matrix_N(),
+], ids=["poly+int", "int+poly", "poly-int", "int-poly", "poly*float",
+        "float*poly", "poly*None", "matrix+int", "matrix-int", "int-matrix",
+        "class+int", "class-int", "class-matrix"])
+def test_a_foreign_operand_raises_type_error(operation):
+    # the value returns NotImplemented, so Python names both operand types
+    with pytest.raises(TypeError, match="unsupported operand"):
+        operation()
 
 
 def test_repr_names_the_class(case):

@@ -52,8 +52,8 @@ from .homology import (
     pairing_polynomial,
     pushforward_b1_twist,
 )
-from .laurent import (_MAX_DIGITS, _Value, monomial_text, oversized_term,
-                      signed_terms, specialize_phi)
+from .laurent import (MAX_DIGITS, _require_int, _Value, monomial_text,
+                      oversized_term, signed_terms, specialize_phi)
 from .rep import (
     Matrix2,
     at_k,
@@ -109,8 +109,7 @@ class AmalgamLetter(_Value):
         in_a, in_b = _sides(sl2)
         if not (in_a if side == "A" else in_b):
             raise ValueError(f"matrix {matrix} is not in side {side}")
-        object.__setattr__(self, "side", side)
-        object.__setattr__(self, "matrix", sl2)
+        self._set(side, sl2)
 
     def __str__(self):
         return f"({self.side}) {self.matrix}"
@@ -168,8 +167,9 @@ def double_cosets_distinct(k: int, l: int) -> dict:
     Equivalently, u = M_l^-1 M_k = M_{k-l}, whose lower-left entry is
     the constant k - l.
     """
-    if k < 1 or l < 1:
-        raise ValueError("twist powers must be at least 1")
+    for power in (k, l):
+        if _require_int(power, "twist power") < 1:
+            raise ValueError("twist powers must be at least 1")
     return _pair_record(k, l)
 
 
@@ -229,7 +229,7 @@ def _check_printable(letter: Matrix2, index: int):
         if oversized_term(entry.num, entry.den) is not None:
             raise ValueError(
                 f"normal form letter {index}: entry {name} has a coefficient "
-                f"of more than {_MAX_DIGITS} digits, too long to print")
+                f"of more than {MAX_DIGITS} digits, too long to print")
 
 
 def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
@@ -253,7 +253,7 @@ def amalgam_normal_form(mat: Matrix2) -> list[AmalgamLetter]:
     displacement of the base vertex plus one.
 
     A letter, or the final remainder, with a coefficient of more than
-    laurent._MAX_DIGITS digits above or below its fraction bar, which
+    laurent.MAX_DIGITS digits above or below its fraction bar, which
     cannot be printed, raises ValueError as soon as it is formed.
     """
     original = as_sl2(mat)

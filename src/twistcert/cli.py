@@ -31,9 +31,9 @@ from .amalgam import (
 )
 from .homology import MAX_GENUS, EpsilonTable, LiftClass, canonical_lift
 from .laurent import (
+    MAX_DIGITS,
     LaurentRing,
     ParseError,
-    _MAX_DIGITS,
     parse_poly,
     single_variable_ring,
     surface_ring,
@@ -102,9 +102,9 @@ def _decode_json(text: str, what: str):
     """json.loads for every JSON input: text nested too deep for the
     decoder, or an integer too long to convert, is a ValueError."""
     def parse_int(literal: str) -> int:
-        if len(literal.lstrip("-")) > _MAX_DIGITS:
+        if len(literal.lstrip("-")) > MAX_DIGITS:
             raise ValueError(f"{what} JSON has an integer of more than "
-                             f"{_MAX_DIGITS} digits")
+                             f"{MAX_DIGITS} digits")
         return int(literal)
     try:
         return json.loads(text, parse_int=parse_int)

@@ -29,11 +29,13 @@ from collections.abc import Iterable, Mapping, Sequence
 
 from .laurent import (
     MAX_EXPONENT,
+    MAX_DIGITS,
     MAX_TERMS,
-    _MAX_DIGITS,
     ExponentVector,
     LaurentPoly,
     LaurentRing,
+    _require_int,
+    _require_ring,
     _Value,
     parse_poly,
     surface_ring,
@@ -51,7 +53,7 @@ _EXPONENT_KEY = re.compile(r"-?\d+(,-?\d+)*", re.ASCII)
 _COMMUTATOR_KEY = re.compile(r"c:([1-9]\d{0,8}):([1-9]\d{0,8})", re.ASCII)
 # each coefficient printed by rho or a per-k record (k <= 1000) sums at most
 # (1 + k)^2 MAX_TERMS^2 < 10^13 products of two lift coefficients, so it has
-# at most 2 * 2143 + 13 = 4299 digits, within _MAX_DIGITS
+# at most 2 * 2143 + 13 = 4299 digits, within MAX_DIGITS
 MAX_LIFT_DIGITS = 2143
 _LIFT_COEFF_LIMIT = 10 ** MAX_LIFT_DIGITS
 # the coefficient digits of each of m and n added up: each product of the
@@ -96,16 +98,13 @@ class Generator(_Value):
         if kind not in self._KINDS:
             raise ValueError(f"unknown generator kind {kind!r}")
         for index in (i, j):
-            if type(index) is not int:
-                raise TypeError(f"generator index {index!r} is not an integer")
+            _require_int(index, "generator index")
         if kind == "comm":
             if not 1 <= i < j:
                 raise ValueError(f"bad commutator indices ({i}, {j})")
         elif i or j:
             raise ValueError(f"{kind} takes no indices")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "i", i)
-        object.__setattr__(self, "j", j)
+        self._set(kind, i, j)
 
     @classmethod
     def a1(cls) -> "Generator":
@@ -191,7 +190,7 @@ class EpsilonTable:
                  parallel: Mapping[tuple[int, int, int], int] = ()):
         if genus < 2:
             raise ValueError(f"genus must be at least 2, got {genus}")
-        self.genus = genus
+        self._genus = genus
         self._signs = {}
         self._seed = None  # set by seeded: the draw waits for a lookup
         # one rule for every key: it is the storage key of two pairs of
@@ -212,6 +211,10 @@ class EpsilonTable:
                     raise ValueError(f"epsilon value {v} outside {{-1, 0, 1}}")
                 if v:
                     self._signs[key] = v
+
+    @property
+    def genus(self) -> int:
+        return self._genus
 
     @classmethod
     def _from_signs(cls, genus: int, signs: Mapping[tuple, int]):
@@ -344,17 +347,11 @@ class CycleClass(_Value):
         clean = {}
         for gen, poly in dict(coeffs).items():
             gen.validate(genus)
-            if poly.ring is not ring:
-                raise ValueError(
-                    f"coefficient of {gen.key()} lives in the wrong ring"
-                )
+            _require_ring(poly, ring, f"coefficient of {gen.key()}")
             if poly:
                 clean[gen] = poly
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(
-            self, "coeffs",
-            {g: clean[g] for g in sorted(clean, key=Generator.sort_key)},
-        )
+        self._set(genus, {g: clean[g]
+                          for g in sorted(clean, key=Generator.sort_key)})
 
     @classmethod
     def basis(cls, genus: int, gen: Generator) -> "CycleClass":
@@ -379,14 +376,11 @@ class CycleClass(_Value):
     def __hash__(self):  # coeffs is a dict, hashed by its items
         return hash((self.genus, tuple(self.coeffs.items())))
 
-    def _check(self, other: "CycleClass"):
-        if self.genus != other.genus:
-            raise ValueError(f"mixed genera {self.genus} and {other.genus}")
-
     def __add__(self, other: "CycleClass") -> "CycleClass":
         if not isinstance(other, CycleClass):
             return NotImplemented
-        self._check(other)
+        if self.genus != other.genus:
+            raise ValueError(f"mixed genera {self.genus} and {other.genus}")
         out = dict(self.coeffs)
         for gen, poly in other.coeffs.items():
             out[gen] = out.get(gen, self.ring.zero()) + poly
@@ -398,8 +392,7 @@ class CycleClass(_Value):
         return self + other.scaled_by(self.ring.constant(-1))
 
     def scaled_by(self, poly: LaurentPoly) -> "CycleClass":
-        if poly.ring is not self.ring:
-            raise ValueError("scalar lives in the wrong ring")
+        _require_ring(poly, self.ring, "scalar")
         return CycleClass(self.genus, {g: poly * p for g, p in self.coeffs.items()})
 
     def __repr__(self):
@@ -426,17 +419,12 @@ class LiftClass(_Value):
             raise ValueError("w-part has the wrong genus")
         if w.coeffs.get(Generator.a1()) or w.coeffs.get(Generator.b1()):
             raise ValueError("w-part must be supported on commutator generators")
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "m", self._family(ring, m))
-        object.__setattr__(self, "n", self._family(ring, n))
+        self._set(genus, w, self._family(ring, m), self._family(ring, n))
 
     @staticmethod
     def _family(ring: LaurentRing, data) -> LaurentPoly:
         if isinstance(data, LaurentPoly):
-            if data.ring is not ring:
-                raise ValueError("coefficient family lives in the wrong ring")
-            return data
+            return _require_ring(data, ring, "coefficient family")
         return LaurentPoly(ring, dict(data))
 
     @property
@@ -491,9 +479,9 @@ class LiftClass(_Value):
                 if not _EXPONENT_KEY.fullmatch(str(key)):
                     raise ValueError(f"bad exponent key {key!r} in {name}")
                 parts = str(key).split(",")
-                if any(len(p.lstrip("-")) > _MAX_DIGITS for p in parts):
+                if any(len(p.lstrip("-")) > MAX_DIGITS for p in parts):
                     raise ValueError(f"exponent key in {name} has a number "
-                                     f"of more than {_MAX_DIGITS} digits")
+                                     f"of more than {MAX_DIGITS} digits")
                 exps = tuple(map(int, parts))
                 if len(exps) != ring.nvars:
                     raise ValueError(
@@ -653,6 +641,5 @@ def pushforward_b1_twist(lift: LiftClass, k: int) -> LiftClass:
     a1 |-> a1 + b1 (k times), b1 and the commutator part fixed, so only
     the n family moves: n |-> n + k m.
     """
-    if not isinstance(k, int):
-        raise TypeError("twist power must be an integer")
-    return LiftClass(lift.genus, lift.w, lift.m, lift.n + lift.m.scale(k))
+    return LiftClass(lift.genus, lift.w, lift.m,
+                     lift.n + lift.m.scale(_require_int(k, "twist power")))

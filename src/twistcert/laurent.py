@@ -70,26 +70,47 @@ def _exponent_vector(exponents: Sequence[int],
     exps = tuple(exponents)
     for e in exps:
         if type(e) is not int:
-            raise TypeError(f"exponent {e!r} is not an integer")
+            _require_int(e, "exponent")
     if len(exps) != ring.nvars:
         raise RingMismatchError(f"exponent vector of length {len(exps)} "
                                 f"in a {ring.nvars}-variable ring")
     return exps
 
 
+def _require_int(value, what: str) -> int:
+    """value, if it is an int; a bool, a float or a string is refused."""
+    if type(value) is not int:
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return value
+
+
+def _require_ring(value, ring: LaurentRing, what: str):
+    """value, if it lives in the ring; the error names what it is."""
+    if value.ring is not ring:
+        raise RingMismatchError(
+            f"{what} lives in {value.ring.names}/{value.ring.domain}, "
+            f"not in {ring.names}/{ring.domain}")
+    return value
+
+
 class _Value:
     """Base of the immutable value classes.  A subclass names its fields
-    in __slots__, in the order of its constructor's parameters, and sets
-    each once, in __init__ (in __new__ for the shared LaurentRing),
-    through object.__setattr__; two instances of one
-    class are equal when their fields are, and hash, print and copy by
-    their fields."""
+    in __slots__, in the order of its constructor's parameters; its
+    constructor (__new__ for the shared LaurentRing) validates them and
+    ends in one self._set(...), in slot order.  Two instances of one class
+    are equal when their fields are, and hash, print and copy by them."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
         super().__init_subclass__()
         cls._values = attrgetter(*cls.__slots__)
+        cls._setters = tuple(getattr(cls, name).__set__
+                             for name in cls.__slots__)
+
+    def _set(self, *values):
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, *name_and_value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -131,8 +152,7 @@ class LaurentRing(_Value):
         ring = _RINGS.get((names, domain))
         if ring is None:
             ring = object.__new__(cls)
-            object.__setattr__(ring, "names", names)
-            object.__setattr__(ring, "domain", domain)
+            ring._set(names, domain)
             _RINGS[names, domain] = ring
         return ring
 
@@ -179,11 +199,8 @@ class LaurentRing(_Value):
             if name_or_index not in self.names:
                 raise ValueError(f"no variable {name_or_index!r} in ring {self.names}")
             idx = self.names.index(name_or_index)
-        elif type(name_or_index) is not int:
-            raise TypeError(f"variable index {name_or_index!r} is not "
-                            "an integer")
         else:
-            idx = name_or_index
+            idx = _require_int(name_or_index, "variable index")
             if not 0 <= idx < self.nvars:
                 raise ValueError(f"variable index {idx} out of range")
         exps = [0] * self.nvars
@@ -226,8 +243,9 @@ def _convolve(f, g) -> dict:
 
 def _cancel(items, numerators, den: int):
     """items (exponents, numerator) and den, each divided by the gcd of
-    den and the numerators."""
-    g = gcd(den, *numerators)
+    den and the numerators, taken with their sum first: that gcd is most
+    often small, where numerators sharing den's factors keep a chain large."""
+    g = gcd(gcd(den, sum(numerators)), *numerators)
     if g == 1:
         return items, den
     return [(e, c // g) for e, c in items], den // g
@@ -236,7 +254,8 @@ def _cancel(items, numerators, den: int):
 def _sum(f: "LaurentPoly", g, sign: int):
     """f + sign * g, NotImplemented when g is not a polynomial: the
     numerators are added over the lcm of the denominators, and the sum
-    is reduced by one gcd of its denominator and every numerator."""
+    is reduced by one gcd of its denominator and every numerator, as in
+    _cancel."""
     if not isinstance(g, LaurentPoly):
         return NotImplemented
     f._check_ring(g)
@@ -255,7 +274,7 @@ def _sum(f: "LaurentPoly", g, sign: int):
         else:
             del out[exps]
     if den != 1:
-        content = gcd(den, *out.values())
+        content = gcd(gcd(den, sum(out.values())), *out.values())
         if content != 1:
             out = {e: c // content for e, c in out.items()}
             den //= content
@@ -310,10 +329,8 @@ class LaurentPoly(_Value):
             if c:
                 cleaned[key] = cleaned.get(key, 0) + c
         den = lcm(*(c.denominator for c in cleaned.values()))
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "num", {k: c.numerator * (den // c.denominator)
-                                         for k, c in cleaned.items() if c})
-        object.__setattr__(self, "den", den)
+        self._set(ring, {k: c.numerator * (den // c.denominator)
+                         for k, c in cleaned.items() if c}, den)
 
     # -- basic queries ------------------------------------------------
 
@@ -340,10 +357,7 @@ class LaurentPoly(_Value):
 
     def _check_ring(self, other: "LaurentPoly"):
         if other.ring is not self.ring:
-            raise RingMismatchError(
-                f"mixed rings: {self.ring.names}/{self.ring.domain} "
-                f"vs {other.ring.names}/{other.ring.domain}"
-            )
+            _require_ring(other, self.ring, "operand")
 
     # -- ring operations ----------------------------------------------
     # With every denominator 1, as over Z, a result is in lowest terms as
@@ -415,9 +429,7 @@ class LaurentPoly(_Value):
         return self._times_term(self.ring.constant(c))
 
     def __pow__(self, n: int) -> "LaurentPoly":
-        if type(n) is not int:
-            raise TypeError(f"exponent {n!r} is not an integer")
-        if n < 0:
+        if _require_int(n, "exponent") < 0:
             return self.unit_inverse() ** (-n)
         result = self.ring.one()
         base = self
@@ -446,11 +458,6 @@ class LaurentPoly(_Value):
         return _make(self.ring, {
             tuple(-e for e in exps): c for exps, c in self.num.items()},
             self.den)
-
-    def evaluate_at_one(self) -> Coeff:
-        """The coefficient sum, i.e. the value at (1, ..., 1)."""
-        s = sum(self.num.values())
-        return s if self.ring.domain == "Z" else Fraction(s, self.den)
 
     def is_balanced(self) -> bool:
         """Zero coefficient sum and symmetric under exponent negation."""
@@ -496,15 +503,13 @@ class LaurentPoly(_Value):
         return f"<LaurentPoly {self} over {'/'.join(self.ring.names)};{self.ring.domain}>"
 
 
-_set_ring, _set_num, _set_den = (
-    LaurentPoly.ring.__set__, LaurentPoly.num.__set__, LaurentPoly.den.__set__)
+_set_ring, _set_num, _set_den = LaurentPoly._setters
 
 
 def _make(ring: LaurentRing, num: dict, den: int) -> LaurentPoly:
     """The polynomial num / den, with no check: the caller guarantees
     nonzero integer numerators and a positive den coprime to their
-    content.  The slots are set through their descriptors, the cheapest
-    way past _Value's __setattr__."""
+    content.  It calls _set's setters inline, on the hot path."""
     poly = object.__new__(LaurentPoly)
     _set_ring(poly, ring)
     _set_num(poly, num)
@@ -553,15 +558,11 @@ class RingHom(_Value):
                 f"{len(images)} images for {source.nvars} variables"
             )
         for im in images:
-            if im.ring is not target:
-                raise RingMismatchError("image polynomial outside the target ring")
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "images", images)
+            _require_ring(im, target, "image polynomial")
+        self._set(source, target, images)
 
     def apply(self, f: LaurentPoly) -> LaurentPoly:
-        if f.ring is not self.source:
-            raise RingMismatchError("argument does not live in the source ring")
+        _require_ring(f, self.source, "argument")
         total, den = self.target.zero(), f.den
         for exps, c in f.num.items():
             term = self.target.constant(c if den == 1 else Fraction(c, den))
@@ -603,7 +604,7 @@ def specialize_phi(f: LaurentPoly) -> LaurentPoly:
 def specialize_single(f: LaurentPoly, keep: int) -> LaurentPoly:
     """Send every variable except the keep-th (1-based) to 1."""
     ring = f.ring
-    if not 1 <= keep <= ring.nvars:
+    if not 1 <= _require_int(keep, "variable index") <= ring.nvars:
         raise ValueError(f"variable index {keep} out of range 1..{ring.nvars}")
     return _keep_one(ring, keep - 1, ring.names[keep - 1]).apply(f)
 
@@ -620,9 +621,9 @@ def _tokenize(text: str):
     for m in _TOKEN_RE.finditer(text):
         digits, name, op, other = m.groups()
         if digits is not None:
-            if len(digits) > _MAX_DIGITS:
+            if len(digits) > MAX_DIGITS:
                 raise ParseError(f"integer literal has more than "
-                                 f"{_MAX_DIGITS} digits", m.start(1))
+                                 f"{MAX_DIGITS} digits", m.start(1))
             tokens.append(("int", int(digits), m.start(1)))
         elif name is not None:
             tokens.append(("name", name, m.start(2)))
@@ -638,19 +639,19 @@ MAX_NESTING = 200
 MAX_EXPONENT = 1000
 MAX_TERMS = 1000
 # the most digits Python converts between an int and its text by default
-_MAX_DIGITS = 4300
-_COEFF_LIMIT = 10 ** _MAX_DIGITS
+MAX_DIGITS = 4300
+_COEFF_LIMIT = 10 ** MAX_DIGITS
 # a common denominator of two coefficients at the digit limit; each term
 # printed reduces its numerator by one gcd with it, so its size bounds
 # what printing and each parser check cost
-MAX_DENOMINATOR_DIGITS = 2 * _MAX_DIGITS
+MAX_DENOMINATOR_DIGITS = 2 * MAX_DIGITS
 _DENOMINATOR_LIMIT = 10 ** MAX_DENOMINATOR_DIGITS
 
 
 def oversized_term(num: Mapping[ExponentVector, int],
                    den: int) -> ExponentVector | None:
     """The exponents of the first term of num / den whose coefficient, in
-    lowest terms, has more than _MAX_DIGITS digits above or below its
+    lowest terms, has more than MAX_DIGITS digits above or below its
     fraction bar, past what Python prints; None when there is none.  Each
     term is reduced only when the largest numerator or den is over."""
     if den < _COEFF_LIMIT and max(map(abs, num.values()),
@@ -676,7 +677,7 @@ class _Parser:
     sum and product built along the way, including each step of a
     power, has at most MAX_TERMS terms, exponents at most MAX_EXPONENT
     in absolute value, coefficients whose numerators and denominators
-    in lowest terms have at most _MAX_DIGITS digits, and a common
+    in lowest terms have at most MAX_DIGITS digits, and a common
     denominator of at most MAX_DENOMINATOR_DIGITS digits; so nested
     powers such as (t^100)^20 are refused too.  A product is refused before it is formed when its operands'
     term counts multiply to more than MAX_TERMS, the size it has before
@@ -824,7 +825,7 @@ class _Parser:
                     raise ParseError(f"exponent {e} exceeds the limit of "
                                      f"{MAX_EXPONENT} in absolute value", pos)
             if exps is oversized:
-                raise ParseError(f"coefficient has more than {_MAX_DIGITS} "
+                raise ParseError(f"coefficient has more than {MAX_DIGITS} "
                                  "digits", pos)
         if den >= _DENOMINATOR_LIMIT:
             raise ParseError("common denominator has more than "

@@ -31,6 +31,8 @@ from .homology import LiftClass, validate_lift
 from .laurent import (
     LaurentPoly,
     LaurentRing,
+    _require_int,
+    _require_ring,
     _Value,
     parse_poly,
     single_variable_ring,
@@ -46,13 +48,10 @@ class Matrix2(_Value):
     def __init__(self, a: LaurentPoly, b: LaurentPoly, c: LaurentPoly,
                  d: LaurentPoly):
         ring = a.ring
-        for entry in (b, c, d):
+        for entry in (b, c, d):  # tested inline on the hot path
             if entry.ring is not ring:
-                raise ValueError("matrix entries live in different rings")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
+                _require_ring(entry, ring, "matrix entry")
+        self._set(a, b, c, d)
 
     @property
     def ring(self) -> LaurentRing:
@@ -67,9 +66,7 @@ class Matrix2(_Value):
     def from_rows(cls, ring: LaurentRing, rows: Sequence[Sequence]) -> "Matrix2":
         def entry(name, x) -> LaurentPoly:
             if isinstance(x, LaurentPoly):
-                if x.ring is not ring:
-                    raise ValueError("entry lives in the wrong ring")
-                return x
+                return _require_ring(x, ring, f"matrix entry {name}")
             if isinstance(x, str):
                 return parse_poly(x, ring, f"matrix entry {name}")
             return ring.constant(x)
@@ -89,8 +86,6 @@ class Matrix2(_Value):
     def __matmul__(self, other: "Matrix2") -> "Matrix2":
         if not isinstance(other, Matrix2):
             return NotImplemented
-        if self.ring is not other.ring:
-            raise ValueError("matrices live in different rings")
         return Matrix2(
             self.a * other.a + self.b * other.c,
             self.a * other.b + self.b * other.d,
@@ -228,9 +223,8 @@ def matrix_N() -> Matrix2:
 
 def matrix_Mk(k: int) -> Matrix2:
     """The image of the k-th power of the handle twist: [[1, 0], [k, 1]]."""
-    if not isinstance(k, int):
-        raise TypeError("twist power must be an integer")
-    return Matrix2.from_rows(single_variable_ring(), [[1, 0], [k, 1]])
+    return Matrix2.from_rows(single_variable_ring(),
+                             [[1, 0], [_require_int(k, "twist power"), 1]])
 
 
 def conjugate_in_k(mat: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:

@@ -30,8 +30,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .laurent import (_MAX_DIGITS, LaurentPoly, ParseError, _Value, parse_poly,
-                      single_variable_ring)
+from .laurent import (MAX_DIGITS, LaurentPoly, ParseError, _require_int,
+                      _Value, parse_poly, single_variable_ring)
 from .rep import Matrix2
 
 _QT = single_variable_ring("t", "Q")
@@ -100,8 +100,7 @@ class RationalFunction(_Value):
         if not den:
             raise ZeroDivisionError("rational function with zero denominator")
         if not num:
-            object.__setattr__(self, "num", _QT.zero())
-            object.__setattr__(self, "den", _QT.one())
+            self._set(num, _QT.one())
             return
         shift_n = num.valuation()
         shift_d = den.valuation()
@@ -113,8 +112,7 @@ class RationalFunction(_Value):
         lead = d1.coeff((d1.degree(),))
         n1 = n1.scale(Fraction(1) / Fraction(lead))
         d1 = d1.scale(Fraction(1) / Fraction(lead))
-        object.__setattr__(self, "num", n1 * _QT.monomial((shift_n - shift_d,), 1))
-        object.__setattr__(self, "den", d1)
+        self._set(n1 * _QT.monomial((shift_n - shift_d,), 1), d1)
 
     @staticmethod
     def _coerce(value) -> LaurentPoly:
@@ -140,8 +138,7 @@ class RationalFunction(_Value):
 
     def __neg__(self):
         out = RationalFunction.__new__(RationalFunction)
-        object.__setattr__(out, "num", -self.num)
-        object.__setattr__(out, "den", self.den)
+        out._set(-self.num, self.den)
         return out
 
     def __sub__(self, other):
@@ -203,15 +200,13 @@ class TreeVertex(_Value):
     __slots__ = ("a", "r")
 
     def __init__(self, a: int, r: LaurentPoly):
-        if type(a) is not int:
-            raise TypeError(f"vertex level {a!r} is not an integer")
+        _require_int(a, "vertex level")
         r = _in_qt(r, "vertex tails are")
         if r and r.degree() >= a:
             raise ValueError(
                 f"vertex tail {r} has exponents at or above level {a}"
             )
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "r", r)
+        self._set(a, r)
 
     def parent(self) -> "TreeVertex":
         """The neighbor one level down."""
@@ -221,7 +216,7 @@ class TreeVertex(_Value):
     def child(self, coefficient) -> "TreeVertex":
         """The neighbor one level up selected by a tail coefficient."""
         return TreeVertex(
-            self.a + 1, self.r + _QT.monomial((self.a,), Fraction(coefficient)))
+            self.a + 1, self.r + _QT.monomial((self.a,), coefficient))
 
     def neighbors(self) -> list["TreeVertex"]:
         """The parent and the children of tail coefficients 0 and 1."""
@@ -241,8 +236,8 @@ def odd_base_vertex() -> TreeVertex:
     return TreeVertex(-1, _QT.zero())
 
 
-# a vertex level: an optional sign and at most _MAX_DIGITS ASCII digits
-_LEVEL = re.compile(rf"[-+]?[0-9]{{1,{_MAX_DIGITS}}}")
+# a vertex level: an optional sign and at most MAX_DIGITS ASCII digits
+_LEVEL = re.compile(rf"[-+]?[0-9]{{1,{MAX_DIGITS}}}")
 
 
 def parse_vertex(text: str) -> TreeVertex:
@@ -409,7 +404,7 @@ def ball_dot(center: TreeVertex, radius: int) -> str:
     Only children whose new tail coefficient is 0 or 1 are explored; the
     full tree is infinitely branching.
     """
-    if radius < 0:
+    if _require_int(radius, "radius") < 0:
         raise ValueError("radius must be nonnegative")
     seen = {center}
     frontier = [center]

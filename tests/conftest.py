@@ -79,6 +79,13 @@ def oracle_value_at_one(f: dict) -> Fraction:
     return sum(f.values(), Fraction(0))
 
 
+def value_at_one(poly: LaurentPoly):
+    """The coefficient sum of a polynomial, its value at (1, ..., 1): an
+    int over Z, a Fraction over Q."""
+    s = sum(poly.num.values())
+    return s if poly.ring.domain == "Z" else Fraction(s, poly.den)
+
+
 def oracle_text(names, f: dict) -> str:
     """The printed polynomial, each coefficient printed as its Fraction."""
     chunks = []

@@ -11,6 +11,7 @@ from conftest import (
     random_epsilon,
     random_poly,
     random_valid_lift,
+    value_at_one,
 )
 from twistcert.homology import (
     CycleClass,
@@ -171,6 +172,17 @@ def test_a_seeded_table_pickles_before_its_draw_and_equals_its_signs():
                 copied}) == 2
 
 
+def test_a_table_genus_is_read_only():
+    # a table hashes by its genus, so a genus that could change would
+    # move the table in every set and dict that holds it
+    table = EpsilonTable(3)
+    before = hash(table)
+    with pytest.raises(AttributeError):
+        table.genus = 4
+    assert table.genus == 3 and hash(table) == before
+    assert pickle.loads(pickle.dumps(table)).genus == 3
+
+
 @pytest.mark.parametrize("disjoint, parallel", [
     ({((3, 4), (1, 2)): 1}, {}),  # reversed
     ({((1, 2), (2, 3)): 1}, {}),  # not disjoint
@@ -324,7 +336,7 @@ def test_pair_kernel_dies_under_every_specialization(seed):
     for _ in range(25):
         kern = pair_kernel(rng.choice(pairs), rng.choice(pairs), eps)
         saw_nonzero = saw_nonzero or bool(kern)
-        assert kern.evaluate_at_one() == 0
+        assert value_at_one(kern) == 0
         assert not specialize_phi(kern)
         for keep in range(1, 2 * genus - 1):
             assert not specialize_single(kern, keep)

@@ -21,6 +21,7 @@ from conftest import (
     oracle_text,
     oracle_unit_inverse,
     oracle_value_at_one,
+    value_at_one,
 )
 from twistcert import laurent
 from twistcert.laurent import (
@@ -183,11 +184,11 @@ def test_balanced_examples():
 @given(poly_st(L2), poly_st(L2))
 def test_balanced_closure(f, g):
     fb = f - f.involution()  # antisymmetric part, may not be balanced
-    sym_f = f + f.involution() - 2 * f.evaluate_at_one() * L2.one()
+    sym_f = f + f.involution() - 2 * value_at_one(f) * L2.one()
     # f + inv(f) has symmetric coefficients; subtracting the constant
     # coefficient sum makes it balanced.
     assert sym_f.is_balanced()
-    sym_g = g + g.involution() - 2 * g.evaluate_at_one() * L2.one()
+    sym_g = g + g.involution() - 2 * value_at_one(g) * L2.one()
     assert (sym_f + sym_g).is_balanced()
     assert (sym_f * sym_g).is_balanced()
     assert sym_f.involution().is_balanced()
@@ -407,9 +408,9 @@ def _oracle_tokenize(text: str):
         if not m:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
         if m.group(1) is not None:
-            if len(m.group(1)) > laurent._MAX_DIGITS:
+            if len(m.group(1)) > laurent.MAX_DIGITS:
                 raise ParseError(f"integer literal has more than "
-                                 f"{laurent._MAX_DIGITS} digits", m.start(1))
+                                 f"{laurent.MAX_DIGITS} digits", m.start(1))
             tokens.append(("int", int(m.group(1)), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
@@ -443,7 +444,7 @@ def test_tokenizer_matches_the_oracle(text):
 
 
 def test_tokenizer_digit_limit_matches_the_oracle():
-    digits = laurent._MAX_DIGITS
+    digits = laurent.MAX_DIGITS
     for text in ("9" * digits, "t + " + "9" * (digits + 1),
                  "\u0663" * (digits + 1) + "*t", " \x1c" + "1" * (digits + 1)):
         outcome = _tokens_or_error(laurent._tokenize, text)
@@ -562,7 +563,7 @@ def test_parser_matches_the_oracle_on_the_alphabet(text, ring):
 
 
 def test_parser_matches_the_oracle_at_the_limits():
-    big = "9" * laurent._MAX_DIGITS
+    big = "9" * laurent.MAX_DIGITS
     cases = ["0*t", "t*0", "0*t^1000*t", "t^1000*t*0", "t^0", "2*t^0*3",
              "2^3*t", "t*2^3", "(t-1)*3/2", "3/2*(t-1)", "3/2*t^-1 - 2*t^3",
              "t^1000*t", "t^-1000*t^-1", "t*t^1000*t^-1", "(1+t)*t^1000",
@@ -732,12 +733,42 @@ def test_arithmetic_matches_the_fraction_oracle(pair):
         assert_normal_form(poly)
         assert poly.ring is f.ring
         assert fraction_terms(poly) == expected
-    value = f.evaluate_at_one()
+    value = value_at_one(f)
     assert value == oracle_value_at_one(of)
     assert type(value) is (int if f.ring.domain == "Z" else Fraction)
     assert f.is_balanced() == (not value and oracle_involution(of) == of)
     for exps in [*of, (5,) * f.ring.nvars]:
         assert f.coeff(exps) == of.get(exps, 0)
+
+
+def _first_primes(count: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < count:
+        if all(k % p for p in primes if p * p <= k):
+            primes.append(k)
+        k += 1
+    return primes
+
+
+def test_sums_over_a_shared_denominator_match_the_fraction_oracle():
+    # 1,000 terms (10^4298 + i)/p_i t^(i - 500) over the first 1,000
+    # primes: over the common denominator every numerator shares all but
+    # one of its prime factors, so a gcd chain over the numerators alone
+    # stays large.  The normal form is unique, so each result (a sum, a
+    # sum with a shifted copy, a difference whose numerators add up to
+    # zero) is compared with the oracle's terms put over one denominator
+    # by the constructor, and no Fraction is built from a result
+    terms = {(i - 500,): Fraction(10 ** 4298 + i, p)
+             for i, p in enumerate(_first_primes(1000))}
+    shifted = {(e + 1,): c for (e,), c in terms.items()}
+    f = LaurentPoly(TQ, terms)
+    ft = f * TQ.variable(0)
+    for poly, expected in ((ft, shifted), (f + f, oracle_scale(terms, 2)),
+                           (ft + f, oracle_sum(shifted, terms)),
+                           (f - ft, oracle_sum(terms, shifted, -1)),
+                           (f - f, {})):
+        assert poly == LaurentPoly(TQ, expected)
 
 
 @settings(max_examples=200)
@@ -749,7 +780,7 @@ def test_scale_and_unit_inverse_match_the_fraction_oracle(poly_and_c):
     for poly in (f.scale(c), f * c, c * f):
         assert_normal_form(poly)
         assert fraction_terms(poly) == oracle_scale(of, c)
-    if len(of) == 1 and (f.ring.domain == "Q" or abs(f.evaluate_at_one()) == 1):
+    if len(of) == 1 and (f.ring.domain == "Q" or abs(value_at_one(f)) == 1):
         inverse = f.unit_inverse()
         assert_normal_form(inverse)
         assert fraction_terms(inverse) == oracle_unit_inverse(of)

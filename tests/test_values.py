@@ -5,8 +5,10 @@ repr that names the class.  Each instance comes from a real call."""
 
 import copy
 import pickle
+import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
@@ -21,17 +23,22 @@ from twistcert import (
     LiftClass,
     Matrix2,
     RingHom,
+    RingMismatchError,
     TreeVertex,
     amalgam_normal_form,
+    ball_dot,
     base_vertex,
     canonical_lift,
     canonical_vertex,
+    double_cosets_distinct,
     matrix_Mk,
     matrix_N,
     parse_poly,
     phi_hom,
     pushforward_b1_twist,
     series_ring,
+    single_variable_ring,
+    specialize_single,
     surface_ring,
 )
 from twistcert.tree import RationalFunction
@@ -165,6 +172,73 @@ def test_a_foreign_operand_raises_type_error(operation):
     # the value returns NotImplemented, so Python names both operand types
     with pytest.raises(TypeError, match="unsupported operand"):
         operation()
+
+
+# (what the message calls the argument, a call that passes it)
+INTEGER_ARGUMENTS = [
+    ("exponent", lambda n: series_ring().variable(0) ** n),
+    ("exponent", lambda n: surface_ring(2).monomial((0, n))),
+    ("variable index", lambda n: surface_ring(2).variable(n)),
+    ("variable index",
+     lambda n: specialize_single(canonical_lift(2).m, n)),
+    ("generator index", lambda n: Generator.comm(n, 2)),
+    ("vertex level", lambda n: TreeVertex(n, 0)),
+    ("radius", lambda n: ball_dot(base_vertex(), n)),
+    ("twist power", lambda n: double_cosets_distinct(n, 2)),
+    ("twist power", lambda n: double_cosets_distinct(2, n)),
+    ("twist power", matrix_Mk),
+    ("twist power", lambda n: pushforward_b1_twist(canonical_lift(2), n)),
+]
+
+
+@pytest.mark.parametrize("bad", [True, 1.5], ids=repr)
+@pytest.mark.parametrize("what, call", INTEGER_ARGUMENTS,
+                         ids=["pow", "monomial", "variable",
+                              "specialize_single", "generator", "vertex",
+                              "ball_dot", "double_coset_k", "double_coset_l",
+                              "matrix_Mk", "pushforward"])
+def test_an_integer_argument_refuses_a_bool_or_a_float(what, call, bad):
+    # a bool is an int to Python, and a float would be truncated or
+    # printed as it is: both are refused, with one message
+    with pytest.raises(TypeError,
+                       match=f"^{what} {re.escape(repr(bad))} is not an "
+                             "integer$"):
+        call(bad)
+    call(1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: Matrix2(*matrix_N().entries()[:3], series_ring().one()),
+    lambda: Matrix2.from_rows(single_variable_ring(),
+                              [[series_ring().one(), 0], [0, 1]]),
+    lambda: matrix_N() @ matrix_N().map_entries(
+        lambda f: f.as_domain("Q")),
+    lambda: CycleClass(2, {Generator.a1(): surface_ring(3).one()}),
+    lambda: CycleClass.basis(2, Generator.a1()).scaled_by(
+        surface_ring(3).one()),
+    lambda: CycleClass(2).scaled_by(surface_ring(2, "Q").one()),
+    lambda: LiftClass(2, None, surface_ring(3).one()),
+    lambda: RingHom(single_variable_ring(), single_variable_ring(),
+                    (series_ring().one(),)),
+    lambda: phi_hom(surface_ring(2)).apply(surface_ring(3).one()),
+    lambda: surface_ring(2).one() + surface_ring(2, "Q").one(),
+], ids=["matrix", "from_rows", "matmul", "cycle_class", "scaled_by",
+        "scaled_by_empty", "lift", "ring_hom", "ring_hom_apply", "sum"])
+def test_a_foreign_ring_raises_ring_mismatch_error(call):
+    # one error for every value built from parts of two rings; it is a
+    # ValueError, and names both rings
+    with pytest.raises(RingMismatchError, match=r"^.+ lives in \(.+, not in "
+                                                r"\("):
+        call()
+
+
+def test_a_vertex_child_takes_a_coefficient_of_q():
+    # read as a coefficient, not converted: 0.1 would be the binary
+    # fraction 3602879701896397/36028797018963968
+    for bad in (0.1, True, "1/2"):
+        with pytest.raises(TypeError):
+            base_vertex().child(bad)
+    assert str(base_vertex().child(Fraction(1, 2))) == "(1; 1/2)"
 
 
 def test_repr_names_the_class(case):

@@ -427,6 +427,13 @@ _ESCAPED_LINE_BREAKS = str.maketrans(
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    # Python refuses int/text conversions past its own digit limit, which
+    # PYTHONINTMAXSTRDIGITS may set below MAX_DIGITS: a run holds it at
+    # MAX_DIGITS at least and restores it on return (0 is no limit, and a
+    # Python before 3.10.7 has none)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < MAX_DIGITS:
+        sys.set_int_max_str_digits(MAX_DIGITS)
     try:
         args = build_parser(argv).parse_args(argv)
         code = args.handler(args)
@@ -443,6 +450,9 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: cannot write standard output: {exc.strerror}",
                   file=sys.stderr)
         return 2
+    finally:
+        if 0 < limit < MAX_DIGITS:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

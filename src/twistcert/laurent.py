@@ -21,7 +21,7 @@ _convolve, over the product of the denominators, once each operand's
 denominator is cancelled against the other's numerators; by Gauss's
 lemma that leaves the product in lowest terms.  A sum or difference,
 _sum, adds numerators over the lcm of the denominators and is reduced
-once, by one gcd of its denominator and every numerator.
+once, by the gcd of its denominator and every numerator (_content).
 Sums, products, parsing and printing build no Fraction: one is built
 only where a Q coefficient is read, through terms or coeff.
 
@@ -241,11 +241,24 @@ def _convolve(f, g) -> dict:
     return out
 
 
+def _content(den: int, numerators) -> int:
+    """The gcd of den and the numerators, a collection read up to three
+    times.  It is taken with their sum first: that gcd is most often
+    small, where a chain over numerators sharing den's factors stays
+    large.  When the sum leaves den itself, as a zero sum does, it is
+    taken with their weighted sum (the i-th numerator times i) next."""
+    g = gcd(den, sum(numerators))
+    if g == 1:
+        return 1
+    if g == den:
+        g = gcd(g, sum(i * c for i, c in enumerate(numerators)))
+    return gcd(g, *numerators)
+
+
 def _cancel(items, numerators, den: int):
-    """items (exponents, numerator) and den, each divided by the gcd of
-    den and the numerators, taken with their sum first: that gcd is most
-    often small, where numerators sharing den's factors keep a chain large."""
-    g = gcd(gcd(den, sum(numerators)), *numerators)
+    """items (exponents, numerator) and den, each divided by the _content
+    of den and the numerators."""
+    g = _content(den, numerators)
     if g == 1:
         return items, den
     return [(e, c // g) for e, c in items], den // g
@@ -254,8 +267,7 @@ def _cancel(items, numerators, den: int):
 def _sum(f: "LaurentPoly", g, sign: int):
     """f + sign * g, NotImplemented when g is not a polynomial: the
     numerators are added over the lcm of the denominators, and the sum
-    is reduced by one gcd of its denominator and every numerator, as in
-    _cancel."""
+    is reduced by its _content."""
     if not isinstance(g, LaurentPoly):
         return NotImplemented
     f._check_ring(g)
@@ -274,7 +286,7 @@ def _sum(f: "LaurentPoly", g, sign: int):
         else:
             del out[exps]
     if den != 1:
-        content = gcd(gcd(den, sum(out.values())), *out.values())
+        content = _content(den, out.values())
         if content != 1:
             out = {e: c // content for e, c in out.items()}
             den //= content
@@ -670,19 +682,22 @@ class _Parser:
     Grammar: sums and differences of products of signed atoms; an atom is
     an integer literal, a rational literal p/q, a variable, or a
     parenthesized expression, optionally raised to an integer power via ^.
+    Every value formed, from an atom to a parenthesised sum, is one term
+    map, exponents -> (numerator, denominator) in lowest terms, and parse
+    puts the expression over one denominator once, at the end.
 
     Work is bounded: parentheses nest at most MAX_NESTING deep, which
     keeps the descent well inside Python's recursion limit, and a
     power's exponent is at most MAX_EXPONENT in absolute value.  Every
     sum and product built along the way, including each step of a
     power, has at most MAX_TERMS terms, exponents at most MAX_EXPONENT
-    in absolute value, coefficients whose numerators and denominators
-    in lowest terms have at most MAX_DIGITS digits, and a common
-    denominator of at most MAX_DENOMINATOR_DIGITS digits; so nested
-    powers such as (t^100)^20 are refused too.  A product is refused before it is formed when its operands'
-    term counts multiply to more than MAX_TERMS, the size it has before
-    like terms combine, so each step costs at most MAX_TERMS term
-    products on operands of bounded size.
+    in absolute value, numerators and denominators of at most MAX_DIGITS
+    digits, and a common denominator of at most MAX_DENOMINATOR_DIGITS
+    digits; so nested powers such as (t^100)^20 are refused too.  A
+    product is refused before it is formed when its operands' term
+    counts multiply to more than MAX_TERMS, the size it has before like
+    terms combine, so each step costs at most MAX_TERMS term products
+    on operands of bounded size.
     """
 
     def __init__(self, text: str, ring: LaurentRing):
@@ -700,208 +715,161 @@ class _Parser:
         self.i += 1
         return tok
 
-    def expect_op(self, op: str):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", pos)
-        self.advance()
-
     def parse(self) -> LaurentPoly:
-        poly = self.expr()
+        terms, den = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {val!r}", pos)
-        return poly
+        return _make(self.ring, self.over(terms, den), den)
 
-    def expr(self) -> LaurentPoly:
-        # one running term map of coefficients in lowest terms, as
-        # (numerator, denominator) pairs: each + or - checks only the
-        # terms it changes, since every term is within limits when it is
-        # parsed, and the sum is put over one denominator once, at the end
-        total = self.pairs(self.term())
+    def expr(self) -> tuple[dict, int]:
+        """A sum, and its common denominator.  Each + or - checks only
+        the terms it changes, since every term is within limits when it
+        is parsed, and the common denominator is checked at the end."""
+        total = self.term()
         while True:
             kind, val, pos = self.peek()
-            if not (kind == "op" and val in "+-"):
-                return self.over_one_denominator(total, pos)
+            if val not in ("+", "-"):
+                return total, self.common_denominator(total.values(), pos)
             self.advance()
-            touched = []
-            for exps, (n, d) in self.pairs(
-                    self.term(1 if val == "+" else -1)).items():
+            touched = {}
+            for exps, (n, d) in self.term(1 if val == "+" else -1).items():
                 if exps in total:
                     n0, d0 = total[exps]
                     n, d = n0 * d + n * d0, d0 * d
                     g = gcd(n, d)
                     n, d = n // g, d // g
                 if n:
-                    total[exps] = n, d
-                    touched.append(exps)
+                    total[exps] = touched[exps] = n, d
                 else:
                     del total[exps]
             if len(total) > MAX_TERMS:
                 raise ParseError(
                     f"expression has more than {MAX_TERMS} terms", pos)
-            for exps in touched:
-                n, d = total[exps]
-                self.check_size({exps: n}, d, pos)
+            self.check_size(touched, pos)
 
     @staticmethod
-    def pairs(poly: LaurentPoly) -> dict:
-        """The terms of a polynomial as (numerator, denominator) pairs in
-        lowest terms."""
-        den = poly.den
-        return {e: (c // (g := gcd(c, den)), den // g)
-                for e, c in poly.num.items()}
-
-    def over_one_denominator(self, terms: dict, pos: int) -> LaurentPoly:
-        """The polynomial of (numerator, denominator) pairs in lowest
-        terms: its denominator is their lcm, refused past the limit before
-        any numerator is scaled to it."""
+    def common_denominator(pairs, pos: int) -> int:
+        """The lcm of the denominators of (numerator, denominator) pairs,
+        refused as soon as it is past the limit."""
         den = 1
-        for _, d in terms.values():
+        for _, d in pairs:
             if den % d:
                 den = den // gcd(den, d) * d
                 if den >= _DENOMINATOR_LIMIT:
                     raise ParseError("common denominator has more than "
                                      f"{MAX_DENOMINATOR_DIGITS} digits", pos)
-        return _make(self.ring, {e: n * (den // d)
-                                 for e, (n, d) in terms.items()}, den)
+        return den
 
-    def term(self, sign: int = 1) -> LaurentPoly:
-        """One term, times sign.  While its factors are literals and
-        variable powers the term is one (numerator, denominator,
-        exponents) monomial in lowest terms, and each * checks it; from
-        its first factor that is a parenthesised expression or a power of
-        a constant on, the term is a polynomial, and each * is a
-        product."""
-        term = self.factor(sign)
-        while True:
-            kind, val, pos = self.peek()
-            if not (kind == "op" and val == "*"):
-                return self.as_poly(term)
-            self.advance()
-            factor = self.factor()
-            if type(term) is tuple and type(factor) is tuple:
-                (n, d, exps), (n2, d2, exps2) = term, factor
-                if n2 != 1 or d2 != 1:
-                    n, d = n * n2, d * d2
-                    if d != 1:
-                        g = gcd(n, d)
-                        n, d = n // g, d // g
-                term = n, d, tuple(map(add, exps, exps2))
-                if n:
-                    self.check_size({term[2]: n}, d, pos)
-            else:
-                term = self.product(self.as_poly(term), self.as_poly(factor),
-                                    pos)
+    @staticmethod
+    def over(terms: dict, den: int) -> dict:
+        """The terms' numerators over den, a common denominator."""
+        return {e: n * (den // d) for e, (n, d) in terms.items()}
 
-    def as_poly(self, term) -> LaurentPoly:
-        """A polynomial, or a (numerator, denominator, exponents)
-        monomial as one."""
-        if type(term) is not tuple:
-            return term
-        n, d, exps = term
-        return _make(self.ring, {exps: n}, d) if n \
-            else self.ring.zero()
+    def term(self, sign: int = 1) -> dict:
+        """One product of factors, times sign."""
+        terms = self.factor(sign)
+        while self.peek()[1] == "*":
+            pos = self.advance()[2]
+            terms = self.product(terms, self.factor(), pos)
+        return terms
 
-    def product(self, f: LaurentPoly, g: LaurentPoly, pos: int) -> LaurentPoly:
-        if len(f.num) * len(g.num) > MAX_TERMS:
+    def product(self, f: dict, g: dict, pos: int) -> dict:
+        """f times g, in LaurentPoly's term order: an operand of at most
+        one term moves and scales the other's terms, and any other pair
+        is one convolution of numerators, cancelled as in __mul__."""
+        if len(f) * len(g) > MAX_TERMS:
             raise ParseError(
-                f"product of {len(f.num)} by {len(g.num)} terms exceeds "
+                f"product of {len(f)} by {len(g)} terms exceeds "
                 f"the limit of {MAX_TERMS} terms", pos)
-        out = f * g
-        self.check_size(out.num, out.den, pos)
+        den = 1
+        if len(f) <= 1 or len(g) <= 1:
+            out = self.times_term(f, g)
+        else:
+            d1 = self.common_denominator(f.values(), pos)
+            d2 = d1 if g is f else self.common_denominator(g.values(), pos)
+            fn, gn = self.over(f, d1), self.over(g, d2)
+            gi, d1 = _cancel(gn.items(), gn.values(), d1)
+            fi, d2 = _cancel(fn.items(), fn.values(), d2)
+            den = d1 * d2
+            out = {e: (c // (h := gcd(c, den)), den // h)
+                   for e, c in _convolve(fi, gi).items()}
+        self.check_size(out, pos)
+        # a convolution's denominators divide den, so den is their lcm
+        self.common_denominator(out.values() if den == 1 else [(1, den)],
+                                pos)
         return out
 
     @staticmethod
-    def check_size(num: Mapping[ExponentVector, int], den: int, pos: int):
-        """Refuse terms of num / den whose exponents or coefficients
-        exceed the limits: the first such term in num's order, its
-        exponents checked before its coefficient; then a denominator
-        past the limit."""
-        oversized = oversized_term(num, den)
-        for exps in num:
+    def times_term(f: dict, g: dict) -> dict:
+        """f times g, one of them of at most one term c x^s: each term of
+        the other moves by s and is scaled by c, cancelled crosswise; in
+        a domain no two terms meet and none vanishes."""
+        if len(g) > 1:
+            f, g = g, f
+        if not g:
+            return {}
+        (s, (c, e)), = g.items()
+        return {tuple(map(add, exps, s)):
+                (n // (h := gcd(n, e)) * (c // (k := gcd(c, d))),
+                 d // k * (e // h)) for exps, (n, d) in f.items()}
+
+    @staticmethod
+    def check_size(terms: dict, pos: int):
+        """Refuse the first term, in the map's order, whose exponents
+        (checked first) or coefficient exceed the limits."""
+        for exps, (n, d) in terms.items():
             for e in exps:
                 if abs(e) > MAX_EXPONENT:
                     raise ParseError(f"exponent {e} exceeds the limit of "
                                      f"{MAX_EXPONENT} in absolute value", pos)
-            if exps is oversized:
+            if abs(n) >= _COEFF_LIMIT or d >= _COEFF_LIMIT:
                 raise ParseError(f"coefficient has more than {MAX_DIGITS} "
                                  "digits", pos)
-        if den >= _DENOMINATOR_LIMIT:
-            raise ParseError("common denominator has more than "
-                             f"{MAX_DENOMINATOR_DIGITS} digits", pos)
 
-    def factor(self, sign: int = 1):
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                if val == "-":
-                    sign = -sign
-            else:
-                break
-        atom = self.atom()
+    def factor(self, sign: int = 1) -> dict:
+        while self.peek()[1] in ("+", "-"):
+            if self.advance()[1] == "-":
+                sign = -sign
+        terms = self.atom()
         if sign == 1:
-            return atom
-        return (-atom[0], *atom[1:]) if type(atom) is tuple else -atom
+            return terms
+        return {e: (-n, d) for e, (n, d) in terms.items()}
 
-    def integer(self) -> int:
-        sign = 1
-        kind, val, pos = self.peek()
-        if kind == "op" and val in "+-":
-            self.advance()
-            if val == "-":
-                sign = -1
-            kind, val, pos = self.peek()
-        if kind != "int":
-            raise ParseError("expected an integer", pos)
-        self.advance()
-        return sign * val
-
-    def atom(self):
-        """A literal or a variable power as a (numerator, denominator,
-        exponents) monomial in lowest terms; a power of a constant or a
-        parenthesised expression as a polynomial."""
-        kind, val, pos = self.peek()
+    def atom(self) -> dict:
+        kind, val, pos = self.advance()
         if kind == "int":
-            self.advance()
             den = 1
-            nkind, nval, npos = self.peek()
-            if nkind == "op" and nval == "/":
+            if self.peek()[1] == "/":
                 self.advance()
-                kind2, val2, pos2 = self.peek()
-                if kind2 != "int":
-                    raise ParseError("expected a denominator", pos2)
-                self.advance()
+                kind, den, at = self.advance()
+                if kind != "int":
+                    raise ParseError("expected a denominator", at)
                 if self.ring.domain != "Q":
                     raise ParseError("rational literal in an integer ring", pos)
-                if val2 == 0:
-                    raise ParseError("zero denominator", pos2)
-                g = gcd(val, val2)
-                val, den = val // g, val2 // g
-            if self.peek()[1] != "^":
-                return val, den, self.origin
-            return self.power(self.as_poly((val, den, self.origin)))
+                if den == 0:
+                    raise ParseError("zero denominator", at)
+                g = gcd(val, den)
+                val, den = val // g, den // g
+            return self.power({self.origin: (val, den)} if val else {})
         if kind == "name":
             if val not in self.ring.names:
-                raise ParseError(
-                    f"unknown variable {val!r} (ring has {', '.join(self.ring.names)})",
-                    pos,
-                )
-            self.advance()
-            # a variable and its power are one monomial: n is its exponent
+                raise ParseError(f"unknown variable {val!r} (ring has "
+                                 f"{', '.join(self.ring.names)})", pos)
+            # a variable and its power are one term: n is its exponent
             n, _ = self.exponent()
             exps = [0] * self.ring.nvars
             exps[self.ring.names.index(val)] = 1 if n is None else n
-            return 1, 1, tuple(exps)
-        if kind == "op" and val == "(":
+            return {tuple(exps): (1, 1)}
+        if val == "(":
             if self.depth == MAX_NESTING:
                 raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
-            self.advance()
             self.depth += 1
-            inner = self.expr()
+            inner, _ = self.expr()
             self.depth -= 1
-            self.expect_op(")")
+            _, val, at = self.advance()
+            if val != ")":
+                raise ParseError("expected ')'", at)
             return self.power(inner)
         found = "the end of the input" if kind == "end" else repr(val)
         raise ParseError(f"expected a value, found {found}", pos)
@@ -909,37 +877,50 @@ class _Parser:
     def exponent(self) -> tuple[int | None, int]:
         """The checked n of a following ^n (None without ^), and its place."""
         kind, val, pos = self.peek()
-        if not (kind == "op" and val == "^"):
+        if val != "^":
             return None, pos
         self.advance()
-        exponent = self.integer()
-        if abs(exponent) > MAX_EXPONENT:
-            raise ParseError(f"exponent {exponent} exceeds the limit of "
+        kind, val, at = self.advance()
+        sign = -1 if val == "-" else 1
+        if val in ("+", "-"):
+            kind, val, at = self.advance()
+        if kind != "int":
+            raise ParseError("expected an integer", at)
+        if val > MAX_EXPONENT:
+            raise ParseError(f"exponent {sign * val} exceeds the limit of "
                              f"{MAX_EXPONENT} in absolute value", pos)
-        return exponent, pos
+        return sign * val, pos
 
-    def power(self, base: LaurentPoly) -> LaurentPoly:
+    def power(self, base: dict) -> dict:
         exponent, pos = self.exponent()
-        if exponent is not None:
-            if exponent < 0:
-                try:
-                    base = base.unit_inverse()
-                except ValueError as exc:
-                    raise ParseError(str(exc), pos) from None
-                exponent = -exponent
-            # square and multiply, every product checked against the
-            # limits; the result starts at the first power it takes, so
-            # no product by one is formed
-            result = None
-            while exponent:
-                if exponent & 1:
-                    result = base if result is None \
-                        else self.product(result, base, pos)
-                exponent >>= 1
-                if exponent:
-                    base = self.product(base, base, pos)
-            return self.ring.one() if result is None else result
-        return base
+        if exponent is None:
+            return base
+        if exponent < 0:
+            base, exponent = self.inverse(base, pos), -exponent
+        # square and multiply, every product checked against the limits;
+        # the result starts at the first power it takes, so no product
+        # by one is formed
+        result = None
+        while exponent:
+            if exponent & 1:
+                result = base if result is None \
+                    else self.product(result, base, pos)
+            exponent >>= 1
+            if exponent:
+                base = self.product(base, base, pos)
+        return {self.origin: (1, 1)} if result is None else result
+
+    def inverse(self, terms: dict, pos: int) -> dict:
+        """The inverse of a unit: one term, with coefficient 1 or -1 over Z."""
+        if len(terms) == 1:
+            (exps, (n, d)), = terms.items()
+            if n in (1, -1) or self.ring.domain == "Q":
+                return {tuple(-e for e in exps): (d if n > 0 else -d, abs(n))}
+        den = self.common_denominator(terms.values(), pos)
+        try:  # unit_inverse raises, with the polynomial in its message
+            _make(self.ring, self.over(terms, den), den).unit_inverse()
+        except ValueError as exc:
+            raise ParseError(str(exc), pos) from None
 
 
 def parse_poly(text: str, ring: LaurentRing, part: str = "") -> LaurentPoly:

@@ -615,21 +615,20 @@ def test_normal_form_prints_nothing_when_a_letter_cannot_be_printed(
     assert printed == ["B", "A"]
 
 
-def _overflow_word() -> str:
-    """The word of the CI step "Normal form that overflows printing": six
-    factors, [[1, 0], [c, 1]] in A and [[1, b], [0, 1]] in B alternating,
-    c = sum r_e t^e and b = sum r_e t^-e for e = 1..20, each r_e drawn
-    from +-1, +-2, +-3 (seed 5), multiplied out."""
+def _alternating_word(pairs: int, degree: int) -> str:
+    """pairs times [[1, 0], [c, 1]] in A then [[1, b], [0, 1]] in B,
+    c = sum r_e t^e and b = sum r_e t^-e for e = 1..degree, each r_e
+    drawn from +-1, +-2, +-3 (seed 5), multiplied out."""
     rng = random.Random(5)
     ring = tree.series_ring()
     one, zero = ring.one(), ring.zero()
 
     def draw(sign):
         return LaurentPoly(ring, {(sign * e,): rng.choice((-3, -2, -1, 1, 2, 3))
-                                  for e in range(1, 21)})
+                                  for e in range(1, degree + 1)})
 
     factors = []
-    for _ in range(3):
+    for _ in range(pairs):
         factors += [Matrix2(one, zero, draw(1), one),
                     Matrix2(one, draw(-1), zero, one)]
     return str(multiply(factors))
@@ -638,13 +637,33 @@ def _overflow_word() -> str:
 @pytest.mark.parametrize("fmt", ("text", "json"))
 def test_normal_form_refuses_a_letter_too_long_to_print(capsys, monkeypatch,
                                                         fmt):
-    # its 107th letter has a coefficient past the 4,300 digits Python
-    # prints: the command stops there, before the rest of the word
-    monkeypatch.setattr(sys, "stdin", io.StringIO(_overflow_word()))
+    # the word of the CI step "Normal form that overflows printing": its
+    # 107th letter has a coefficient past the 4,300 digits Python prints,
+    # and the command stops there, before the rest of the word
+    monkeypatch.setattr(sys, "stdin", io.StringIO(_alternating_word(3, 20)))
     code, out, err = run(capsys, "normal-form", "-", "--format", fmt)
     assert (code, out) == (2, "")
     assert err == ("error: normal form letter 107: entry b has a coefficient "
                    "of more than 4300 digits, too long to print\n")
+
+
+@pytest.mark.parametrize("factors, degree", ((2, 62), (16, 8), (16, 62)))
+def test_long_alternating_words_end_within_seconds(capsys, monkeypatch,
+                                                  factors, degree):
+    # the words of factors x degree 2 x 62, 16 x 8 and 16 x 62: the first
+    # prints its normal form, the others reach a letter too long to print
+    # and stop there with nothing on stdout
+    monkeypatch.setattr(sys, "stdin", io.StringIO(
+        _alternating_word(factors // 2, degree)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "normal-form", "-")
+    assert time.perf_counter() - start < 15
+    if factors == 2:
+        assert (code, err) == (0, "") and out.endswith("\nletters: 123\n")
+    else:
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith(
+            "digits, too long to print\n"), err
 
 
 def test_normal_form_rejects_non_unimodular(capsys):
@@ -659,6 +678,30 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert result.stdout == "1\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no int/text digit limit")
+def test_a_low_int_text_limit_changes_no_outcome(capsys):
+    # PYTHONINTMAXSTRDIGITS=640 sets what this test sets: a 700-digit
+    # literal, and a lift whose n coefficient has 700 digits (invalid, so
+    # verify fails), are read as under the default limit, and the
+    # caller's limit is back in place after each run
+    big = "7" * 700
+    lift = json.dumps({"genus": 2, "m": {"0,0": 1}, "n": {"0,0": int(big)}})
+    argvs = (["eval", big],
+             ["verify", "--genus", "2", "--kmax", "2", "--lift", lift])
+    expected = [run(capsys, *argv)[:2] for argv in argvs]
+    assert [code for code, _ in expected] == [0, 1]
+    assert expected[0][1] == big + "\n"
+    default = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for argv, outcome in zip(argvs, expected):
+            assert run(capsys, *argv) == (*outcome, "")
+            assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(default)
 
 
 

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import json
+import math
 import pickle
 import random
 import re
@@ -10,6 +11,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from reference_parser import ReferenceParser
 
 from conftest import (
     assert_normal_form,
@@ -456,7 +459,7 @@ def test_tokenizer_digit_limit_matches_the_oracle():
     assert parse_poly("9" * 4300, T) == T.constant(int("9" * 4300))
 
 
-class _OracleParser(laurent._Parser):
+class _OracleParser(ReferenceParser):
     """The parser's term path as it was before a term of literals and
     variable powers was read as one monomial: every atom is a polynomial,
     and every * is a product of two polynomials."""
@@ -582,21 +585,95 @@ def test_parser_matches_the_oracle_at_the_limits():
         "coefficient has more than 4300 digits")
 
 
-def test_a_literal_term_forms_no_product(monkeypatch):
-    calls = []
-    mul = LaurentPoly.__mul__
+# the grammar's tokens, plus sums whose products and powers pass the
+# exponent limit in two terms at once, with two different exponents (the
+# term order of a product decides which one the message names), and
+# literals at the digit limit
+_LIMIT_TOKENS = _GRAMMAR_TOKENS + (
+    "t^600", "s3^-900", "(t^600 - t^-700)", "(t2^-600 + s3^900)",
+    "(t^999 + 2*t^-999)", "(1 + t^400 + t^-500)", "9" * laurent.MAX_DIGITS,
+    "1/" + "7" * laurent.MAX_DIGITS)
 
-    def counted(self, other):
-        calls.append(other)
-        return mul(self, other)
 
-    monkeypatch.setattr(LaurentPoly, "__mul__", counted)
-    f = parse_poly("3/2*t^-1 - 2*t^3", TQ)
+@settings(max_examples=3000, deadline=None)
+@given(st.lists(st.sampled_from(_LIMIT_TOKENS), max_size=14),
+       st.sampled_from((T, TQ, L3, L3Q)))
+def test_parser_matches_the_frozen_reference(tokens, ring):
+    text = "".join(tokens)
+    assert _parsed_or_error(laurent._Parser, text, ring) == \
+        _parsed_or_error(ReferenceParser, text, ring)
+
+
+@settings(max_examples=3000, deadline=None)
+@given(st.text(alphabet="0123456789ts23/^*+-() ", max_size=24),
+       st.sampled_from((T, TQ, L3, L3Q)))
+def test_parser_matches_the_frozen_reference_on_the_alphabet(text, ring):
+    assert _parsed_or_error(laurent._Parser, text, ring) == \
+        _parsed_or_error(ReferenceParser, text, ring)
+
+
+def test_parser_names_the_error_the_frozen_reference_names():
+    # a, b and c are pairwise coprime, of 2,801 digits, and e has 1,401:
+    # each term of (1/a + 1/b t^10 + 1/c t^20)(1/e + t^5) prints, but
+    # the product's common denominator a b c e has about 9,800 digits
+    a, b, c, e = (10 ** 2800 + 1, 10 ** 2800 + 3, 10 ** 2800 + 7,
+                  10 ** 1400 + 9)
+    sparse = f"(1/{a} + 1/{b}*t^10 + 1/{c}*t^20)"
+    cases = ["(t^600 - t^-700)*(t^500 + t^-400)",
+             "(t^-700 + t^600)*(t^500 + t^-400)",
+             "(t^500 + t^-400)*(t^600 - t^-700)", "(t^600 + t^-600)^2",
+             "(t^-600 + t^600)^3", "(s3^600 + t2^-600)*(s3^500 - t2^-500)",
+             "(t^999 + t^-999)*t^2*t^-3", "t^-2*(t^999 + t^-999)",
+             "(t^999 + t^-999)*(t + t^-1)", "(1 + t^-999)*(t^2 + 1)",
+             "3*(t^500 - t^-501)^2", "(t + 1)^-1", "(2*t)^-1", "0^-2",
+             f"{sparse}*1/{e}", f"1/{e}*{sparse}", f"{sparse}*(1/{e} + t^5)",
+             f"{sparse}^2", f"{sparse} + 1/{e}", f"({sparse})"]
+    for text in cases:
+        for ring in (T, TQ, L3, L3Q):
+            assert _parsed_or_error(laurent._Parser, text, ring) == \
+                _parsed_or_error(ReferenceParser, text, ring), (text, ring)
+    assert _parsed_or_error(laurent._Parser, cases[0], T) == (
+        "exponent 1100 exceeds the limit of 1000 in absolute value "
+        "(at position 16)", 16)
+    assert _parsed_or_error(laurent._Parser, cases[1], T)[0].startswith(
+        "exponent -1100 exceeds")
+    for text in cases[14:17]:
+        assert _parsed_or_error(laurent._Parser, text, TQ)[0].startswith(
+            "common denominator has more than 8600 digits")
+    assert len(_parsed_or_error(laurent._Parser, cases[-1], TQ)) == 3
+
+
+def test_parsing_forms_no_polynomial_product(monkeypatch):
+    # every value the parser forms is a term map: the one polynomial a
+    # parse builds is its result, and no LaurentPoly product, sum,
+    # negation or power is formed along the way
+    texts = ("3/2*t^-1 - 2*t^3", "(t - 1)*3/2", "3/2*(t - 1)",
+             "(1 + t)^5*(t^-1 - 2/3)", "2^-1*(t^2 - 1/3)^3 - (t*2)^-2",
+             "-(t + 1/2)*(t - 1/2) + t^2")
+    expected = [ReferenceParser(text, TQ).parse() for text in texts]
+    made, calls = [], []
+    make = laurent._make
+    monkeypatch.setattr(laurent, "_make",
+                        lambda *args: made.append(args) or make(*args))
+    for name in ("__mul__", "_times_term", "__add__", "__sub__", "__neg__",
+                 "__pow__", "unit_inverse"):
+        def counted(*args, _name=name, _real=getattr(LaurentPoly, name)):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(LaurentPoly, name, counted)
+    for text, value in zip(texts, expected):
+        made.clear()
+        f = parse_poly(text, TQ)
+        assert f == value and len(made) == 1, text
+        assert all(type(c) is Fraction for c in f.terms.values())
     assert calls == []
-    assert f.terms == {(-1,): Fraction(3, 2), (3,): Fraction(-2)}
-    assert all(type(c) is Fraction for c in f.terms.values())
-    parse_poly("(t - 1)*3/2", TQ)  # a parenthesised factor is a product
-    assert len(calls) == 1
+    assert parse_poly(texts[0], TQ).terms == {(-1,): Fraction(3, 2),
+                                              (3,): Fraction(-2)}
+    # a power -1 of a non-unit forms the polynomial its message prints
+    made.clear()
+    with pytest.raises(ParseError, match=r"^1 \+ t is not a unit"):
+        parse_poly("(t + 1)^-1", TQ)
+    assert len(made) == 1 and calls == ["unit_inverse"]
 
 
 # -- order-free term maps, Q products, shared rings ---------------------------
@@ -769,6 +846,31 @@ def test_sums_over_a_shared_denominator_match_the_fraction_oracle():
                            (f - ft, oracle_sum(terms, shifted, -1)),
                            (f - f, {})):
         assert poly == LaurentPoly(TQ, expected)
+
+
+def test_a_difference_whose_numerators_add_up_to_zero_is_in_lowest_terms():
+    # over the lcm 6 the numerators of x - y are 3 and -3: their sum 0
+    # has gcd 6 with the denominator, and their weighted sum -3 leaves 3
+    x = LaurentPoly(TQ, {(1,): Fraction(1, 3), (0,): Fraction(-1, 6)})
+    y = LaurentPoly(TQ, {(1,): Fraction(-1, 6), (0,): Fraction(1, 3)})
+    assert ((x - y).num, (x - y).den) == ({(1,): 1, (0,): -1}, 2)
+    # numerators 3, -6, 3 over 6: the sum and the weighted sum are both
+    # 0, and the gcd of every numerator with the denominator is 3
+    a = LaurentPoly(TQ, {(2,): Fraction(1, 3), (1,): Fraction(-1, 2),
+                         (0,): Fraction(1, 6)})
+    b = LaurentPoly(TQ, {(2,): Fraction(-1, 6), (1,): Fraction(1, 2),
+                         (0,): Fraction(-1, 3)})
+    assert ((a - b).num, (a - b).den) == ({(2,): 1, (1,): -2, (0,): 1}, 2)
+    # f - f t for f = sum of t^i / p_i over the first 200 primes: the
+    # numerators over their product P telescope to a zero sum
+    primes = _first_primes(200)
+    f = LaurentPoly(TQ, {(i,): Fraction(1, p) for i, p in enumerate(primes)})
+    diff = f - f * TQ.variable(0)
+    den = math.prod(primes)
+    assert diff.den == den and sum(diff.num.values()) == 0
+    assert diff.num == {(i,): den // p - (den // primes[i - 1] if i else 0)
+                        for i, p in enumerate(primes)} | {
+        (200,): -(den // primes[-1])}
 
 
 @settings(max_examples=200)
@@ -970,9 +1072,9 @@ def test_sum_checks_only_the_terms_each_addition_touches(monkeypatch):
     check = laurent._Parser.check_size
     inspected = []
 
-    def counting(num, den, pos):
-        inspected.append(len(num))
-        return check(num, den, pos)
+    def counting(terms, pos):
+        inspected.append(len(terms))
+        return check(terms, pos)
 
     monkeypatch.setattr(laurent._Parser, "check_size", staticmethod(counting))
 
